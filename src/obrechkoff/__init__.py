@@ -14,9 +14,7 @@ from .coefficients import (
     classical_coefficients,
     coefficients,
     plprime_closed,
-    pldoubleprime_beta31,
     pldoubleprime_closed,
-    series_switch_threshold,
     taylor_fallback,
 )
 from .errors import (
@@ -33,7 +31,6 @@ from .integrator import (
     StepperConfig,
     StepState,
     integrate,
-    recover_yprime,
     startup,
     step,
 )
@@ -52,12 +49,11 @@ from .stability import (
 __all__ = [
     "Context", "Tolerance", "make_context",
     "CoefficientSet", "MethodId", "classical_coefficients", "coefficients",
-    "plprime_closed", "pldoubleprime_beta31", "pldoubleprime_closed",
-    "series_switch_threshold", "taylor_fallback",
+    "plprime_closed", "pldoubleprime_closed", "taylor_fallback",
     "ObrechkoffError", "ConfigurationError", "DomainError", "FitError",
     "OutsidePeriodicityError", "SingularParameterError", "StepFailureError",
     "IntegrationResult", "StepperConfig", "StepState", "integrate",
-    "recover_yprime", "startup", "step",
+    "startup", "step",
     "PROBLEMS", "ProblemDef", "duffing", "get_problem", "linear_forced",
     "rational_problem",
     "LeadingTermFit", "PeriodicityResult", "StabilityPair", "fit_leading_term",

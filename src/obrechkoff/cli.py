@@ -14,9 +14,14 @@ Exit status is nonzero when any experiment cell failed.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .coefficients import MethodId, coefficient_sweep
@@ -112,35 +117,49 @@ def _run_cell(problem_name, method_name, divisor, omega_opt, digits, startup_mod
     }
 
 
+def _csv(header, rows) -> str:
+    """CSV text through the csv module, so no field can break its row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def trajectory_csv(rows) -> str:
-    lines = ["x,y,y_reference,abs_error"]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv(("x", "y", "y_reference", "abs_error"), rows)
+
+
+def _cell_args(spec: ExperimentSpec):
+    return [(spec.problem, m, d, spec.omega, spec.digits, spec.startup, spec.span)
+            for m in spec.methods for d in spec.step_divisors]
+
+
+def _outcome(call):
+    """(cell output, None), or (None, message) when the cell raised."""
+    try:
+        return call(), None
+    except Exception as exc:  # cell failures stay in-row, in serial and pool runs
+        return None, str(exc)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """All (method, divisor) cells; failures recorded in-row, run continues."""
     spec.validate()
+    args = _cell_args(spec)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        # every pool cell is submitted before the first result is awaited
+        calls = ([partial(_run_cell, *a) for a in args] if pool is None
+                 else [pool.submit(_run_cell, *a).result for a in args])
+        outcomes = [_outcome(call) for call in calls]
+    return _tabulate(spec, outcomes)
+
+
+def _tabulate(spec: ExperimentSpec, outcomes) -> ResultTable:
+    """Rows for the cells of `spec`, in order, with observed orders per method."""
     table = ResultTable(spec=spec)
     cells = [(m, d) for m in spec.methods for d in spec.step_divisors]
-    args = [(spec.problem, m, d, spec.omega, spec.digits, spec.startup, spec.span)
-            for m, d in cells]
-    outcomes = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, *a) for a in args]
-            for fut in futures:
-                try:
-                    outcomes.append((fut.result(), None))
-                except Exception as exc:  # cell failures stay in-row
-                    outcomes.append((None, str(exc)))
-    else:
-        for a in args:
-            try:
-                outcomes.append((_run_cell(*a), None))
-            except ObrechkoffError as exc:
-                outcomes.append((None, str(exc)))
-
     by_method = {}
     for (m, d), (out, err_msg) in zip(cells, outcomes):
         if out is None:
@@ -151,7 +170,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
             order = None
             prev = by_method.get(m)
             if prev is not None and prev[1] is not None and out["err_float"]:
-                import math
                 d_prev, e_prev = prev
                 if e_prev > 0 and out["err_float"] > 0:
                     order = (math.log(e_prev / out["err_float"])
@@ -168,15 +186,15 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
     """Render the table; CSV rows sorted by (method, h descending)."""
     rows = sorted(table.rows, key=lambda r: (r.method, r.divisor))
     if fmt == "csv":
-        lines = ["h,method,abs_end_error,wall_time_s,observed_order"]
+        cells = []
         for r in rows:
             if r.failed:
-                lines.append(f",{r.method},FAILED({r.message}),,")
+                cells.append(("", r.method, f"FAILED({r.message})", "", ""))
                 continue
             order = "" if r.observed_order is None else f"{r.observed_order:.2f}"
             err = "" if r.abs_end_error is None else r.abs_end_error
-            lines.append(f"{r.h_text},{r.method},{err},{r.wall_time_s:.3f},{order}")
-        return "\n".join(lines) + "\n"
+            cells.append((r.h_text, r.method, err, f"{r.wall_time_s:.3f}", order))
+        return _csv(("h", "method", "abs_end_error", "wall_time_s", "observed_order"), cells)
     if fmt == "markdown":
         lines = ["| h | method | abs end error | wall time (s) | observed order |",
                  "|---|--------|---------------|---------------|----------------|"]
@@ -206,21 +224,17 @@ def _grid(args):
 
 def sweep_coefficients_csv(method: MethodId, v_grid, digits: int) -> str:
     ctx = make_context(digits)
-    lines = ["v,beta10,beta11,beta20,beta21,beta30,beta31,status"]
-    for row in coefficient_sweep(method, v_grid, ctx):
-        v, *betas, status = row
-        cells = [_sci(v)] + ["" if b is None else _sci(b) for b in betas] + [status]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = [[_sci(v)] + ["" if b is None else _sci(b) for b in betas] + [status]
+            for v, *betas, status in coefficient_sweep(method, v_grid, ctx)]
+    return _csv(("v", "beta10", "beta11", "beta20", "beta21", "beta30", "beta31", "status"),
+                rows)
 
 
 def sweep_stability_csv(method: MethodId, v_grid, digits: int) -> str:
     ctx = make_context(digits)
-    lines = ["v,A,B,B_over_A,phase_lag,status"]
-    for v, A, B, ratio, pl, status in stability_sweep(method, v_grid, ctx):
-        cells = [_sci(v)] + ["" if x is None else _sci(x) for x in (A, B, ratio, pl)]
-        lines.append(",".join(cells + [status]))
-    return "\n".join(lines) + "\n"
+    rows = [[_sci(v)] + ["" if x is None else _sci(x) for x in (A, B, ratio, pl)] + [status]
+            for v, A, B, ratio, pl, status in stability_sweep(method, v_grid, ctx)]
+    return _csv(("v", "A", "B", "B_over_A", "phase_lag", "status"), rows)
 
 
 def _write_out(text, path):
@@ -288,14 +302,17 @@ def main(argv=None) -> int:
                 span=args.span,
             )
             if args.trajectory_every:
+                spec.validate()
                 if len(spec.methods) * len(spec.step_divisors) != 1:
                     raise ObrechkoffError("--trajectory-every needs a single-cell run")
-                cell = _run_cell(spec.problem, spec.methods[0], spec.step_divisors[0],
-                                 spec.omega, spec.digits, spec.startup, spec.span,
-                                 trajectory_every=args.trajectory_every)
-                _write_out(trajectory_csv(cell["trajectory"]),
-                           args.trajectory_out)
-            table = run_experiment(spec, workers=args.workers)
+                outcome = _outcome(partial(_run_cell, *_cell_args(spec)[0],
+                                           trajectory_every=args.trajectory_every))
+                if outcome[0] is not None:
+                    _write_out(trajectory_csv(outcome[0]["trajectory"]),
+                               args.trajectory_out)
+                table = _tabulate(spec, [outcome])
+            else:
+                table = run_experiment(spec, workers=args.workers)
             _write_out(emit(table, args.format), args.out)
             return 1 if table.any_failed else 0
         method = MethodId.parse(args.method)

@@ -10,17 +10,20 @@ Three methods are provided:
 
 All fitted coefficients depend on the dimensionless parameter v = w*h only
 through v^2 and cos(r v), so they are even functions of v and tend to the
-classical values as v -> 0.  Closed-form evaluation suffers catastrophic
-cancellation for small v (the numerators vanish to orders v^12 .. v^24); a
-rational Taylor table in v^2 covers that regime, and closed forms run with a
-precision boost proportional to log10(1/v) elsewhere.
+classical values as v -> 0.  There is one evaluation path: the closed forms,
+at every v with v^2 >= 10^-digits.  Their numerators cancel to orders
+v^12 .. v^24 at the origin, so they run on the caller's context with its
+precision raised by the digits that cancellation costs, and round back once.
+Below v^2 = 10^-digits the fitted weights equal the classical ones to working
+precision.  The rational Taylor tables are exact validation data for the
+closed forms; evaluation never uses them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
 from .context import Context
@@ -78,7 +81,8 @@ CLASSICAL_FRACTIONS = {
     "beta31": F(2923, 3925152),
 }
 
-# Taylor tables: coefficients of v^0, v^2, ..., v^12 for each weight.
+# Taylor tables: coefficients of v^0, v^2, ..., v^12 for each weight, kept as
+# exact validation data for the closed forms.
 PL_PRIME_SERIES = {
     "beta10": (
         F(229, 7788),
@@ -209,11 +213,6 @@ def classical_coefficients(ctx: Context) -> CoefficientSet:
     return CoefficientSet(v=ctx.mpf(0), **vals)
 
 
-def series_switch_threshold(digits: int) -> float:
-    """Below this |v| the Taylor table replaces the closed forms."""
-    return min(max(10.0 ** ((30 - digits) / 12.0), 1e-3), 0.5)
-
-
 def _boost_digits(method: MethodId, v_abs: float) -> int:
     order = _CANCEL_ORDER[method]
     lost = order * math.log10(1.0 / min(max(v_abs, 1e-300), 0.5)) if v_abs < 0.5 else 0.0
@@ -236,41 +235,41 @@ def plprime_closed(v, ctx: Context) -> CoefficientSet:
 
     Each weight is prefactor/v^2 times a trig-polynomial numerator over the
     common denominator; everything cancels to O(v^12)/O(v^10), so evaluation
-    happens in a boosted scratch context before rounding back.
+    runs at boosted precision on ctx and rounds back once.
     """
     v_in = ctx.mpf(v)
-    w = ctx.boosted(_boost_digits(MethodId.PL_PRIME, abs(float(v_in))))
-    vv = abs(w.mpf(v))
-    c1 = w.mp.cos(vv)
-    v2 = vv * vv
-    v4 = v2 * v2
-    v6 = v4 * v2
-    den = (15120 * c1 - 15120 + 6900 * v2 - 313 * v4 + 660 * v2 * c1
-           + 13 * v4 * c1)
-    scale = max(15120 + 15120, abs(6900 * v2), abs(313 * v4),
-                abs(660 * v2 * c1), abs(13 * v4 * c1))
-    _singular_check(ctx, MethodId.PL_PRIME, v_in, den, scale, vanish_order=10)
-    n10 = (-45360 * v2 + 3702 * v4 - 89 * v6 + 78 * v4 * c1 + 2 * v6 * c1
-           + 90720 - 90720 * c1)
-    n11 = (45360 * v2 * c1 + 16998 * v4 - 850 * v6 + 37 * v6 * c1 - 90720
-           + 90720 * c1 + 1902 * v4 * c1)
-    n20 = (-65520 * v2 * c1 - 1597680 * v2 + 105840 * v4 - 1907 * v6
-           + 17 * v6 * c1 + 3326400 - 3326400 * c1)
-    n21 = (3109680 * v2 * c1 + 14278320 * v2 - 30257 * v6 + 1907 * v6 * c1
-           - 34776000 + 34776000 * c1 + 105840 * v4 * c1)
-    n30 = (3360 * v2 * c1 + 62160 * v2 - 3814 * v4 + 59 * v6 + 34 * v4 * c1
-           - 131040 + 131040 * c1)
-    n31 = (149520 * v2 * c1 + 1428000 * v2 - 60514 * v4 + 59 * v6 * c1
-           - 3155040 + 3155040 * c1 + 3814 * v4 * c1)
-    d = v2 * den
-    vals = {
-        "beta10": n10 / (6 * d),
-        "beta11": n11 / (3 * d),
-        "beta20": -n20 / (5040 * d),
-        "beta21": n21 / (2520 * d),
-        "beta30": -n30 / (10080 * d),
-        "beta31": n31 / (5040 * d),
-    }
+    with ctx.mp.extradps(_boost_digits(MethodId.PL_PRIME, abs(float(v_in)))):
+        vv = abs(ctx.mpf(v))
+        c1 = ctx.mp.cos(vv)
+        v2 = vv * vv
+        v4 = v2 * v2
+        v6 = v4 * v2
+        den = (15120 * c1 - 15120 + 6900 * v2 - 313 * v4 + 660 * v2 * c1
+               + 13 * v4 * c1)
+        scale = max(15120 + 15120, abs(6900 * v2), abs(313 * v4),
+                    abs(660 * v2 * c1), abs(13 * v4 * c1))
+        _singular_check(ctx, MethodId.PL_PRIME, v_in, den, scale, vanish_order=10)
+        n10 = (-45360 * v2 + 3702 * v4 - 89 * v6 + 78 * v4 * c1 + 2 * v6 * c1
+               + 90720 - 90720 * c1)
+        n11 = (45360 * v2 * c1 + 16998 * v4 - 850 * v6 + 37 * v6 * c1 - 90720
+               + 90720 * c1 + 1902 * v4 * c1)
+        n20 = (-65520 * v2 * c1 - 1597680 * v2 + 105840 * v4 - 1907 * v6
+               + 17 * v6 * c1 + 3326400 - 3326400 * c1)
+        n21 = (3109680 * v2 * c1 + 14278320 * v2 - 30257 * v6 + 1907 * v6 * c1
+               - 34776000 + 34776000 * c1 + 105840 * v4 * c1)
+        n30 = (3360 * v2 * c1 + 62160 * v2 - 3814 * v4 + 59 * v6 + 34 * v4 * c1
+               - 131040 + 131040 * c1)
+        n31 = (149520 * v2 * c1 + 1428000 * v2 - 60514 * v4 + 59 * v6 * c1
+               - 3155040 + 3155040 * c1 + 3814 * v4 * c1)
+        d = v2 * den
+        vals = {
+            "beta10": n10 / (6 * d),
+            "beta11": n11 / (3 * d),
+            "beta20": -n20 / (5040 * d),
+            "beta21": n21 / (2520 * d),
+            "beta30": -n30 / (10080 * d),
+            "beta31": n31 / (5040 * d),
+        }
     return CoefficientSet(v=v_in, **{k: ctx.mpf(x) for k, x in vals.items()})
 
 
@@ -307,60 +306,56 @@ def _pl2_numden(w, vv):
     return num, den, (c1, c2)
 
 
-def pldoubleprime_beta31(v, ctx: Context):
-    """The PL'' beta31 weight from its trig-rational closed form."""
-    v_in = ctx.mpf(v)
-    w = ctx.boosted(_boost_digits(MethodId.PL_DOUBLE_PRIME, abs(float(v_in))))
-    vv = abs(w.mpf(v))
-    num, den, _ = _pl2_numden(w, vv)
-    _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, den,
-                    w.mpf(240 * 8) + 1000 * vv ** 4, vanish_order=18)
-    return ctx.mpf(num / (1080 * vv ** 6 * den))
-
-
 def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
     """Closed-form PL'' coefficients at fitting parameter v (v != 0).
 
     beta31 comes from its trig-rational form; the remaining five weights
     solve the defining exactness conditions: vanishing h^2/h^4/h^6 order
     brackets plus characteristic-root fit at the first and second harmonic
-    (the third-harmonic condition is then satisfied identically).
+    (the third-harmonic condition is then satisfied identically).  Like
+    PL', everything runs at boosted precision on ctx and rounds back once.
     """
     v_in = ctx.mpf(v)
-    w = ctx.boosted(_boost_digits(MethodId.PL_DOUBLE_PRIME, abs(float(v_in))))
-    vv = abs(w.mpf(v))
-    num, den, (c1, c2) = _pl2_numden(w, vv)
-    _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, den,
-                    w.mpf(240 * 8) + 1000 * vv ** 4, vanish_order=18)
-    b31 = num / (1080 * vv ** 6 * den)
+    with ctx.mp.extradps(_boost_digits(MethodId.PL_DOUBLE_PRIME, abs(float(v_in)))):
+        vv = abs(ctx.mpf(v))
+        num, den, (c1, c2) = _pl2_numden(ctx, vv)
+        _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, den,
+                        ctx.mpf(240 * 8) + 1000 * vv ** 4, vanish_order=18)
+        b31 = num / (1080 * vv ** 6 * den)
 
-    one = w.mpf(1)
+        one = ctx.mpf(1)
 
-    def pqr(x, cx):
-        x2 = x * x
-        x4 = x2 * x2
-        x6 = x4 * x2
-        p = x2 * (cx - 1) + x4 / 2 - x6 * cx / 24
-        q = x4 * (1 - cx) - x6 * cx / 2
-        r = (1 - cx) - x2 / 2 + x4 / 24 - b31 * x6 / 2 - (one / 360 - b31) * x6 * cx / 2
-        return p, q, r
+        def pqr(x, cx):
+            x2 = x * x
+            x4 = x2 * x2
+            x6 = x4 * x2
+            p = x2 * (cx - 1) + x4 / 2 - x6 * cx / 24
+            q = x4 * (1 - cx) - x6 * cx / 2
+            r = (1 - cx) - x2 / 2 + x4 / 24 - b31 * x6 / 2 - (one / 360 - b31) * x6 * cx / 2
+            return p, q, r
 
-    p1, q1, r1 = pqr(vv, c1)
-    p2, q2, r2 = pqr(2 * vv, c2)
-    det = p1 * q2 - p2 * q1
-    _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, det,
-                    abs(p1 * q2) + abs(p2 * q1), vanish_order=2)
-    b10 = (r1 * q2 - r2 * q1) / det
-    b20 = (p1 * r2 - p2 * r1) / det
-    b11 = 1 - 2 * b10
-    b21 = one / 12 - b10 - 2 * b20
-    b30 = (one / 360 - b31 - b10 / 12 - b20) / 2
-    vals = (b10, b11, b20, b21, b30, b31)
+        p1, q1, r1 = pqr(vv, c1)
+        p2, q2, r2 = pqr(2 * vv, c2)
+        det = p1 * q2 - p2 * q1
+        _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, det,
+                        abs(p1 * q2) + abs(p2 * q1), vanish_order=2)
+        b10 = (r1 * q2 - r2 * q1) / det
+        b20 = (p1 * r2 - p2 * r1) / det
+        b11 = 1 - 2 * b10
+        b21 = one / 12 - b10 - 2 * b20
+        b30 = (one / 360 - b31 - b10 / 12 - b20) / 2
+        vals = (b10, b11, b20, b21, b30, b31)
     return CoefficientSet(v=v_in, **dict(zip(COEFF_NAMES, (ctx.mpf(x) for x in vals))))
 
 
 def taylor_fallback(method: MethodId, v, ctx: Context) -> CoefficientSet:
-    """Series evaluation through the v^12 term (small-|v| regime)."""
+    """Series evaluation through the v^12 term.
+
+    Exact-rational validation data for the closed forms near the origin.
+    :func:`coefficients` does not use it: its v^14 truncation error exceeds
+    the working precision well inside the range where the fitted weights
+    differ from the classical ones, while the closed forms do not.
+    """
     if method not in TAYLOR_TABLES:
         raise ConfigurationError("taylor_fallback applies to the fitted methods only")
     table = TAYLOR_TABLES[method]
@@ -376,17 +371,18 @@ def taylor_fallback(method: MethodId, v, ctx: Context) -> CoefficientSet:
 
 
 def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
-    """Coefficient set for (method, v): dispatches closed form vs series.
+    """Coefficient set for (method, v), accurate to working precision.
 
-    The classical method ignores v (recorded as 0).  Fitted methods use the
-    Taylor table below the cancellation-switch threshold and the closed
-    forms above it; both branches are even in v.
+    The classical method ignores v (recorded as 0).  Fitted methods evaluate
+    their closed forms whenever v^2 >= 10^-digits; below that they differ
+    from the classical weights by less than one unit in the last place, so
+    the classical set is returned with v recorded.  Both are even in v.
     """
     if method is MethodId.CLASSICAL:
         return classical_coefficients(ctx)
     v_in = ctx.mpf(v)
-    if abs(v_in) < series_switch_threshold(ctx.digits):
-        return taylor_fallback(method, v_in, ctx)
+    if v_in * v_in < ctx.eps():
+        return replace(classical_coefficients(ctx), v=v_in)
     if method is MethodId.PL_PRIME:
         return plprime_closed(v_in, ctx)
     return pldoubleprime_closed(v_in, ctx)

@@ -3,7 +3,10 @@
 Every other module takes an explicit :class:`Context` so that independent
 computations at different precisions never interfere.  A context wraps an
 isolated mpmath ``MPContext``; values created by one context are ordinary
-mpmath floats bound to that context's precision.
+mpmath floats bound to that context's precision.  Code that needs guard
+digits raises that precision inside ``ctx.mp.extradps(n)``, which restores it
+on exit even when an exception escapes, and rounds its results back with
+:meth:`Context.mpf`.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ class Context:
     def tolerance(self) -> Tolerance:
         t = self.mp.mpf(10) ** (8 - self.digits)
         return Tolerance(rel=t, abs=t)
-
-    def boosted(self, extra_digits: int) -> "Context":
-        """A fresh context with `extra_digits` more working digits."""
-        return Context(self.digits + max(0, int(extra_digits)))
 
     def __repr__(self):
         return f"Context(digits={self.digits})"

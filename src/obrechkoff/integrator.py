@@ -56,7 +56,6 @@ class StepperConfig:
     tol: Optional[Tolerance] = None
     max_iters: int = 60
     startup: str = "exact"
-    recovery_depth: int = 3
     accelerate: bool = True
 
     def validate(self, ctx: Context):
@@ -68,8 +67,6 @@ class StepperConfig:
             raise ConfigurationError("max_iters must be >= 1")
         if self.startup not in STARTUP_MODES:
             raise ConfigurationError(f"startup must be one of {STARTUP_MODES}")
-        if self.recovery_depth not in (0, 1, 2, 3):
-            raise ConfigurationError("recovery_depth must be in {0,1,2,3}")
 
     def fitting_parameter(self, ctx: Context):
         if self.method is MethodId.CLASSICAL:
@@ -146,42 +143,6 @@ def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
         return y0, problem.reference(x1), yp0, problem.reference_prime(x1)
     jet = ode_series(ctx, problem.f2, problem.x0, y0, yp0, TAYLOR_STARTUP_ORDER)
     return y0, jet.eval(h), yp0, jet.derivative().eval(h)
-
-
-def recover_yprime(y_prev, y_curr, y_next, x_n, problem: ProblemDef,
-                   config: StepperConfig, ctx: Context):
-    """First derivative at the middle of three consecutive nodes.
-
-    Solves the symmetric identity
-
-        y_{n+1} - y_{n-1} = 2 [h y' + h^3/3! y(3) + h^5/5! y(5) + h^7/7! y(7)]
-
-    truncated at recovery_depth odd closures, by fixed point in y' (the odd
-    closures may depend on it).  Depth 0 is the plain central difference.
-    """
-    depth = config.recovery_depth
-    h = ctx.mpf(config.h)
-    central = (y_next - y_prev) / (2 * h)
-    if depth == 0:
-        return central
-    closures = []
-    for j in range(1, depth + 1):
-        closures.append(problem.closure(2 * j + 1))
-    tol = config.tol or ctx.tolerance()
-    inv_fact = [ctx.rational(1, 6), ctx.rational(1, 120), ctx.rational(1, 5040)]
-    yp = central
-    for _ in range(config.max_iters):
-        corr = ctx.mpf(0)
-        hpow = ctx.mpf(1)
-        for j, fk in enumerate(closures):
-            hpow = hpow * h * h
-            corr += hpow * inv_fact[j] * fk(x_n, y_curr, yp)
-        yp_new = central - corr
-        if abs(yp_new - yp) <= tol.abs + tol.rel * abs(yp_new):
-            return yp_new
-        yp = yp_new
-    raise StepFailureError("derivative recovery did not converge",
-                           iterations=config.max_iters)
 
 
 def _solve_step(problem, coeffs: CoefficientSet, config, ctx,

@@ -2,8 +2,8 @@
 
 Each closure receives (x, y, yp) and returns one higher derivative of the
 solution, obtained by total differentiation of the right-hand side.  The even
-closures f2/f4/f6 feed the integrator; the odd ones serve startup, derivative
-recovery and testing.  f2 never involves yp (the problem class is
+closures f2/f4/f6 feed the integrator; the odd ones serve the step
+predictor and testing.  f2 never involves yp (the problem class is
 y'' = f(x, y)), which also lets it run on Taylor jets for series startup.
 """
 

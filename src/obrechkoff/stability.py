@@ -70,9 +70,12 @@ def phase_lag(method: MethodId, v, ctx: Context):
     Raises OutsidePeriodicityError when |B/A| > 1 (no real root angle).
     """
     v = ctx.mpf(v)
-    cs = coefficients(method, v, ctx)
-    pair = stability_pair(cs, abs(v))
-    ratio = pair.B / pair.A
+    pair = stability_pair(coefficients(method, v, ctx), abs(v))
+    return _lag_from_ratio(pair.B / pair.A, v, ctx)
+
+
+def _lag_from_ratio(ratio, v, ctx: Context):
+    """Phase lag at v of a method whose characteristic ratio B/A is `ratio`."""
     if abs(ratio) > 1:
         raise OutsidePeriodicityError(
             f"|B/A| = {ctx.mp.nstr(abs(ratio), 8)} > 1 at v = {ctx.mp.nstr(v, 8)}"
@@ -211,7 +214,7 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max,
 
 
 def stability_sweep(method: MethodId, v_grid, ctx: Context):
-    """Rows (v, A, B, B/A, phase_lag, status) over a v grid."""
+    """Rows (v, A, B, B/A, phase_lag, status); one coefficient set per row."""
     rows = []
     for v in v_grid:
         v = ctx.mpf(v)
@@ -223,7 +226,7 @@ def stability_sweep(method: MethodId, v_grid, ctx: Context):
         pair = stability_pair(cs, abs(v))
         ratio = pair.B / pair.A
         try:
-            pl = phase_lag(method, v, ctx)
+            pl = _lag_from_ratio(ratio, v, ctx)
             status = "ok"
         except OutsidePeriodicityError:
             pl = None

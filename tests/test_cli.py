@@ -2,7 +2,7 @@ import csv
 import io
 import math
 
-
+from obrechkoff import cli
 from obrechkoff.cli import (
     ExperimentSpec,
     emit,
@@ -115,7 +115,7 @@ def test_sweep_coefficients_flags_singular_rows():
     ctx = make_context(16)
 
     def den(v):
-        w = ctx.boosted(30)
+        w = make_context(ctx.digits + 30)
         return _pl2_numden(w, w.mpf(v))[1]
 
     lo, hi = ctx.mpf("3.8"), ctx.mpf("4.0")
@@ -180,3 +180,41 @@ def test_trajectory_dump(tmp_path):
     assert float(rows[0]["x"]) == 0.0
     assert all(float(r["abs_error"]) < 1e-8 for r in rows)
     assert len(rows) >= 6
+
+
+def test_serial_and_pool_record_the_same_failure():
+    # a NaN span raises ValueError deep in integrate; both paths keep it in-row
+    spec = ExperimentSpec(problem="linear", methods=["classical"], step_divisors=[10],
+                          digits=30, span=float("nan"))
+    rows = [run_experiment(spec, workers=w).rows for w in (1, 2)]
+    assert rows[0] == rows[1]
+    assert rows[0][0].failed
+    assert rows[0][0].message
+
+
+def test_failure_message_keeps_csv_columns():
+    # the unknown-problem message lists the problems with commas
+    table = run_experiment(ExperimentSpec(problem="nosuch", methods=["classical"],
+                                          step_divisors=[10], digits=30))
+    rows = list(csv.reader(io.StringIO(emit(table, "csv"))))
+    assert len(rows) == 2
+    assert all(len(r) == 5 for r in rows)
+    assert rows[1][2].startswith("FAILED(") and "," in rows[1][2]
+
+
+def test_trajectory_run_integrates_its_cell_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("trajectory_every"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    rc = main(["run", "--problem", "rational", "--method", "classical",
+               "--divisors", "50", "--digits", "30",
+               "--trajectory-every", "10", "--trajectory-out", str(tmp_path / "traj.csv"),
+               "--out", str(tmp_path / "table.csv")])
+    assert rc == 0
+    assert calls == [10]
+    assert len(parse_csv((tmp_path / "table.csv").read_text())) == 1

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction as F
 
@@ -9,10 +10,8 @@ from obrechkoff import (
     classical_coefficients,
     coefficients,
     make_context,
-    pldoubleprime_beta31,
     pldoubleprime_closed,
     plprime_closed,
-    series_switch_threshold,
     taylor_fallback,
 )
 from obrechkoff.coefficients import (
@@ -25,6 +24,8 @@ from obrechkoff.coefficients import (
 from obrechkoff.stability import stability_pair
 
 FITTED = (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME)
+# the package re-exports the function coefficients() under the module's name
+COEFFICIENTS_MODULE = importlib.import_module("obrechkoff.coefficients")
 
 
 # ---------------------------------------------------------------- classical
@@ -107,7 +108,7 @@ def test_small_v_limit_is_classical(ctx60, method, closed):
 
 
 def test_pl2_beta31_limit_value(ctx60):
-    b31 = pldoubleprime_beta31(ctx60.mpf("1e-6"), ctx60)
+    b31 = pldoubleprime_closed(ctx60.mpf("1e-6"), ctx60).beta31
     assert abs(b31 - ctx60.mpf(F(2923, 3925152))) < ctx60.mpf(10) ** -10
 
 
@@ -138,21 +139,49 @@ def test_closed_vs_taylor_overlap(ctx50, method, closed, v):
         assert abs(x - y) < ctx50.mpf(10) ** -20
 
 
-def test_dispatch_agrees_with_closed_form_inside_switch(ctx50):
-    # v = 0.05 is above the 50-digit switch point, so dispatch == closed form,
-    # and both agree with the series to far more than 30 digits
-    v = ctx50.mpf("0.05")
-    assert series_switch_threshold(50) < 0.05
-    a = coefficients(MethodId.PL_PRIME, v, ctx50)
-    b = plprime_closed(v, ctx50)
-    for x, y in zip(a.as_tuple(), b.as_tuple()):
-        assert abs(x - y) < ctx50.mpf(10) ** -30
+CLOSED_FORMS = {MethodId.PL_PRIME: plprime_closed,
+                MethodId.PL_DOUBLE_PRIME: pldoubleprime_closed}
+
+# 0.495, 0.0215 and 0.000999 sit just below where 16-, 50- and 100-digit
+# contexts used to switch from the closed forms to the truncated v^12 series
+FULL_PRECISION_V = ("1e-30", "1e-12", "1e-5", "0.000999", "1e-3", "0.02",
+                    "0.0215", "0.1", "0.495", "1", "3")
 
 
-def test_switch_threshold_shape():
-    assert series_switch_threshold(30) == 0.5          # clamped high
-    assert abs(series_switch_threshold(50) - 10 ** (-20 / 12)) < 1e-12
-    assert series_switch_threshold(200) == 1e-3        # clamped low
+@pytest.mark.parametrize("method", FITTED)
+@pytest.mark.parametrize("digits", [16, 50, 100])
+def test_full_precision_at_every_v(method, digits):
+    # reference: the closed form itself at twice the working digits
+    ctx = make_context(digits)
+    ref_ctx = make_context(2 * digits)
+    tol = ref_ctx.mpf(10) ** (3 - digits)
+    for text in FULL_PRECISION_V:
+        v = ctx.mpf(text)
+        got = coefficients(method, v, ctx)
+        ref = CLOSED_FORMS[method](ref_ctx.mpf(v), ref_ctx)
+        for name, x, r in zip(COEFF_NAMES, got.as_tuple(), ref.as_tuple()):
+            assert abs(ref_ctx.mpf(x) - r) <= tol * abs(r), (text, name)
+
+
+@pytest.mark.parametrize("method", FITTED)
+def test_classical_weights_below_resolution(monkeypatch, method):
+    # v^2 < 10^-digits: the fitted weights equal the classical ones to working
+    # precision; from v^2 = 10^-digits on, the closed forms are evaluated
+    ctx = make_context(50)
+    below = coefficients(method, ctx.mpf("0.9e-25"), ctx)
+    assert below.v == ctx.mpf("0.9e-25")
+    assert below.as_tuple() == classical_coefficients(ctx).as_tuple()
+
+    calls = []
+    name = CLOSED_FORMS[method].__name__
+
+    def counted(v, c):
+        calls.append(v)
+        return CLOSED_FORMS[method](v, c)
+
+    monkeypatch.setattr(COEFFICIENTS_MODULE, name, counted)
+    coefficients(method, ctx.mpf("1.1e-25"), ctx)
+    assert calls == [ctx.mpf("1.1e-25")]
 
 
 # -------------------------------------------- series extraction oracle
@@ -230,12 +259,13 @@ def test_pl2_finite_near_largest_reported_v(ctx50):
 
 def test_pl2_singular_parameter_detected():
     # bisect a zero of the beta31 denominator at modest precision, then ask
-    # for coefficients exactly there
+    # for coefficients exactly there; the boost on the caller's context must
+    # be undone when the singular check raises inside it
     ctx = make_context(16)
     lo, hi = ctx.mpf("3.8"), ctx.mpf("4.0")
 
     def den(v):
-        w = ctx.boosted(30)
+        w = make_context(ctx.digits + 30)
         return _pl2_numden(w, w.mpf(v))[1]
 
     assert den(lo) * den(hi) < 0
@@ -247,14 +277,15 @@ def test_pl2_singular_parameter_detected():
             lo = mid
     with pytest.raises(SingularParameterError):
         pldoubleprime_closed((lo + hi) / 2, ctx)
+    assert ctx.mp.dps == ctx.digits
 
 
 # ------------------------------------------------------ precision monotony
 
 @pytest.mark.parametrize("digits", [20, 25])
 def test_monotone_precision(digits):
-    # v = 0.1 keeps both precisions clear of the series-truncation floor of
-    # the fallback table (which caps accuracy near the switch point)
+    # v = 0.1 lies deep in the cancellation range of both closed forms, where
+    # only the precision boost keeps the d-digit result accurate
     lo = make_context(digits)
     hi = make_context(2 * digits)
     for method in FITTED:

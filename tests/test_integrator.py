@@ -12,7 +12,6 @@ from obrechkoff import (
     linear_forced,
     make_context,
     rational_problem,
-    recover_yprime,
     startup,
     step,
 )
@@ -125,40 +124,6 @@ def test_trig_exact_full_period(ctx50):
     res = integrate(p, cfg, ctx50)     # x_end = 2 pi -> 200 steps
     assert res.steps == 200
     assert res.abs_end_error < ctx50.mpf(10) ** (12 - 50)
-
-
-def test_recover_yprime_depth0_is_central_difference(ctx50):
-    p = rational_problem(ctx50)
-    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx50.mpf("0.01"),
-                        recovery_depth=0)
-    h = cfg.h
-    x = ctx50.mpf("0.5")
-    y_prev, y_curr, y_next = p.reference(x - h), p.reference(x), p.reference(x + h)
-    got = recover_yprime(y_prev, y_curr, y_next, x, p, cfg, ctx50)
-    assert got == (y_next - y_prev) / (2 * h)
-    assert abs(got - p.reference_prime(x)) < h * h  # O(h^2) only
-
-
-def test_recover_yprime_depth3_cosine(ctx50):
-    p = oscillator(ctx50, omega=1)
-    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx50.mpf("0.01"),
-                        recovery_depth=3)
-    h = cfg.h
-    x = ctx50.mpf("0.7")
-    got = recover_yprime(p.reference(x - h), p.reference(x), p.reference(x + h),
-                         x, p, cfg, ctx50)
-    assert abs(got - p.reference_prime(x)) < ctx50.mpf(10) ** -16
-
-
-def test_recover_yprime_missing_closures(ctx50):
-    zero = lambda x, y, yp: ctx50.mpf(0)
-    p = ProblemDef(name="bare", x0=ctx50.mpf(0), x_end=ctx50.mpf(1),
-                   y0=ctx50.mpf(0), yp0=ctx50.mpf(0), f2=zero, f4=zero, f6=zero)
-    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx50.mpf("0.1"),
-                        recovery_depth=2)
-    with pytest.raises(ConfigurationError):
-        recover_yprime(ctx50.mpf(0), ctx50.mpf(0), ctx50.mpf(0), ctx50.mpf(0),
-                       p, cfg, ctx50)
 
 
 def test_integrate_zero_length(ctx50):
