@@ -6,7 +6,7 @@ Each step solves the implicit relation
                               + h^4 [b20 (f4_{n+1} + f4_{n-1}) + b21 f4_n]
                               + h^6 [b30 (f6_{n+1} + f6_{n-1}) + b31 f6_n]
 
-by fixed-point iteration (optionally Aitken-accelerated).  The first
+by fixed-point iteration with Aitken acceleration.  The first
 derivative, needed by y'-dependent closures f4/f6, advances alongside y
 through a symmetric quadrature of the same three-node sixth-derivative type,
 
@@ -28,7 +28,7 @@ from fractions import Fraction as F
 from typing import Optional
 
 from .coefficients import CoefficientSet, MethodId, coefficients
-from .context import Context, Tolerance
+from .context import Context
 from .errors import ConfigurationError, StepFailureError
 from .jets import ode_series
 from .problems import ProblemDef
@@ -47,24 +47,22 @@ CLASSICAL_PERIODICITY_V0SQ = 9.7954
 STARTUP_MODES = ("exact", "taylor")
 TAYLOR_STARTUP_ORDER = 14
 
+#: fixed-point iterations allowed per step before StepFailureError
+MAX_ITERATIONS = 60
+
 
 @dataclass
 class StepperConfig:
     method: MethodId
     h: object
     omega: object = 0
-    tol: Optional[Tolerance] = None
-    max_iters: int = 60
     startup: str = "exact"
-    accelerate: bool = True
 
     def validate(self, ctx: Context):
         if self.h == 0:
             raise ConfigurationError("step size h must be nonzero")
         if self.omega is not None and self.omega < 0:
             raise ConfigurationError("fitting frequency omega must be >= 0")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1")
         if self.startup not in STARTUP_MODES:
             raise ConfigurationError(f"startup must be one of {STARTUP_MODES}")
 
@@ -103,20 +101,12 @@ def _eval_f(problem, x, y, yp):
     return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
 
 
-def _taylor_predict(problem, x, y, yp, h, ctx):
+def _taylor_predict(problem, x, y, yp, h):
     """One-sided Taylor predictions of y(x+h), y'(x+h) from the closures."""
-    fs = []
-    for order in (2, 3, 4, 5, 6, 7):
-        c = {2: problem.f2, 3: problem.f3, 4: problem.f4,
-             5: problem.f5, 6: problem.f6, 7: problem.f7}[order]
-        if c is None:
-            break
-        fs.append(c(x, y, yp))
-    y_new = y + h * yp
-    yp_new = yp
-    hk = ctx.mpf(1)
-    fact = 1
-    for k, fk in enumerate(fs, start=2):
+    closures = (problem.f2, problem.f3, problem.f4, problem.f5, problem.f6, problem.f7)
+    y_new, yp_new, hk, fact = y + h * yp, yp, 1, 1
+    for k, c in enumerate(closures, start=2):
+        fk = c(x, y, yp)
         hk = hk * h
         fact *= k - 1
         yp_new = yp_new + hk / fact * fk
@@ -128,8 +118,9 @@ def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
     """Initial data (y0, y1, yp0, yp1) for the two-step recurrence.
 
     ``exact`` evaluates the problem's reference solution at x0 + h (and
-    requires one); ``taylor`` builds a degree-14 series solution of the ODE
-    at x0 by jet recursion on f2, which needs no reference at all.
+    requires one); ``taylor`` reads the degree-14 Taylor series of the
+    solution at x0 off the problem's traced f2 graph, which needs no
+    reference at all.
     """
     config.validate(ctx)
     h = ctx.mpf(config.h)
@@ -141,8 +132,9 @@ def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
             )
         x1 = problem.x0 + h
         return y0, problem.reference(x1), yp0, problem.reference_prime(x1)
-    jet = ode_series(ctx, problem.f2, problem.x0, y0, yp0, TAYLOR_STARTUP_ORDER)
-    return y0, jet.eval(h), yp0, jet.derivative().eval(h)
+    series = ode_series(ctx, problem.graph, problem.x0, y0, yp0, TAYLOR_STARTUP_ORDER)
+    y1, yp1 = ctx.mp.polyval(series[::-1], h, derivative=True)
+    return y0, y1, yp0, yp1
 
 
 def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
@@ -159,14 +151,10 @@ def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
     q = {k: ctx.mpf(v) for k, v in DERIVATIVE_QUADRATURE.items()}
     f2A, f4A, f6A = f_prev
     f2B, f4B, f6B = f_curr
-    tol = config.tol or ctx.tolerance()
+    tol = ctx.tolerance()
 
     base_y = 2 * y_curr - y_prev
-    if problem.f3 is not None:
-        y_next, yp_next = _taylor_predict(problem, x_curr, y_curr, yp_curr, h, ctx)
-    else:
-        y_next = base_y + h2 * f2B
-        yp_next = yp_curr + h * f2B
+    y_next, yp_next = _taylor_predict(problem, x_curr, y_curr, yp_curr, h)
 
     def g(y, yp):
         f2C, f4C, f6C = _eval_f(problem, x_next, y, yp)
@@ -182,8 +170,7 @@ def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
 
     history = [(y_next, yp_next)]
     evals = 0
-    f_next = None
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERATIONS):
         y_new, yp_new, f_next = g(y_next, yp_next)
         evals += 1
         dy = abs(y_new - y_next)
@@ -195,7 +182,7 @@ def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
             evals += 1
             return y_next, yp_next, f_next, evals
         history.append((y_next, yp_next))
-        if config.accelerate and len(history) >= 3:
+        if len(history) >= 3:
             (y0_, yp0_), (y1_, yp1_), (y2_, yp2_) = history[-3:]
 
             def aitken(a0, a1, a2):

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 
+import pytest
+
 from obrechkoff import cli
 from obrechkoff.cli import (
     ExperimentSpec,
@@ -86,6 +88,18 @@ def test_missing_omega_fails_in_row():
     assert table.any_failed
     out = emit(table, "csv")
     assert "FAILED" in out
+
+
+def test_stalled_step_fails_in_row():
+    spec = ExperimentSpec(problem="duffing", methods=["classical"], step_divisors=[5],
+                          digits=30)
+    with pytest.warns(UserWarning, match="periodicity interval"):   # v = omega h is about 25
+        table = run_experiment(spec)
+    assert table.rows[0].failed
+    assert table.rows[0].message.startswith("implicit solve stalled after 60 iterations")
+    row = parse_csv(emit(table, "csv"))[0]
+    assert row["method"] == "classical"
+    assert row["abs_end_error"].startswith("FAILED(implicit solve stalled")
 
 
 def test_cli_exit_codes(tmp_path):

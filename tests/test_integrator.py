@@ -6,8 +6,10 @@ from obrechkoff import (
     ConfigurationError,
     MethodId,
     ProblemDef,
+    StepFailureError,
     StepperConfig,
     coefficients,
+    duffing,
     integrate,
     linear_forced,
     make_context,
@@ -15,7 +17,7 @@ from obrechkoff import (
     startup,
     step,
 )
-from obrechkoff.integrator import DERIVATIVE_QUADRATURE, StepState
+from obrechkoff.integrator import DERIVATIVE_QUADRATURE, MAX_ITERATIONS, StepState
 
 
 def oscillator(ctx, omega=10):
@@ -193,3 +195,14 @@ def test_iteration_budget_on_benchmark_run(ctx50):
     cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=ctx50.pi / 50, omega=10)
     res = integrate(p, cfg, ctx50)
     assert res.max_step_iterations <= 8
+
+
+def test_stalled_solve_raises_step_failure():
+    # five steps over the Duffing span: the fixed-point map no longer contracts
+    ctx = make_context(30)
+    p = duffing(ctx)
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=(p.x_end - p.x0) / 5)
+    with pytest.raises(StepFailureError, match="implicit solve stalled") as info:
+        integrate(p, cfg, ctx)
+    assert info.value.step_index == 2          # the first solved step
+    assert info.value.iterations == MAX_ITERATIONS == 60
