@@ -6,9 +6,13 @@ Each step solves the implicit relation
                               + h^4 [b20 (f4_{n+1} + f4_{n-1}) + b21 f4_n]
                               + h^6 [b30 (f6_{n+1} + f6_{n-1}) + b31 f6_n]
 
-by fixed-point iteration with Aitken acceleration.  The first
-derivative, needed by y'-dependent closures f4/f6, advances alongside y
-through a symmetric quadrature of the same three-node sixth-derivative type,
+in one loop.  The predictor is the degree-7 Taylor polynomial of the
+solution through (x_n, y_n, y'_n), read off the problem's traced f2 graph;
+the corrector is fixed-point iteration, with Aitken extrapolation of the
+last three iterates.  f is evaluated once more at the accepted pair, and that
+triple is kept for the next step.  The first derivative, needed by
+y'-dependent closures f4/f6, advances alongside y through a symmetric
+quadrature of the same three-node sixth-derivative type,
 
     y'_{n+1} = y'_{n-1} + h  [qA (f2_{n-1}+f2_{n+1}) + qB f2_n]
                         + h^3[qC (f4_{n-1}+f4_{n+1}) + qD f4_n]
@@ -16,7 +20,8 @@ through a symmetric quadrature of the same three-node sixth-derivative type,
 
 whose weights integrate polynomials exactly through degree 11, so the
 derivative channel matches the order-12 accuracy of the main formula and
-never limits the observed convergence order.
+never limits the observed convergence order.  Node n sits at x0 + n*h,
+formed once by :func:`_node`.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ CLASSICAL_PERIODICITY_V0SQ = 9.7954
 STARTUP_MODES = ("exact", "taylor")
 TAYLOR_STARTUP_ORDER = 14
 
+#: degree of the Taylor polynomial that predicts each step
+PREDICTOR_DEGREE = 7
+
 #: fixed-point iterations allowed per step before StepFailureError
 MAX_ITERATIONS = 60
 
@@ -61,8 +69,8 @@ class StepperConfig:
     def validate(self, ctx: Context):
         if self.h == 0:
             raise ConfigurationError("step size h must be nonzero")
-        if self.omega is not None and self.omega < 0:
-            raise ConfigurationError("fitting frequency omega must be >= 0")
+        if self.omega is None or self.omega < 0:
+            raise ConfigurationError("fitting frequency omega must be a number >= 0")
         if self.startup not in STARTUP_MODES:
             raise ConfigurationError(f"startup must be one of {STARTUP_MODES}")
 
@@ -75,6 +83,7 @@ class StepperConfig:
 @dataclass
 class StepState:
     index: int
+    x0: object
     x_n: object
     y_prev: object
     y_curr: object
@@ -97,21 +106,23 @@ class IntegrationResult:
     trajectory: list = field(default_factory=list)
 
 
+def _node(x0, h, n):
+    """Abscissa of node n: x0 + n*h, never a sum of steps."""
+    return x0 + n * h
+
+
 def _eval_f(problem, x, y, yp):
     return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
 
 
-def _taylor_predict(problem, x, y, yp, h):
-    """One-sided Taylor predictions of y(x+h), y'(x+h) from the closures."""
-    closures = (problem.f2, problem.f3, problem.f4, problem.f5, problem.f6, problem.f7)
-    y_new, yp_new, hk, fact = y + h * yp, yp, 1, 1
-    for k, c in enumerate(closures, start=2):
-        fk = c(x, y, yp)
-        hk = hk * h
-        fact *= k - 1
-        yp_new = yp_new + hk / fact * fk
-        y_new = y_new + hk * h / (fact * k) * fk
-    return y_new, yp_new
+def _aitken(a0, a1, a2, eps):
+    """Aitken's delta-squared limit of a0, a1, a2, or a2 when their second
+    difference is below rounding."""
+    den = a2 - 2 * a1 + a0
+    if den != 0 and abs(den) > eps * (abs(a2) + abs(a1) + abs(a0)):
+        num = a2 - a1
+        return a2 - num * num / den
+    return a2
 
 
 def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
@@ -130,17 +141,20 @@ def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
             raise ConfigurationError(
                 f"{problem.name}: exact startup requires a reference solution"
             )
-        x1 = problem.x0 + h
+        x1 = _node(problem.x0, h, 1)
         return y0, problem.reference(x1), yp0, problem.reference_prime(x1)
     series = ode_series(ctx, problem.graph, problem.x0, y0, yp0, TAYLOR_STARTUP_ORDER)
     y1, yp1 = ctx.mp.polyval(series[::-1], h, derivative=True)
     return y0, y1, yp0, yp1
 
 
-def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
-                x_prev, x_curr, x_next, y_prev, y_curr, yp_prev, yp_curr,
-                f_prev, f_curr):
-    """Fixed-point solve for (y_next, yp_next); returns values + eval count."""
+def step(state: StepState, coeffs: CoefficientSet, problem: ProblemDef,
+         config: StepperConfig, ctx: Context) -> StepState:
+    """Advance (y_{n-1}, y_n) -> y_{n+1}; returns the shifted state.
+
+    Raises StepFailureError when the fixed-point solve has not converged
+    after MAX_ITERATIONS evaluations.
+    """
     h = ctx.mpf(config.h)
     h2 = h * h
     h3 = h2 * h
@@ -149,14 +163,23 @@ def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
     h6 = h4 * h2
     b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
     q = {k: ctx.mpf(v) for k, v in DERIVATIVE_QUADRATURE.items()}
-    f2A, f4A, f6A = f_prev
+    tol, eps = ctx.tolerance(), ctx.eps()
+    n, x_n, y_curr, yp_curr, yp_prev = (
+        state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
+    x_next = _node(state.x0, h, n + 1)
+    f2A, f4A, f6A = state.f_prev or _eval_f(
+        problem, _node(state.x0, h, n - 1), state.y_prev, yp_prev)
+    f_curr = state.f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
     f2B, f4B, f6B = f_curr
-    tol = ctx.tolerance()
+    base_y = 2 * y_curr - state.y_prev
 
-    base_y = 2 * y_curr - y_prev
-    y_next, yp_next = _taylor_predict(problem, x_curr, y_curr, yp_curr, h)
-
-    def g(y, yp):
+    graph = problem.graph
+    graph.at(x_n, y_curr, yp_curr)
+    taylor = [graph.y[k] for k in range(PREDICTOR_DEGREE, -1, -1)]
+    guess = ctx.mp.polyval(taylor, h, derivative=True)
+    older = None             # the iterate before `guess`, since the last extrapolation
+    for evals in range(1, MAX_ITERATIONS + 1):
+        y, yp = guess
         f2C, f4C, f6C = _eval_f(problem, x_next, y, yp)
         y_new = (base_y
                  + h2 * (b10 * (f2A + f2C) + b11 * f2B)
@@ -166,69 +189,25 @@ def _solve_step(problem, coeffs: CoefficientSet, config, ctx,
                   + h * (q["qA"] * (f2A + f2C) + q["qB"] * f2B)
                   + h3 * (q["qC"] * (f4A + f4C) + q["qD"] * f4B)
                   + h5 * (q["qE"] * (f6A + f6C) + q["qF"] * f6B))
-        return y_new, yp_new, (f2C, f4C, f6C)
-
-    history = [(y_next, yp_next)]
-    evals = 0
-    for _ in range(MAX_ITERATIONS):
-        y_new, yp_new, f_next = g(y_next, yp_next)
-        evals += 1
-        dy = abs(y_new - y_next)
-        dyp = abs(yp_new - yp_next)
-        y_next, yp_next = y_new, yp_new
-        if dy <= tol.abs + tol.rel * abs(y_new) and dyp <= tol.abs + tol.rel * abs(yp_new):
+        if (abs(y_new - y) <= tol.abs + tol.rel * abs(y_new)
+                and abs(yp_new - yp) <= tol.abs + tol.rel * abs(yp_new)):
             # cache f at the accepted pair so the next step sees consistent data
-            f_next = _eval_f(problem, x_next, y_next, yp_next)
-            evals += 1
-            return y_next, yp_next, f_next, evals
-        history.append((y_next, yp_next))
-        if len(history) >= 3:
-            (y0_, yp0_), (y1_, yp1_), (y2_, yp2_) = history[-3:]
-
-            def aitken(a0, a1, a2):
-                den = a2 - 2 * a1 + a0
-                num = a2 - a1
-                if den != 0 and abs(den) > ctx.eps() * (abs(a2) + abs(a1) + abs(a0)):
-                    return a2 - num * num / den
-                return a2
-
-            acc = (aitken(y0_, y1_, y2_), aitken(yp0_, yp1_, yp2_))
-            if acc != history[-1]:
-                y_next, yp_next = acc
-                history = [acc]
+            return StepState(
+                index=n + 1, x0=state.x0, x_n=x_next,
+                y_prev=y_curr, y_curr=y_new, yp_prev=yp_curr, yp_curr=yp_new,
+                iterations=state.iterations + evals + 1,
+                f_prev=f_curr, f_curr=_eval_f(problem, x_next, y_new, yp_new))
+        newest = (y_new, yp_new)
+        if older is not None:
+            limit = (_aitken(older[0], y, y_new, eps), _aitken(older[1], yp, yp_new, eps))
+            if limit != newest:
+                older, guess = None, limit
+                continue
+        older, guess = guess, newest
     raise StepFailureError(
-        f"implicit solve stalled after {evals} iterations at x = {ctx.mp.nstr(x_next, 8)}",
-        iterations=evals,
-    )
-
-
-def step(state: StepState, coeffs: CoefficientSet, problem: ProblemDef,
-         config: StepperConfig, ctx: Context) -> StepState:
-    """Advance (y_{n-1}, y_n) -> y_{n+1}; returns the shifted state."""
-    h = ctx.mpf(config.h)
-    x_prev = state.x_n - h
-    x_next = state.x_n + h
-    f_prev = state.f_prev or _eval_f(problem, x_prev, state.y_prev, state.yp_prev)
-    f_curr = state.f_curr or _eval_f(problem, state.x_n, state.y_curr, state.yp_curr)
-    try:
-        y_next, yp_next, f_next, evals = _solve_step(
-            problem, coeffs, config, ctx,
-            x_prev, state.x_n, x_next,
-            state.y_prev, state.y_curr, state.yp_prev, state.yp_curr,
-            f_prev, f_curr)
-    except StepFailureError as exc:
-        exc.step_index = state.index + 1
-        raise
-    return StepState(
-        index=state.index + 1,
-        x_n=x_next,
-        y_prev=state.y_curr,
-        y_curr=y_next,
-        yp_prev=state.yp_curr,
-        yp_curr=yp_next,
-        iterations=state.iterations + evals,
-        f_prev=f_curr,
-        f_curr=f_next,
+        f"implicit solve stalled after {MAX_ITERATIONS} iterations "
+        f"at x = {ctx.mp.nstr(x_next, 8)}",
+        step_index=n + 1, iterations=MAX_ITERATIONS,
     )
 
 
@@ -260,7 +239,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
             f"(x_end - x0)/h = {ctx.mp.nstr(ratio, 12)} is not a positive integer"
         )
 
-    v_user = abs(ctx.mpf(config.omega or 0) * h)
+    v_user = abs(ctx.mpf(config.omega) * h)
     if config.method is MethodId.CLASSICAL and float(v_user) ** 2 > CLASSICAL_PERIODICITY_V0SQ:
         # classical ignores omega for its weights, but the user's frequency
         # estimate still locates the run relative to the periodicity interval
@@ -272,7 +251,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
     coeffs = coefficients(config.method, config.fitting_parameter(ctx), ctx)
 
     y0, y1, yp0, yp1 = startup(problem, config, ctx)
-    state = StepState(index=1, x_n=x0 + h, y_prev=y0, y_curr=y1,
+    state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
                       yp_prev=yp0, yp_curr=yp1)
     trajectory = []
 
@@ -291,7 +270,6 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
     while state.index < n_steps:
         prev_total = state.iterations
         state = step(state, coeffs, problem, config, ctx)
-        state.x_n = x0 + state.index * h      # product form: no additive drift
         max_iter_step = max(max_iter_step, state.iterations - prev_total)
         if trajectory_every and (state.index % trajectory_every == 0
                                  or state.index == n_steps):

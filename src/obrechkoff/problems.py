@@ -3,8 +3,8 @@
 Each problem supplies only f2, written with ``ops.sin``/``ops.cos``.
 :class:`ProblemDef` traces it once into a :class:`~obrechkoff.jets.TracedODE`
 graph and serves every closure fk(x, y, yp), k = 2..7, the k-th derivative of
-the solution through (x, y, yp), from that graph.  The even closures feed the
-integrator; the odd ones serve its step predictor.
+the solution through (x, y, yp), from that graph.  The integrator calls the
+even closures, and reads its step predictor and Taylor startup off the graph.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ def test_free_motion_step_is_exact(ctx50):
                    f2=zero, f4=zero, f6=zero)
     cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx50.mpf("0.25"))
     cs = coefficients(MethodId.CLASSICAL, 0, ctx50)
-    st = StepState(index=1, x_n=ctx50.mpf("0.25"),
+    st = StepState(index=1, x0=ctx50.mpf(0), x_n=ctx50.mpf("0.25"),
                    y_prev=ctx50.mpf(1), y_curr=ctx50.mpf("1.25"),
                    yp_prev=ctx50.mpf(1), yp_curr=ctx50.mpf(1))
     out = step(st, cs, p, cfg, ctx50)
@@ -206,3 +206,55 @@ def test_stalled_solve_raises_step_failure():
         integrate(p, cfg, ctx)
     assert info.value.step_index == 2          # the first solved step
     assert info.value.iterations == MAX_ITERATIONS == 60
+
+
+def test_omega_none_is_a_configuration_error(ctx50):
+    cfg = StepperConfig(method=MethodId.PL_PRIME, h=ctx50.mpf("0.1"), omega=None)
+    with pytest.raises(ConfigurationError, match="omega"):
+        cfg.validate(ctx50)
+    with pytest.raises(ConfigurationError, match="omega"):
+        integrate(linear_forced(ctx50), cfg, ctx50)
+
+
+def recording(problem, orders=range(2, 8)):
+    """The problem with closures f<k> that log each abscissa they receive."""
+    seen = {k: [] for k in orders}
+
+    def logged(k, fk):
+        def fk_logged(x, y, yp):
+            seen[k].append(x)
+            return fk(x, y, yp)
+        return fk_logged
+
+    wrapped = {f"f{k}": logged(k, getattr(problem, f"f{k}")) for k in orders}
+    return dataclasses.replace(problem, **wrapped), seen
+
+
+def test_every_node_is_x0_plus_n_h():
+    # f_{n+1} is solved, cached and predicted from at one abscissa per node,
+    # the same one the trajectory records
+    ctx = make_context(50)
+    p, seen = recording(duffing(ctx))
+    n_steps = 500
+    h = (p.x_end - p.x0) / n_steps
+    res = integrate(p, StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=h,
+                                     omega=p.default_omega), ctx, trajectory_every=1)
+    nodes = [ctx.mpf(p.x0) + n * h for n in range(n_steps + 1)]
+    assert set(seen[6]) == set(nodes)
+    assert [row[0] for row in res.trajectory] == nodes
+
+
+@pytest.mark.parametrize("make, divisor, steps", [(duffing, 500, 12), (linear_forced, 500, 12)])
+def test_closure_calls_match_the_traced_benchmark_contract(make, divisor, steps):
+    # the benchmark's traced passes check f6 calls = iterations + f7 calls + 2;
+    # the predictor reads the traced graph, so f3, f5 and f7 are never called
+    ctx = make_context(50)
+    p, seen = recording(make(ctx))
+    h = (p.x_end - p.x0) / divisor
+    cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=h, omega=p.default_omega,
+                        startup="taylor")
+    res = integrate(p, cfg, ctx, x_end=p.x0 + steps * h)
+    calls = {k: len(xs) for k, xs in seen.items()}
+    assert calls[6] == res.total_iterations + calls[7] + 2
+    assert calls[3] == calls[5] == calls[7] == 0
+    assert calls[2] == calls[4] == calls[6]
