@@ -30,6 +30,7 @@ from .integrator import (
     IntegrationResult,
     StepperConfig,
     StepState,
+    StepWeights,
     integrate,
     startup,
     step,
@@ -52,7 +53,7 @@ __all__ = [
     "plprime_closed", "pldoubleprime_closed", "taylor_fallback",
     "ObrechkoffError", "ConfigurationError", "DomainError", "FitError",
     "OutsidePeriodicityError", "SingularParameterError", "StepFailureError",
-    "IntegrationResult", "StepperConfig", "StepState", "integrate",
+    "IntegrationResult", "StepperConfig", "StepState", "StepWeights", "integrate",
     "startup", "step",
     "PROBLEMS", "ProblemDef", "duffing", "get_problem", "linear_forced",
     "rational_problem",

@@ -90,16 +90,17 @@ def _run_cell(problem_name, method_name, divisor, omega_opt, digits, startup_mod
     h = span / divisor
     if omega_opt == "default":
         omega = problem.default_omega
-        if omega is None and method is not MethodId.CLASSICAL:
-            raise ObrechkoffError(
-                f"problem {problem_name!r} has no default fitting frequency; pass --omega"
-            )
     elif omega_opt is None:
         omega = None
     else:
         omega = ctx.mpf(str(omega_opt))
-    config = StepperConfig(method=method, h=h, omega=omega or 0,
-                           startup=startup_mode)
+    if omega is None:
+        if method is not MethodId.CLASSICAL:
+            raise ObrechkoffError(
+                f"problem {problem_name!r} has no default fitting frequency; pass --omega"
+            )
+        omega = 0
+    config = StepperConfig(method=method, h=h, omega=omega, startup=startup_mode)
     result = integrate(problem, config, ctx, x_end=x_end,
                        trajectory_every=trajectory_every)
     err = result.abs_end_error

@@ -7,10 +7,15 @@ Each step solves the implicit relation
                               + h^6 [b30 (f6_{n+1} + f6_{n-1}) + b31 f6_n]
 
 in one loop.  The predictor is the degree-7 Taylor polynomial of the
-solution through (x_n, y_n, y'_n), read off the problem's traced f2 graph;
-the corrector is fixed-point iteration, with Aitken extrapolation of the
-last three iterates.  f is evaluated once more at the accepted pair, and that
-triple is kept for the next step.  The first derivative, needed by
+solution through (x_n, y_n, y'_n), read off the problem's traced f2 graph.
+The corrector is a chord (simplified) Newton iteration on the update map
+Phi(y, y') = (y_{n+1}, y'_{n+1}), the two formulas with f_{n+1} evaluated at
+(y, y'): z <- z + A^-1 (Phi(z) - z), A = I - DPhi.  DPhi, the method weights
+times d(f2, f4, f6)/d(y, y'), is formed once per step at the predictor from
+one pass of the traced graph on dual numbers; the residual Phi(z) - z always
+comes from the problem's closures f2, f4 and f6.  f is evaluated once more at
+the accepted pair Phi(z), and that triple is kept for the next step.  The
+first derivative, needed by
 y'-dependent closures f4/f6, advances alongside y through a symmetric
 quadrature of the same three-node sixth-derivative type,
 
@@ -55,7 +60,7 @@ TAYLOR_STARTUP_ORDER = 14
 #: degree of the Taylor polynomial that predicts each step
 PREDICTOR_DEGREE = 7
 
-#: fixed-point iterations allowed per step before StepFailureError
+#: closure triples allowed per step's solve before StepFailureError
 MAX_ITERATIONS = 60
 
 
@@ -94,8 +99,51 @@ class StepState:
     f_curr: Optional[tuple] = None
 
 
+@dataclass(frozen=True)
+class StepWeights:
+    """What every step of one run multiplies by, formed once per run.
+
+    ``jac_y`` and ``jac_yp`` weight d(f2, f4, f6)_{n+1} in the derivatives of
+    y_{n+1} and y'_{n+1}: the two rows of the update map's Jacobian.
+    """
+
+    h: object
+    h2: object
+    h3: object
+    h4: object
+    h5: object
+    h6: object
+    betas: tuple          # b10, b11, b20, b21, b30, b31
+    q: tuple              # qA .. qF of DERIVATIVE_QUADRATURE
+    jac_y: tuple          # h^2 b10, h^4 b20, h^6 b30
+    jac_yp: tuple         # h qA, h^3 qC, h^5 qE
+
+    @classmethod
+    def build(cls, coeffs: CoefficientSet, h, ctx: Context) -> "StepWeights":
+        h = ctx.mpf(h)
+        h2 = h * h
+        h3 = h2 * h
+        h4 = h2 * h2
+        h5 = h4 * h
+        h6 = h4 * h2
+        betas = coeffs.as_tuple()
+        q = tuple(ctx.mpf(v) for v in DERIVATIVE_QUADRATURE.values())
+        b10, _, b20, _, b30, _ = betas
+        qA, _, qC, _, qE, _ = q
+        return cls(h, h2, h3, h4, h5, h6, betas, q,
+                   jac_y=(h2 * b10, h4 * b20, h6 * b30),
+                   jac_yp=(h * qA, h3 * qC, h5 * qE))
+
+
 @dataclass
 class IntegrationResult:
+    """Outcome of one run.
+
+    ``total_iterations`` counts the closure triples (f2, f4, f6) that the
+    steps' solves evaluated, the re-evaluation at each accepted pair
+    included; ``max_step_iterations`` is the largest such count of one step.
+    """
+
     y_end: object
     abs_end_error: Optional[object]
     steps: int
@@ -115,14 +163,22 @@ def _eval_f(problem, x, y, yp):
     return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
 
 
-def _aitken(a0, a1, a2, eps):
-    """Aitken's delta-squared limit of a0, a1, a2, or a2 when their second
-    difference is below rounding."""
-    den = a2 - 2 * a1 + a0
-    if den != 0 and abs(den) > eps * (abs(a2) + abs(a1) + abs(a0)):
-        num = a2 - a1
-        return a2 - num * num / den
-    return a2
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _chord_inverse(partials, weights: StepWeights, ctx: Context):
+    """Entries (i11, i12, i21, i22) of A^-1, A = I - DPhi, from the partials
+    [(d f_k/dy, d f_k/dy') for k = 2, 4, 6]; None when A is singular or not
+    finite."""
+    dy, dyp = zip(*partials)
+    j11, j12 = _dot(weights.jac_y, dy), _dot(weights.jac_y, dyp)
+    j21, j22 = _dot(weights.jac_yp, dy), _dot(weights.jac_yp, dyp)
+    a11, a22 = 1 - j11, 1 - j22
+    det = a11 * a22 - j12 * j21
+    if det == 0 or not ctx.mp.isfinite(det):
+        return None
+    return a22 / det, j12 / det, j21 / det, a11 / det
 
 
 def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
@@ -148,22 +204,19 @@ def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
     return y0, y1, yp0, yp1
 
 
-def step(state: StepState, coeffs: CoefficientSet, problem: ProblemDef,
-         config: StepperConfig, ctx: Context) -> StepState:
+def step(state: StepState, weights: StepWeights, problem: ProblemDef,
+         ctx: Context) -> StepState:
     """Advance (y_{n-1}, y_n) -> y_{n+1}; returns the shifted state.
 
-    Raises StepFailureError when the fixed-point solve has not converged
-    after MAX_ITERATIONS evaluations.
+    Raises StepFailureError when the chord-Newton solve has not converged
+    after MAX_ITERATIONS evaluations, when its matrix is singular, or when an
+    iterate is not finite.
     """
-    h = ctx.mpf(config.h)
-    h2 = h * h
-    h3 = h2 * h
-    h4 = h2 * h2
-    h5 = h4 * h
-    h6 = h4 * h2
-    b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
-    q = {k: ctx.mpf(v) for k, v in DERIVATIVE_QUADRATURE.items()}
-    tol, eps = ctx.tolerance(), ctx.eps()
+    h, h2, h3, h4, h5, h6 = (weights.h, weights.h2, weights.h3,
+                             weights.h4, weights.h5, weights.h6)
+    b10, b11, b20, b21, b30, b31 = weights.betas
+    qA, qB, qC, qD, qE, qF = weights.q
+    tol, isfinite = ctx.tolerance(), ctx.mp.isfinite
     n, x_n, y_curr, yp_curr, yp_prev = (
         state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
     x_next = _node(state.x0, h, n + 1)
@@ -176,19 +229,18 @@ def step(state: StepState, coeffs: CoefficientSet, problem: ProblemDef,
     graph = problem.graph
     graph.at(x_n, y_curr, yp_curr)
     taylor = [graph.y[k] for k in range(PREDICTOR_DEGREE, -1, -1)]
-    guess = ctx.mp.polyval(taylor, h, derivative=True)
-    older = None             # the iterate before `guess`, since the last extrapolation
+    y, yp = ctx.mp.polyval(taylor, h, derivative=True)
+    inverse = None           # A^-1 at the predictor, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
-        y, yp = guess
         f2C, f4C, f6C = _eval_f(problem, x_next, y, yp)
         y_new = (base_y
                  + h2 * (b10 * (f2A + f2C) + b11 * f2B)
                  + h4 * (b20 * (f4A + f4C) + b21 * f4B)
                  + h6 * (b30 * (f6A + f6C) + b31 * f6B))
         yp_new = (yp_prev
-                  + h * (q["qA"] * (f2A + f2C) + q["qB"] * f2B)
-                  + h3 * (q["qC"] * (f4A + f4C) + q["qD"] * f4B)
-                  + h5 * (q["qE"] * (f6A + f6C) + q["qF"] * f6B))
+                  + h * (qA * (f2A + f2C) + qB * f2B)
+                  + h3 * (qC * (f4A + f4C) + qD * f4B)
+                  + h5 * (qE * (f6A + f6C) + qF * f6B))
         if (abs(y_new - y) <= tol.abs + tol.rel * abs(y_new)
                 and abs(yp_new - yp) <= tol.abs + tol.rel * abs(yp_new)):
             # cache f at the accepted pair so the next step sees consistent data
@@ -197,13 +249,19 @@ def step(state: StepState, coeffs: CoefficientSet, problem: ProblemDef,
                 y_prev=y_curr, y_curr=y_new, yp_prev=yp_curr, yp_curr=yp_new,
                 iterations=state.iterations + evals + 1,
                 f_prev=f_curr, f_curr=_eval_f(problem, x_next, y_new, yp_new))
-        newest = (y_new, yp_new)
-        if older is not None:
-            limit = (_aitken(older[0], y, y_new, eps), _aitken(older[1], yp, yp_new, eps))
-            if limit != newest:
-                older, guess = None, limit
-                continue
-        older, guess = guess, newest
+        if inverse is None:
+            inverse = _chord_inverse(graph.jacobian(x_next, y, yp, (2, 4, 6)), weights, ctx)
+            if inverse is None:
+                raise StepFailureError(
+                    f"implicit solve: singular Newton matrix at x = {ctx.mp.nstr(x_next, 8)}",
+                    step_index=n + 1, iterations=evals)
+        i11, i12, i21, i22 = inverse
+        ry, ryp = y_new - y, yp_new - yp
+        y, yp = y + (i11 * ry + i12 * ryp), yp + (i21 * ry + i22 * ryp)
+        if not (isfinite(y) and isfinite(yp)):
+            raise StepFailureError(
+                f"implicit solve: non-finite iterate at x = {ctx.mp.nstr(x_next, 8)}",
+                step_index=n + 1, iterations=evals)
     raise StepFailureError(
         f"implicit solve stalled after {MAX_ITERATIONS} iterations "
         f"at x = {ctx.mp.nstr(x_next, 8)}",
@@ -249,6 +307,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
             stacklevel=2,
         )
     coeffs = coefficients(config.method, config.fitting_parameter(ctx), ctx)
+    weights = StepWeights.build(coeffs, h, ctx)
 
     y0, y1, yp0, yp1 = startup(problem, config, ctx)
     state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
@@ -269,7 +328,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
     max_iter_step = 0
     while state.index < n_steps:
         prev_total = state.iterations
-        state = step(state, coeffs, problem, config, ctx)
+        state = step(state, weights, problem, ctx)
         max_iter_step = max(max_iter_step, state.iterations - prev_total)
         if trajectory_every and (state.index % trajectory_every == 0
                                  or state.index == n_steps):

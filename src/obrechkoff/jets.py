@@ -98,16 +98,71 @@ def _lift(x):
     return x if isinstance(x, Series) else Series.given([x])
 
 
+class Dual:
+    """v + dy e_y + dyp e_yp, with e_y, e_yp infinitesimal: a number carried
+    together with its partial derivatives along y and y'.
+
+    The coefficient rules of a graph only add, subtract, multiply, divide and
+    take sin/cos of coefficient 0, so a graph centred at ``Dual(y, 1, 0)`` and
+    ``Dual(yp, 0, 1)``, with mpmath ones and zeros, computes every coefficient
+    with its two partials (forward-mode differentiation).  Nodes that depend
+    on x alone keep plain numbers, which act as duals with zero partials.
+    """
+
+    __slots__ = ("v", "dy", "dyp")
+
+    def __init__(self, v, dy=0, dyp=0):
+        self.v, self.dy, self.dyp = v, dy, dyp
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.v + other.v, self.dy + other.dy, self.dyp + other.dyp)
+        return Dual(self.v + other, self.dy, self.dyp)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.v, -self.dy, -self.dyp)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            v, w = self.v, other.v
+            return Dual(v * w, v * other.dy + self.dy * w, v * other.dyp + self.dyp * w)
+        return Dual(self.v * other, self.dy * other, self.dyp * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            w = other.v
+            q = self.v / w
+            return Dual(q, (self.dy - q * other.dy) / w, (self.dyp - q * other.dyp) / w)
+        return Dual(self.v / other, self.dy / other, self.dyp / other)
+
+    def __rtruediv__(self, other):
+        return Dual(other) / self
+
+    def sin_cos(self):
+        c, s = self.v.context.cos_sin(self.v)
+        return Dual(s, c * self.dy, c * self.dyp), Dual(c, -s * self.dy, -s * self.dyp)
+
+
 class ops:
-    """sin and cos of a series or of an mpmath number, for writing f2."""
+    """sin and cos of a series, a dual or an mpmath number, for writing f2."""
 
     @staticmethod
     def sin(u):
-        return u.sin_cos()[0] if isinstance(u, Series) else u.context.sin(u)
+        return u.sin_cos()[0] if isinstance(u, (Series, Dual)) else u.context.sin(u)
 
     @staticmethod
     def cos(u):
-        return u.sin_cos()[1] if isinstance(u, Series) else u.context.cos(u)
+        return u.sin_cos()[1] if isinstance(u, (Series, Dual)) else u.context.cos(u)
 
 
 # coefficient rules: rule(s, k) runs with s.c holding coefficients 0..k-1,
@@ -135,7 +190,8 @@ def _mul(s, k):
 
 def _div(s, k):
     a, b = s.args
-    if b[0] == 0:
+    b0 = b[0]
+    if (b0.v if isinstance(b0, Dual) else b0) == 0:
         raise DomainError("series division by a series with zero constant term")
     lo = max(0, k - b.deg)
     b[k - lo]
@@ -157,17 +213,11 @@ def _trig_sum(s, k):
 
 
 def _sin(s, k):
-    if k:
-        return _trig_sum(s, k) / k
-    u0 = s.args[0][0]
-    return u0.context.sin(u0)
+    return _trig_sum(s, k) / k if k else ops.sin(s.args[0][0])
 
 
 def _cos(s, k):
-    if k:
-        return -_trig_sum(s, k) / k
-    u0 = s.args[0][0]
-    return u0.context.cos(u0)
+    return -_trig_sum(s, k) / k if k else ops.cos(s.args[0][0])
 
 
 def _solution(s, k):
@@ -231,6 +281,18 @@ class TracedODE:
             return f[n] * scale if scale > 1 else f[n]
 
         return fk
+
+    def jacobian(self, x, y, yp, orders):
+        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] of the solution
+        through (x, y, y'), from one pass of the graph on :class:`Dual` numbers.
+        """
+        one, zero = y.context.one, y.context.zero
+        self.at(x, Dual(y, one, zero), Dual(yp, zero, one))
+        out = []
+        for k in orders:
+            d, scale = self.f[k - 2], math.factorial(k - 2)
+            out.append((d.dy * scale, d.dyp * scale) if isinstance(d, Dual) else (0, 0))
+        return out
 
 
 def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:

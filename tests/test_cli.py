@@ -90,6 +90,18 @@ def test_missing_omega_fails_in_row():
     assert "FAILED" in out
 
 
+def test_omega_none_fails_fitted_rows_and_runs_classical():
+    # omega=None means no fitting frequency: a fitted method cannot run, and
+    # must not silently fall back to the classical weights
+    spec = ExperimentSpec(problem="linear", methods=["classical", "plprime"],
+                          step_divisors=[100], omega=None, digits=30)
+    classical, fitted = run_experiment(spec).rows
+    assert not classical.failed and float(classical.abs_end_error) < 1
+    assert fitted.failed
+    assert fitted.message == ("problem 'linear' has no default fitting frequency; "
+                              "pass --omega")
+
+
 def test_stalled_step_fails_in_row():
     spec = ExperimentSpec(problem="duffing", methods=["classical"], step_divisors=[5],
                           digits=30)

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from obrechkoff import (
+    CoefficientSet,
     ConfigurationError,
     MethodId,
     ProblemDef,
@@ -17,7 +18,7 @@ from obrechkoff import (
     startup,
     step,
 )
-from obrechkoff.integrator import DERIVATIVE_QUADRATURE, MAX_ITERATIONS, StepState
+from obrechkoff.integrator import DERIVATIVE_QUADRATURE, MAX_ITERATIONS, StepState, StepWeights
 
 
 def oscillator(ctx, omega=10):
@@ -113,7 +114,7 @@ def test_free_motion_step_is_exact(ctx50):
     st = StepState(index=1, x0=ctx50.mpf(0), x_n=ctx50.mpf("0.25"),
                    y_prev=ctx50.mpf(1), y_curr=ctx50.mpf("1.25"),
                    yp_prev=ctx50.mpf(1), yp_curr=ctx50.mpf(1))
-    out = step(st, cs, p, cfg, ctx50)
+    out = step(st, StepWeights.build(cs, cfg.h, ctx50), p, ctx50)
     assert out.y_curr == 2 * ctx50.mpf("1.25") - 1
     assert out.iterations <= 3
 
@@ -206,6 +207,84 @@ def test_stalled_solve_raises_step_failure():
         integrate(p, cfg, ctx)
     assert info.value.step_index == 2          # the first solved step
     assert info.value.iterations == MAX_ITERATIONS == 60
+
+
+@pytest.mark.parametrize("make, digits, divisor, startup_mode, most", [
+    (duffing, 50, 500, "exact", 5),
+    (linear_forced, 100, 1000, "taylor", 3),
+])
+def test_chord_newton_closure_triples_per_step(make, digits, divisor, startup_mode, most):
+    # re-evaluation at the accepted pair included; the fixed point with Aitken
+    # took up to 13 on duffing and 5 on linear
+    ctx = make_context(digits)
+    p = make(ctx)
+    cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=(p.x_end - p.x0) / divisor,
+                        omega=p.default_omega, startup=startup_mode)
+    res = integrate(p, cfg, ctx)
+    assert res.max_step_iterations <= most
+
+
+def closure_relation(problem, weights, before, after):
+    """Residuals of the y and y' formulas between two states, with f from the
+    problem's closures."""
+    w = weights
+    b10, b11, b20, b21, b30, b31 = w.betas
+    qA, qB, qC, qD, qE, qF = w.q
+    nodes = [(before.x_n - w.h, before.y_prev, before.yp_prev),
+             (before.x_n, before.y_curr, before.yp_curr),
+             (after.x_n, after.y_curr, after.yp_curr)]
+    (a2, a4, a6), (m2, m4, m6), (c2, c4, c6) = [
+        (problem.f2(*node), problem.f4(*node), problem.f6(*node)) for node in nodes]
+    y = (2 * before.y_curr - before.y_prev + w.h2 * (b10 * (a2 + c2) + b11 * m2)
+         + w.h4 * (b20 * (a4 + c4) + b21 * m4) + w.h6 * (b30 * (a6 + c6) + b31 * m6))
+    yp = (before.yp_prev + w.h * (qA * (a2 + c2) + qB * m2)
+          + w.h3 * (qC * (a4 + c4) + qD * m4) + w.h5 * (qE * (a6 + c6) + qF * m6))
+    return abs(after.y_curr - y), abs(after.yp_curr - yp)
+
+
+def test_custom_closures_define_the_solved_relation(ctx50):
+    # the graph of f2 only predicts and forms the Newton matrix: explicit f4/f6,
+    # 1% off the graph's, define the relation the step solves
+    w2, off = ctx50.mpf(100), ctx50.mpf("1.01")
+    consistent = ProblemDef(name="oscillator", x0=ctx50.mpf(0), x_end=ctx50.mpf(1),
+                            y0=ctx50.mpf(1), yp0=ctx50.mpf(0), f2=lambda x, y, yp: -w2 * y)
+    skewed = dataclasses.replace(consistent, f4=lambda x, y, yp: off * w2 * w2 * y,
+                                 f6=lambda x, y, yp: -off * w2 ** 3 * y)
+    h = ctx50.mpf("0.05")
+    weights = StepWeights.build(coefficients(MethodId.CLASSICAL, 0, ctx50), h, ctx50)
+    start = StepState(index=1, x0=ctx50.mpf(0), x_n=h, y_prev=ctx50.mpf(1),
+                      y_curr=ctx50.mp.cos(10 * h), yp_prev=ctx50.mpf(0),
+                      yp_curr=-10 * ctx50.mp.sin(10 * h))
+    tol = ctx50.mpf(10) ** -40
+    out = step(start, weights, skewed, ctx50)
+    assert max(closure_relation(skewed, weights, start, out)) < tol
+    plain = step(start, weights, consistent, ctx50)
+    assert max(closure_relation(consistent, weights, start, plain)) < tol
+    assert abs(out.y_curr - plain.y_curr) > ctx50.mpf(10) ** -10
+
+
+def test_singular_newton_matrix_raises_step_failure(ctx50):
+    # y'' = y with beta10 = 1, h = 1 and the other weights 0: the y row of
+    # DPhi is h^2 beta10 df2/dy = 1, so A = I - DPhi is exactly singular
+    zero, one = ctx50.mpf(0), ctx50.mpf(1)
+    p = ProblemDef(name="growth", x0=zero, x_end=ctx50.mpf(4), y0=one, yp0=one,
+                   f2=lambda x, y, yp: y)
+    cs = CoefficientSet(one, zero, zero, zero, zero, zero, v=zero)
+    e = ctx50.mp.e
+    start = StepState(index=1, x0=zero, x_n=one, y_prev=one, y_curr=e, yp_prev=one, yp_curr=e)
+    with pytest.raises(StepFailureError, match="singular Newton matrix") as info:
+        step(start, StepWeights.build(cs, one, ctx50), p, ctx50)
+    assert info.value.step_index == 2
+    assert info.value.iterations == 1
+
+
+def test_non_finite_iterate_raises_step_failure(ctx50):
+    p = dataclasses.replace(linear_forced(ctx50), f4=lambda x, y, yp: ctx50.mp.nan)
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=(p.x_end - p.x0) / 500)
+    with pytest.raises(StepFailureError, match="non-finite iterate") as info:
+        integrate(p, cfg, ctx50)
+    assert info.value.step_index == 2
+    assert info.value.iterations == 1
 
 
 def test_omega_none_is_a_configuration_error(ctx50):

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from obrechkoff import DomainError
-from obrechkoff.jets import Series, TracedODE, ode_series, ops
+from obrechkoff import DomainError, duffing, linear_forced, make_context, rational_problem
+from obrechkoff.jets import Dual, Series, TracedODE, ode_series, ops
 
 
 def test_jet_mul_div_roundtrip(ctx50):
@@ -32,6 +32,8 @@ def test_jet_matches_taylor_of_cos(ctx50):
 def test_series_division_needs_nonzero_constant_term(ctx50):
     with pytest.raises(DomainError):
         (ctx50.mpf(1) / Series.given([0, ctx50.mpf(1)]))[0]
+    with pytest.raises(DomainError):      # the same on a Jacobian pass
+        (ctx50.mpf(1) / Series.given([Dual(ctx50.mpf(0), 1, 0), ctx50.mpf(1)]))[0]
 
 
 def test_series_integer_powers(ctx50):
@@ -73,3 +75,44 @@ def test_ode_series_keeps_its_coefficients(ctx50):
     graph.derivative(6)(ctx50.mpf(1), ctx50.mpf(5), ctx50.mpf(3))
     assert series == before
     assert [float(c) for c in before] == [1, 0, -0.5, 0, 1 / 24, 0, -1 / 720]
+
+
+JACOBIAN_CASES = {
+    "duffing": lambda ctx: duffing(ctx).graph,
+    "linear": lambda ctx: linear_forced(ctx).graph,
+    "rational": lambda ctx: rational_problem(ctx).graph,
+    "sin-of-y": lambda ctx: TracedODE(lambda x, y, yp: -ops.sin(y)),
+    "damped": lambda ctx: TracedODE(lambda x, y, yp: -y - yp / 10),
+    "y-divisor": lambda ctx: TracedODE(lambda x, y, yp: -y / (1 + y * y)),
+}
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_dual_jacobian_matches_central_differences(case, digits):
+    # d f_k/d(y, y'), k = 2, 4, 6, from one dual pass against central
+    # differences of the closures at twice the digits, step 10^(-digits/2)
+    ctx, fine = make_context(digits), make_context(2 * digits)
+    graph, fine_graph = JACOBIAN_CASES[case](ctx), JACOBIAN_CASES[case](fine)
+    delta = fine.mpf(10) ** -(digits // 2)
+    tol = ctx.mpf(10) ** (10 - digits)
+    for point in (("0.7", "0.3", "-0.4"), ("2.1", "-1.2", "0.8")):
+        partials = graph.jacobian(*map(ctx.real, point), (2, 4, 6))
+        x, y, yp = map(fine.real, point)
+        for k, (dy, dyp) in zip((2, 4, 6), partials):
+            f = fine_graph.derivative(k)
+            fd_y = (f(x, y + delta, yp) - f(x, y - delta, yp)) / (2 * delta)
+            fd_yp = (f(x, y, yp + delta) - f(x, y, yp - delta)) / (2 * delta)
+            scale = max(abs(fd_y), abs(fd_yp))
+            assert abs(dy - fd_y) <= tol * scale, (k, point, "y")
+            assert abs(dyp - fd_yp) <= tol * scale, (k, point, "y'")
+
+
+def test_dual_pass_leaves_the_closures_exact(ctx50):
+    # after a Jacobian pass, a closure at the same point recomputes plain values
+    graph = duffing(ctx50).graph
+    x, y, yp = ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4")
+    f6 = graph.derivative(6)
+    before = f6(x, y, yp)
+    graph.jacobian(x, y, yp, (2, 4, 6))
+    assert f6(x, y, yp) == before
