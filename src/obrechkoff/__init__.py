@@ -7,7 +7,7 @@ truncation-error brackets, periodicity scanning), three benchmark initial
 value problems, and a benchmark CLI.
 """
 
-from .context import Context, Tolerance, make_context
+from .context import Context, make_context
 from .coefficients import (
     CoefficientSet,
     MethodId,
@@ -48,7 +48,7 @@ from .stability import (
 )
 
 __all__ = [
-    "Context", "Tolerance", "make_context",
+    "Context", "make_context",
     "CoefficientSet", "MethodId", "classical_coefficients", "coefficients",
     "plprime_closed", "pldoubleprime_closed", "taylor_fallback",
     "ObrechkoffError", "ConfigurationError", "DomainError", "FitError",

@@ -209,13 +209,14 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
 def _grid(args):
     if args.v_grid:
         return [float(t) for t in args.v_grid.split(",") if t.strip()]
-    if args.v_from is None or args.v_to is None or args.v_step is None:
+    bounds = (args.v_from, args.v_to, args.v_step)
+    if None in bounds:
         raise ObrechkoffError("pass either --v-grid or all of --v-from/--v-to/--v-step")
+    if not all(map(math.isfinite, bounds)) or args.v_step <= 0:
+        raise ObrechkoffError("--v-from/--v-to/--v-step must be finite, with --v-step > 0")
     grid = []
-    v = args.v_from
-    while v <= args.v_to + 1e-12:
+    while (v := args.v_from + len(grid) * args.v_step) <= args.v_to + 1e-12:
         grid.append(v)
-        v += args.v_step
     return grid
 
 

@@ -11,7 +11,6 @@ on exit even when an exception escapes, and rounds its results back with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
@@ -20,14 +19,6 @@ from .errors import ConfigurationError, DomainError
 
 MIN_DIGITS = 16
 DEFAULT_DIGITS = 50
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative/absolute tolerance pair used by iterative solvers."""
-
-    rel: object
-    abs: object
 
 
 class Context:
@@ -70,10 +61,6 @@ class Context:
     def eps(self):
         """One unit in the last decimal place of numbers of order one."""
         return self.mp.mpf(10) ** (-self.digits)
-
-    def tolerance(self) -> Tolerance:
-        t = self.mp.mpf(10) ** (8 - self.digits)
-        return Tolerance(rel=t, abs=t)
 
     def __repr__(self):
         return f"Context(digits={self.digits})"

@@ -6,27 +6,31 @@ Each step solves the implicit relation
                               + h^4 [b20 (f4_{n+1} + f4_{n-1}) + b21 f4_n]
                               + h^6 [b30 (f6_{n+1} + f6_{n-1}) + b31 f6_n]
 
-in one loop.  The predictor is the degree-7 Taylor polynomial of the
-solution through (x_n, y_n, y'_n), read off the problem's traced f2 graph.
-The corrector is a chord (simplified) Newton iteration on the update map
-Phi(y, y') = (y_{n+1}, y'_{n+1}), the two formulas with f_{n+1} evaluated at
-(y, y'): z <- z + A^-1 (Phi(z) - z), A = I - DPhi.  DPhi, the method weights
-times d(f2, f4, f6)/d(y, y'), is formed once per step at the predictor from
-one pass of the traced graph on dual numbers; the residual Phi(z) - z always
-comes from the problem's closures f2, f4 and f6.  f is evaluated once more at
-the accepted pair Phi(z), and that triple is kept for the next step.  The
-first derivative, needed by
-y'-dependent closures f4/f6, advances alongside y through a symmetric
-quadrature of the same three-node sixth-derivative type,
+together with a symmetric quadrature of the same three-node sixth-derivative
+type for the first derivative, which y'-dependent closures f4/f6 need,
 
     y'_{n+1} = y'_{n-1} + h  [qA (f2_{n-1}+f2_{n+1}) + qB f2_n]
                         + h^3[qC (f4_{n-1}+f4_{n+1}) + qD f4_n]
-                        + h^5[qE (f6_{n-1}+f6_{n+1}) + qF f6_n],
+                        + h^5[qE (f6_{n-1}+f6_{n+1}) + qF f6_n].
 
-whose weights integrate polynomials exactly through degree 11, so the
-derivative channel matches the order-12 accuracy of the main formula and
-never limits the observed convergence order.  Node n sits at x0 + n*h,
-formed once by :func:`_node`.
+Its weights integrate polynomials exactly through degree 11, so the
+derivative channel never limits the observed order 12.  Both formulas are
+linear in f at the three nodes, so with z = (y_{n+1}, y'_{n+1}) and
+F(z) = (f2, f4, f6) at (x_{n+1}, z) a step solves
+
+    z = Phi(z) = c + W F(z),
+
+where c holds 2 y_n - y_{n-1}, y'_{n-1} and the f_{n-1}, f_n terms and is
+formed once per step, and W is the 2x3 matrix of end-node weights
+(:class:`StepWeights`, formed once per run), so DPhi = W dF/dz.  The
+predictor is the degree-7 Taylor polynomial of the solution through
+(x_n, y_n, y'_n), read off the problem's traced f2 graph.  The corrector is
+a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
+A = I - DPhi, where dF/dz comes from one pass of the traced graph on dual
+numbers at the predictor; F itself always comes from the problem's closures.
+z is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both components;
+the step keeps Phi(z) and evaluates F there once more for the next step.
+Node n sits at x0 + n*h, formed once by :func:`_node`.
 """
 
 from __future__ import annotations
@@ -72,17 +76,13 @@ class StepperConfig:
     startup: str = "exact"
 
     def validate(self, ctx: Context):
-        if self.h == 0:
-            raise ConfigurationError("step size h must be nonzero")
-        if self.omega is None or self.omega < 0:
-            raise ConfigurationError("fitting frequency omega must be a number >= 0")
+        if self.h == 0 or not ctx.mp.isfinite(self.h):
+            raise ConfigurationError(f"step size h must be finite and nonzero, got {self.h}")
+        if self.omega is None or not ctx.mp.isfinite(self.omega) or self.omega < 0:
+            raise ConfigurationError(
+                f"fitting frequency omega must be a finite number >= 0, got {self.omega}")
         if self.startup not in STARTUP_MODES:
             raise ConfigurationError(f"startup must be one of {STARTUP_MODES}")
-
-    def fitting_parameter(self, ctx: Context):
-        if self.method is MethodId.CLASSICAL:
-            return ctx.mpf(0)
-        return ctx.mpf(self.omega) * abs(ctx.mpf(self.h))
 
 
 @dataclass
@@ -101,38 +101,28 @@ class StepState:
 
 @dataclass(frozen=True)
 class StepWeights:
-    """What every step of one run multiplies by, formed once per run.
+    """The update map Phi(z) = c + W F(z) of every step of one run.
 
-    ``jac_y`` and ``jac_yp`` weight d(f2, f4, f6)_{n+1} in the derivatives of
-    y_{n+1} and y'_{n+1}: the two rows of the update map's Jacobian.
+    ``end`` is W: its rows weight F = (f2, f4, f6) at the new node in y_{n+1}
+    and y'_{n+1}, so DPhi = W dF/dz; f at the oldest node takes the same
+    weights.  ``mid`` weights f at the middle node.  ``tol`` is the
+    acceptance tolerance 10^(8 - digits).
     """
 
     h: object
-    h2: object
-    h3: object
-    h4: object
-    h5: object
-    h6: object
-    betas: tuple          # b10, b11, b20, b21, b30, b31
-    q: tuple              # qA .. qF of DERIVATIVE_QUADRATURE
-    jac_y: tuple          # h^2 b10, h^4 b20, h^6 b30
-    jac_yp: tuple         # h qA, h^3 qC, h^5 qE
+    tol: object
+    end: tuple            # (h^2 b10, h^4 b20, h^6 b30), (h qA, h^3 qC, h^5 qE)
+    mid: tuple            # (h^2 b11, h^4 b21, h^6 b31), (h qB, h^3 qD, h^5 qF)
 
     @classmethod
     def build(cls, coeffs: CoefficientSet, h, ctx: Context) -> "StepWeights":
         h = ctx.mpf(h)
-        h2 = h * h
-        h3 = h2 * h
-        h4 = h2 * h2
-        h5 = h4 * h
-        h6 = h4 * h2
-        betas = coeffs.as_tuple()
-        q = tuple(ctx.mpf(v) for v in DERIVATIVE_QUADRATURE.values())
-        b10, _, b20, _, b30, _ = betas
-        qA, _, qC, _, qE, _ = q
-        return cls(h, h2, h3, h4, h5, h6, betas, q,
-                   jac_y=(h2 * b10, h4 * b20, h6 * b30),
-                   jac_yp=(h * qA, h3 * qC, h5 * qE))
+        p = [h ** k for k in range(7)]
+        b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
+        qA, qB, qC, qD, qE, qF = (ctx.mpf(q) for q in DERIVATIVE_QUADRATURE.values())
+        return cls(h, tol=ctx.mpf(10) ** (8 - ctx.digits),
+                   end=((p[2] * b10, p[4] * b20, p[6] * b30), (p[1] * qA, p[3] * qC, p[5] * qE)),
+                   mid=((p[2] * b11, p[4] * b21, p[6] * b31), (p[1] * qB, p[3] * qD, p[5] * qF)))
 
 
 @dataclass
@@ -163,22 +153,17 @@ def _eval_f(problem, x, y, yp):
     return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _chord_inverse(partials, weights: StepWeights, ctx: Context):
-    """Entries (i11, i12, i21, i22) of A^-1, A = I - DPhi, from the partials
-    [(d f_k/dy, d f_k/dy') for k = 2, 4, 6]; None when A is singular or not
-    finite."""
+def _chord_inverse(partials, end, ctx: Context):
+    """The rows of A^-1, A = I - DPhi, from the partials
+    [(d f_k/dy, d f_k/dy') for k = 2, 4, 6] and the rows ``end`` of W; None
+    when A is singular or not finite."""
     dy, dyp = zip(*partials)
-    j11, j12 = _dot(weights.jac_y, dy), _dot(weights.jac_y, dyp)
-    j21, j22 = _dot(weights.jac_yp, dy), _dot(weights.jac_yp, dyp)
+    (j11, j12), (j21, j22) = [(ctx.mp.fdot(row, dy), ctx.mp.fdot(row, dyp)) for row in end]
     a11, a22 = 1 - j11, 1 - j22
     det = a11 * a22 - j12 * j21
     if det == 0 or not ctx.mp.isfinite(det):
         return None
-    return a22 / det, j12 / det, j21 / det, a11 / det
+    return (a22 / det, j12 / det), (j21 / det, a11 / det)
 
 
 def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
@@ -212,53 +197,41 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     after MAX_ITERATIONS evaluations, when its matrix is singular, or when an
     iterate is not finite.
     """
-    h, h2, h3, h4, h5, h6 = (weights.h, weights.h2, weights.h3,
-                             weights.h4, weights.h5, weights.h6)
-    b10, b11, b20, b21, b30, b31 = weights.betas
-    qA, qB, qC, qD, qE, qF = weights.q
-    tol, isfinite = ctx.tolerance(), ctx.mp.isfinite
+    fdot, isfinite, tol = ctx.mp.fdot, ctx.mp.isfinite, weights.tol
     n, x_n, y_curr, yp_curr, yp_prev = (
         state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
-    x_next = _node(state.x0, h, n + 1)
-    f2A, f4A, f6A = state.f_prev or _eval_f(
-        problem, _node(state.x0, h, n - 1), state.y_prev, yp_prev)
+    x_next = _node(state.x0, weights.h, n + 1)
+    f_prev = state.f_prev or _eval_f(
+        problem, _node(state.x0, weights.h, n - 1), state.y_prev, yp_prev)
     f_curr = state.f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
-    f2B, f4B, f6B = f_curr
-    base_y = 2 * y_curr - state.y_prev
+    # the constant part c of Phi(z) = c + W F(z), fixed for the whole step
+    c = [base + fdot(end + mid, f_prev + f_curr) for base, end, mid in
+         zip((2 * y_curr - state.y_prev, yp_prev), weights.end, weights.mid)]
 
     graph = problem.graph
     graph.at(x_n, y_curr, yp_curr)
     taylor = [graph.y[k] for k in range(PREDICTOR_DEGREE, -1, -1)]
-    y, yp = ctx.mp.polyval(taylor, h, derivative=True)
+    z = ctx.mp.polyval(taylor, weights.h, derivative=True)
     inverse = None           # A^-1 at the predictor, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
-        f2C, f4C, f6C = _eval_f(problem, x_next, y, yp)
-        y_new = (base_y
-                 + h2 * (b10 * (f2A + f2C) + b11 * f2B)
-                 + h4 * (b20 * (f4A + f4C) + b21 * f4B)
-                 + h6 * (b30 * (f6A + f6C) + b31 * f6B))
-        yp_new = (yp_prev
-                  + h * (qA * (f2A + f2C) + qB * f2B)
-                  + h3 * (qC * (f4A + f4C) + qD * f4B)
-                  + h5 * (qE * (f6A + f6C) + qF * f6B))
-        if (abs(y_new - y) <= tol.abs + tol.rel * abs(y_new)
-                and abs(yp_new - yp) <= tol.abs + tol.rel * abs(yp_new)):
-            # cache f at the accepted pair so the next step sees consistent data
+        f_z = _eval_f(problem, x_next, *z)
+        phi = [ci + fdot(row, f_z) for ci, row in zip(c, weights.end)]
+        r = [p - zi for p, zi in zip(phi, z)]
+        if all(abs(ri) <= tol * (1 + abs(p)) for ri, p in zip(r, phi)):
+            # f at the accepted pair is kept, so the next step sees consistent data
             return StepState(
                 index=n + 1, x0=state.x0, x_n=x_next,
-                y_prev=y_curr, y_curr=y_new, yp_prev=yp_curr, yp_curr=yp_new,
+                y_prev=y_curr, y_curr=phi[0], yp_prev=yp_curr, yp_curr=phi[1],
                 iterations=state.iterations + evals + 1,
-                f_prev=f_curr, f_curr=_eval_f(problem, x_next, y_new, yp_new))
+                f_prev=f_curr, f_curr=_eval_f(problem, x_next, *phi))
         if inverse is None:
-            inverse = _chord_inverse(graph.jacobian(x_next, y, yp, (2, 4, 6)), weights, ctx)
+            inverse = _chord_inverse(graph.jacobian(x_next, *z, (2, 4, 6)), weights.end, ctx)
             if inverse is None:
                 raise StepFailureError(
                     f"implicit solve: singular Newton matrix at x = {ctx.mp.nstr(x_next, 8)}",
                     step_index=n + 1, iterations=evals)
-        i11, i12, i21, i22 = inverse
-        ry, ryp = y_new - y, yp_new - yp
-        y, yp = y + (i11 * ry + i12 * ryp), yp + (i21 * ry + i22 * ryp)
-        if not (isfinite(y) and isfinite(yp)):
+        z = [zi + fdot(row, r) for zi, row in zip(z, inverse)]
+        if not all(map(isfinite, z)):
             raise StepFailureError(
                 f"implicit solve: non-finite iterate at x = {ctx.mp.nstr(x_next, 8)}",
                 step_index=n + 1, iterations=evals)
@@ -291,7 +264,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
                                  wall_time=time.perf_counter() - t_start,
                                  yp_end=ctx.mpf(problem.yp0))
     ratio = (xe - x0) / h
-    n_steps = int(ctx.mp.nint(ratio))
+    n_steps = int(ctx.mp.nint(ratio)) if ctx.mp.isfinite(ratio) else 0
     if n_steps < 1 or abs(ratio - n_steps) > ctx.mpf("1e-12") * max(1, abs(n_steps)):
         raise ConfigurationError(
             f"(x_end - x0)/h = {ctx.mp.nstr(ratio, 12)} is not a positive integer"
@@ -306,8 +279,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
             f"classical periodicity interval (0, {CLASSICAL_PERIODICITY_V0SQ})",
             stacklevel=2,
         )
-    coeffs = coefficients(config.method, config.fitting_parameter(ctx), ctx)
-    weights = StepWeights.build(coeffs, h, ctx)
+    weights = StepWeights.build(coefficients(config.method, v_user, ctx), h, ctx)
 
     y0, y1, yp0, yp1 = startup(problem, config, ctx)
     state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,

@@ -324,7 +324,7 @@ def test_criterion_10_property_suite():
     back = integrate(dataclasses.replace(p, x0=n * h, x_end=ctx.mpf(0)),
                      StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=-h, omega=10),
                      ctx, x_end=ctx.mpf(0))
-    ok &= abs(back.y_end - p.y0) < 10 * n * ctx.tolerance().abs
+    ok &= abs(back.y_end - p.y0) < 10 * n * ctx.mpf(10) ** (8 - ctx.digits)
     notes.append("time symmetry")
 
     # closure-vs-reference consistency (exact references; the Duffing

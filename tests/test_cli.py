@@ -1,10 +1,12 @@
 import csv
+import importlib.util
 import io
 import math
+from pathlib import Path
 
 import pytest
 
-from obrechkoff import cli
+from obrechkoff import cli, make_context
 from obrechkoff.cli import (
     ExperimentSpec,
     emit,
@@ -159,6 +161,25 @@ def test_sweep_coefficients_flags_singular_rows():
     assert rows[1]["beta10"] == ""
 
 
+def test_sweep_grid_from_v_from_v_to_v_step(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-coefficients", "--method", "plprime", "--v-from", "0",
+                 "--v-to", "0.3", "--v-step", "0.1", "--digits", "30", "--out", str(out)]) == 0
+    grid = [float(r["v"]) for r in parse_csv(out.read_text())]
+    assert grid == pytest.approx([0, 0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("option, value", [("--v-step", "0"), ("--v-step", "-0.1"),
+                                           ("--v-to", "inf"), ("--v-from", "nan")])
+def test_sweep_rejects_a_bad_grid(option, value, capsys):
+    # a step <= 0 or an infinite end would never close the grid; a NaN start
+    # would sweep nothing
+    args = {"--v-from": "0", "--v-to": "1", "--v-step": "0.5", option: value}
+    argv = ["sweep-coefficients", "--method", "plprime"] + [f"{k}={v}" for k, v in args.items()]
+    assert main(argv) == 2
+    assert "--v-step > 0" in capsys.readouterr().err
+
+
 def test_sweep_stability_columns():
     text = sweep_stability_csv(MethodId.CLASSICAL, [0.5, 3.141], digits=40)
     rows = parse_csv(text)
@@ -209,13 +230,27 @@ def test_trajectory_dump(tmp_path):
 
 
 def test_serial_and_pool_record_the_same_failure():
-    # a NaN span raises ValueError deep in integrate; both paths keep it in-row
+    # a NaN span gives a NaN step size, a ConfigurationError; both paths keep it in-row
     spec = ExperimentSpec(problem="linear", methods=["classical"], step_divisors=[10],
                           digits=30, span=float("nan"))
     rows = [run_experiment(spec, workers=w).rows for w in (1, 2)]
     assert rows[0] == rows[1]
     assert rows[0][0].failed
     assert rows[0][0].message
+
+
+@pytest.mark.parametrize("option, value, named", [
+    ("omega", math.nan, "fitting frequency omega"),
+    ("omega", math.inf, "fitting frequency omega"),
+    ("span", math.nan, "step size h"),   # h = span/divisor
+    ("span", math.inf, "step size h"),
+])
+def test_non_finite_input_fails_in_row_by_name(option, value, named):
+    spec = ExperimentSpec(problem="linear", methods=["plprime"], step_divisors=[10],
+                          digits=30, **{option: value})
+    (row,) = run_experiment(spec).rows
+    assert row.failed
+    assert named in row.message and "finite" in row.message
 
 
 def test_failure_message_keeps_csv_columns():
@@ -244,3 +279,20 @@ def test_trajectory_run_integrates_its_cell_once(tmp_path, monkeypatch):
     assert rc == 0
     assert calls == [10]
     assert len(parse_csv((tmp_path / "table.csv").read_text())) == 1
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py swaps package callables and problem closures by
+    # name; a name dropped from the package must fail here, not in the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    get_problem = cli.get_problem
+    tracer = tracing.Tracer()
+    with tracer.run(0):
+        problem = cli.get_problem("duffing", make_context(30))
+        problem.f6(problem.x0, problem.y0, problem.yp0)
+    assert cli.get_problem is get_problem
+    names = {span[0] for span in tracer.spans}
+    assert {"problems.get_problem", "problems.f6", "context.Context"} <= names

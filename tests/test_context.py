@@ -44,12 +44,6 @@ def test_rational_round_trip(ctx50, num, den):
     assert abs(x * den - num) <= 2 * ctx50.eps() * abs(num)
 
 
-def test_tolerance_default(ctx50):
-    tol = ctx50.tolerance()
-    assert tol.rel == ctx50.mpf(10) ** -42
-    assert tol.abs == tol.rel
-
-
 def test_contexts_are_independent():
     a = make_context(20)
     b = make_context(80)
