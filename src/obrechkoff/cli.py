@@ -31,6 +31,9 @@ from .integrator import StepperConfig, integrate
 from .problems import PROBLEMS, get_problem
 from .stability import stability_sweep
 
+#: most points a --v-from/--v-to/--v-step grid may hold
+MAX_GRID_POINTS = 10 ** 6
+
 
 @dataclass
 class ExperimentSpec:
@@ -206,17 +209,34 @@ def emit(table: ResultTable, fmt: str = "csv") -> str:
     raise ObrechkoffError(f"unknown format {fmt!r}")
 
 
+def _number(option, text, kind=float):
+    """``text`` read as ``kind``; malformed input is a usage error naming the option."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ObrechkoffError(f"{option} takes {noun}, got {text!r}") from None
+
+
 def _grid(args):
     if args.v_grid:
-        return [float(t) for t in args.v_grid.split(",") if t.strip()]
-    bounds = (args.v_from, args.v_to, args.v_step)
-    if None in bounds:
-        raise ObrechkoffError("pass either --v-grid or all of --v-from/--v-to/--v-step")
-    if not all(map(math.isfinite, bounds)) or args.v_step <= 0:
-        raise ObrechkoffError("--v-from/--v-to/--v-step must be finite, with --v-step > 0")
-    grid = []
-    while (v := args.v_from + len(grid) * args.v_step) <= args.v_to + 1e-12:
-        grid.append(v)
+        grid = [_number("--v-grid", t) for t in args.v_grid.split(",") if t.strip()]
+    else:
+        bounds = (args.v_from, args.v_to, args.v_step)
+        if None in bounds:
+            raise ObrechkoffError("pass either --v-grid or all of --v-from/--v-to/--v-step")
+        if not all(map(math.isfinite, bounds)) or args.v_step <= 0:
+            raise ObrechkoffError("--v-from/--v-to/--v-step must be finite, with --v-step > 0")
+        v_from, v_step, v_last = args.v_from, args.v_step, args.v_to + 1e-12
+        # the grid is every v_from + n v_step <= v_last: count it before building it
+        span = (v_last - v_from) / v_step
+        if span >= MAX_GRID_POINTS:
+            raise ObrechkoffError(f"the v grid would hold more than {MAX_GRID_POINTS} points; "
+                                  "raise --v-step or narrow --v-from/--v-to")
+        grid = [v for n in range(max(0, int(span) + 2))
+                if (v := v_from + n * v_step) <= v_last]
+    if not grid:
+        raise ObrechkoffError("the v grid is empty")
     return grid
 
 
@@ -286,10 +306,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            divisors = [int(t) for t in args.divisors.split(",") if t.strip()]
-            omega = args.omega
-            if omega not in ("default",):
-                omega = float(omega)
+            divisors = [_number("--divisors", t, int) for t in args.divisors.split(",")
+                        if t.strip()]
+            omega = args.omega if args.omega == "default" else _number("--omega", args.omega)
             spec = ExperimentSpec(
                 problem=args.problem,
                 methods=[MethodId.parse(m).value for m in args.method],

@@ -2,9 +2,10 @@
 
 Each problem supplies only f2, written with ``ops.sin``/``ops.cos``.
 :class:`ProblemDef` traces it once into a :class:`~obrechkoff.jets.TracedODE`
-graph and serves every closure fk(x, y, yp), k = 2..7, the k-th derivative of
-the solution through (x, y, yp), from that graph.  The integrator calls the
-even closures, and reads its step predictor and Taylor startup off the graph.
+Taylor program and serves every closure fk(x, y, yp), k = 2..7, the k-th
+derivative of the solution through (x, y, yp), from that program.  The
+integrator calls the even closures, and reads its step predictor, Newton
+partials and Taylor startup off the same program.
 """
 
 from __future__ import annotations

@@ -296,3 +296,28 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert cli.get_problem is get_problem
     names = {span[0] for span in tracer.spans}
     assert {"problems.get_problem", "problems.f6", "context.Context"} <= names
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--v-from=1", "--v-to=0", "--v-step=0.1"], "empty"),
+    (["--v-grid=,"], "empty"),
+    (["--v-from=0", "--v-to=1", "--v-step=1e-12"], "more than 1000000 points"),
+])
+def test_sweep_grid_must_hold_between_one_and_a_million_points(grid, message, capsys):
+    # the points are counted before the grid is built, so a tiny step fails fast
+    assert main(["sweep-stability", "--method", "plprime"] + grid) == 2
+    assert message in capsys.readouterr().err
+    assert cli.MAX_GRID_POINTS == 10 ** 6
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("run", "--omega", "abc"), ("run", "--divisors", "10,x"),
+    ("sweep-stability", "--v-grid", "0.5,y")])
+def test_malformed_number_is_a_usage_error(command, option, value, capsys):
+    # exit 2 names the option; exit 1 is kept for a failed cell
+    args = {"--problem": "linear", "--method": "classical", "--divisors": "10",
+            "--digits": "30"} if command == "run" else {"--method": "plprime"}
+    args[option] = value
+    assert main([command] + [f"{k}={v}" for k, v in args.items()]) == 2
+    err = capsys.readouterr().err
+    assert option in err and repr(value.split(",")[-1]) in err

@@ -3,27 +3,36 @@ import math
 import pytest
 
 from obrechkoff import DomainError, duffing, linear_forced, make_context, rational_problem
-from obrechkoff.jets import Dual, Series, TracedODE, ode_series, ops
+from obrechkoff.jets import Series, TracedODE, ode_series, ops
+
+
+def taylor(ctx, expr, order):
+    """Coefficients 0..order of a series expression, through the program
+    compiled for an f2 that returns it, centred at 0."""
+    graph = TracedODE(lambda x, y, yp: expr)
+    zero = ctx.mpf(0)
+    graph.at(zero, zero, zero)
+    return [graph.f[k] for k in range(order + 1)]
 
 
 def test_jet_mul_div_roundtrip(ctx50):
     x = Series.given([ctx50.mpf(2), ctx50.mpf(1), ctx50.mpf("0.5")])
     y = Series.given([ctx50.mpf(3), ctx50.mpf(-1)])
-    z = (x * y) / y
+    z, x = taylor(ctx50, (x * y) / y, 8), taylor(ctx50, x, 8)
     assert all(abs(z[k] - x[k]) < ctx50.mpf(10) ** -45 for k in range(9))
 
 
 def test_jet_sin_cos_identity(ctx50):
     u = Series.given([ctx50.mpf("0.3"), ctx50.mpf(1), ctx50.mpf("0.25")])
     s, c = u.sin_cos()
-    one = s * s + c * c
+    one = taylor(ctx50, s * s + c * c, 10)
     assert abs(one[0] - 1) < ctx50.mpf(10) ** -45
     assert all(abs(one[k]) < ctx50.mpf(10) ** -44 for k in range(1, 11))
 
 
 def test_jet_matches_taylor_of_cos(ctx50):
     # sin of the pure variable series at 0 reproduces the sine series
-    s = ops.sin(Series.given([ctx50.mpf(0), 1]))
+    s = taylor(ctx50, ops.sin(Series.given([ctx50.mpf(0), 1])), 9)
     for k in range(10):
         expected = 0 if k % 2 == 0 else ctx50.rational((-1) ** ((k - 1) // 2), math.factorial(k))
         assert abs(s[k] - expected) < ctx50.mpf(10) ** -40
@@ -31,14 +40,17 @@ def test_jet_matches_taylor_of_cos(ctx50):
 
 def test_series_division_needs_nonzero_constant_term(ctx50):
     with pytest.raises(DomainError):
-        (ctx50.mpf(1) / Series.given([0, ctx50.mpf(1)]))[0]
+        taylor(ctx50, ctx50.mpf(1) / Series.given([0, ctx50.mpf(1)]), 0)
+    zero, one = ctx50.mpf(0), ctx50.mpf(1)
+    graph = TracedODE(lambda x, y, yp: 1 / y)
     with pytest.raises(DomainError):      # the same on a Jacobian pass
-        (ctx50.mpf(1) / Series.given([Dual(ctx50.mpf(0), 1, 0), ctx50.mpf(1)]))[0]
+        graph.jacobian(zero, zero, one, (2,))
+    assert graph.derivative(2)(zero, one, one) == 1      # and the program recovers
 
 
 def test_series_integer_powers(ctx50):
     a = [ctx50.mpf("0.7"), ctx50.mpf(2), ctx50.mpf(-1)]
-    cube = Series.given(a) ** 3
+    cube = taylor(ctx50, Series.given(a) ** 3, 7)
     expected = [sum(a[i] * a[j] * a[k - i - j] for i in range(3) for j in range(3)
                     if 0 <= k - i - j < 3) for k in range(7)]
     assert all(abs(cube[k] - expected[k]) < ctx50.mpf(10) ** -45 for k in range(7))
@@ -90,7 +102,7 @@ JACOBIAN_CASES = {
 @pytest.mark.parametrize("digits", [30, 50])
 @pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
 def test_dual_jacobian_matches_central_differences(case, digits):
-    # d f_k/d(y, y'), k = 2, 4, 6, from one dual pass against central
+    # d f_k/d(y, y'), k = 2, 4, 6, from the partial channels against central
     # differences of the closures at twice the digits, step 10^(-digits/2)
     ctx, fine = make_context(digits), make_context(2 * digits)
     graph, fine_graph = JACOBIAN_CASES[case](ctx), JACOBIAN_CASES[case](fine)
@@ -109,10 +121,31 @@ def test_dual_jacobian_matches_central_differences(case, digits):
 
 
 def test_dual_pass_leaves_the_closures_exact(ctx50):
-    # after a Jacobian pass, a closure at the same point recomputes plain values
+    # after a Jacobian pass, a closure at the same point returns the same value
     graph = duffing(ctx50).graph
     x, y, yp = ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4")
     f6 = graph.derivative(6)
     before = f6(x, y, yp)
     graph.jacobian(x, y, yp, (2, 4, 6))
     assert f6(x, y, yp) == before
+
+
+def test_duffing_compiles_to_one_combination_and_two_products(ctx50):
+    # -y - y**3 + B cos(omega x): the y-dependent part is y*y, (y*y)*y and one
+    # 3-term linear combination; omega x and its sin/cos pair depend on x alone
+    graph = duffing(ctx50).graph
+    assert [type(op).__name__ for op in graph._y_ops] == ["_Mul", "_Mul", "_Lin"]
+    assert len(graph._y_ops[-1].a) == 3
+    assert sorted(type(op).__name__ for op in graph._x_ops) == ["_Lin", "_SinCos"]
+
+
+def test_far_apart_and_non_finite_terms(ctx50):
+    # an exponent gap too wide to align exactly, and inf/nan inputs, take the
+    # rounded mpmath sum; the values match plain mpmath arithmetic
+    f2 = TracedODE(lambda x, y, yp: -y - y ** 3 + 1).derivative(2)
+    x, zero = ctx50.mpf("0.5"), ctx50.mpf(0)
+    big = ctx50.mpf("1e5000")
+    assert abs(f2(x, big, zero) / (-big - big ** 3 + 1) - 1) < ctx50.mpf(10) ** -49
+    inf = ctx50.mp.inf
+    assert f2(x, inf, zero) == -inf
+    assert ctx50.mp.isnan(f2(x, ctx50.mp.nan, zero))
