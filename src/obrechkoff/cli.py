@@ -25,7 +25,7 @@ from functools import partial
 from typing import Optional
 
 from .coefficients import MethodId, coefficient_sweep
-from .context import make_context
+from .context import MIN_DIGITS, make_context
 from .errors import ObrechkoffError
 from .integrator import StepperConfig, integrate
 from .problems import PROBLEMS, get_problem
@@ -50,8 +50,12 @@ class ExperimentSpec:
             raise ObrechkoffError("at least one method is required")
         if any(d <= 0 for d in self.step_divisors):
             raise ObrechkoffError("step divisors must be positive")
-        if list(self.step_divisors) != sorted(self.step_divisors):
-            raise ObrechkoffError("step divisors must be increasing")
+        # equal neighbours would give an observed order of log(e/e')/log(1)
+        if any(a >= b for a, b in zip(self.step_divisors, self.step_divisors[1:])):
+            raise ObrechkoffError("step divisors must be strictly increasing")
+        if self.digits < MIN_DIGITS:
+            raise ObrechkoffError(
+                f"working precision must be at least {MIN_DIGITS} digits, got {self.digits}")
 
 
 @dataclass
@@ -318,6 +322,9 @@ def main(argv=None) -> int:
                 startup=args.startup,
                 span=args.span,
             )
+            if args.trajectory_every < 0:
+                raise ObrechkoffError(
+                    f"--trajectory-every takes a count >= 0, got {args.trajectory_every}")
             if args.trajectory_every:
                 spec.validate()
                 if len(spec.methods) * len(spec.step_divisors) != 1:

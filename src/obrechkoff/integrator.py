@@ -26,8 +26,8 @@ formed once per step, and W is the 2x3 matrix of end-node weights
 predictor is the degree-7 Taylor polynomial of the solution through
 (x_n, y_n, y'_n), read off the problem's traced f2 graph.  The corrector is
 a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
-A = I - DPhi, where dF/dz comes from the d/dy and d/dy' channels of the
-traced f2 program at the predictor; F itself always comes from the closures.
+A = I - DPhi, where dF/dz comes from the variational program of the traced
+f2 at the predictor; F itself always comes from the closures.
 z is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both components;
 the step keeps Phi(z) and evaluates F there once more for the next step.
 Node n sits at x0 + n*h, formed once by :func:`_node`.

@@ -14,19 +14,19 @@ Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 A level loop fills coefficient k of y (and of y' when f2 reads it), then of
 every op, on raw ``libmp`` numbers: each coefficient is a sum of exact
 products, summed exactly and rounded once at the working precision of the
-point, as ``mp.fdot`` does.  Ops that depend on y or y' carry d/dy and d/dy' as two
-more coefficient channels (the variational equations), filled on request
-from the values already computed at the same point.  Ops of x alone carry
-values only, and are refilled only when x changes.
+point, as ``mp.fdot`` does.  Ops of x alone are refilled only when x changes.
+The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
+df2/dy' w' from (w, w') = (1, 0) and (0, 1): the trace, differentiated once
+along each seed, compiles into a second program of the same ops, closed by
+w_k = (df)_{k-2} / (k (k-1)) and filled on request over the values.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_add,
-                          mpf_cos_sin, mpf_div, mpf_mul, mpf_neg, mpf_sub, mpf_sum,
-                          normalize, round_nearest)
+from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_cos_sin,
+                          mpf_div, mpf_mul, mpf_sub, mpf_sum, normalize, round_nearest)
 
 from .errors import DomainError
 
@@ -43,10 +43,12 @@ class Series:
     """One node of a traced f2: an operation on power series, recorded for
     :class:`TracedODE` to compile, never evaluated itself.
 
-    ``kind`` is ``var`` (x, y or y'), ``poly`` (the coefficients ``data``),
-    ``lin`` (``data`` = (constant, coefficients of ``args``)), ``mul``,
-    ``div``, ``sincos`` or one of its halves ``sin`` and ``cos``.  ``deg``
-    bounds the degree and ``on_y`` tells whether the node depends on y or y'.
+    ``kind`` is ``var`` (x, y, y' or a tangent of y or y'), ``poly`` (the
+    coefficients ``data``), ``lin`` (``data`` = (constant, coefficients of
+    ``args``)), ``mul`` (the sum of the products of the pairs of factors in
+    ``args``), ``div``, ``sincos`` (``data`` = its halves) or one of its
+    halves ``sin`` and ``cos``.  ``deg`` bounds the degree and ``on_y`` tells
+    whether the node depends on y or y'.
     """
 
     __slots__ = ("kind", "args", "data", "deg", "on_y")
@@ -105,8 +107,9 @@ class Series:
         """Series of sin(self) and cos(self), computed together."""
         deg = 0 if self.deg == 0 else DENSE
         pair = Series("sincos", (self,), None, deg, self.on_y)
-        return (Series("sin", (pair,), None, deg, self.on_y),
-                Series("cos", (pair,), None, deg, self.on_y))
+        pair.data = (Series("sin", (pair,), None, deg, self.on_y),
+                     Series("cos", (pair,), None, deg, self.on_y))
+        return pair.data
 
 
 def _lift(x):
@@ -141,6 +144,31 @@ def _combination(c, terms):
 def _scaled(s, a):
     c, terms = _linear(s)
     return _combination(c * a, {node: b * a for node, b in terms.items()})
+
+
+def _tangent(order, seeds):
+    """The tangent of the last node of ``order`` (a postorder), the variables
+    in ``seeds`` moving along the series they map to; None where it is zero."""
+    d = {}
+    for s in order:
+        da = [d[a] for a in s.args]
+        if all(t is None for t in da):
+            d[s] = seeds.get(s)
+        elif s.kind == "lin":                 # d(sum a u) = sum a du
+            d[s] = sum((t * a for a, t in zip(s.data[1], da) if t is not None), 0)
+        elif s.kind == "mul":                 # d(uv) = du v + u dv, as one sum of products
+            a = s.args
+            pairs = [p for i in range(0, len(a), 2) for p in ((da[i], a[i + 1]), (a[i], da[i + 1]))]
+            d[s] = Series("mul", sum((p for p in pairs if None not in p), ()))
+        elif s.kind == "div":                 # d(u/v) = (du - (u/v) dv) / v
+            (du, dv), v = da, s.args[1]
+            d[s] = (du if dv is None else -(s * dv) if du is None else du - s * dv) / v
+        elif s.kind == "sincos":              # the tangent of its argument, for its halves
+            d[s] = da[0]
+        else:                                 # d sin u = cos u du, d cos u = -sin u du
+            sin, cos = s.args[0].data
+            d[s] = cos * da[0] if s.kind == "sin" else -(sin * da[0])
+    return d[order[-1]]
 
 
 class ops:
@@ -205,65 +233,44 @@ def _conv(a, b, lo, hi, k):
     return a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]
 
 
-def _back(b, k, n):
-    """b_{k-1}, b_{k-2}, ..., b_{k-n}."""
-    return b[k - n:k][::-1]
-
-
-def _quotient(xs, ys, k, prec):
-    """sum x_i y_i / k, summed exactly and rounded once."""
-    return mpf_div(_fdot(xs, ys), from_int(k), prec, RND)
-
-
 class _Node:
-    """The coefficient lists of one compiled node: ``v`` holds its values and
-    ``d`` its d/dy and d/dy' channels, or is None when it is free of y."""
+    """The coefficient list ``v`` of one compiled node, and its degree."""
 
-    __slots__ = ("v", "d", "deg")
+    __slots__ = ("v", "deg")
 
-    def __init__(self, deg, on_y, v=None):
+    def __init__(self, deg, v=None):
         self.v, self.deg = [] if v is None else v, deg
-        self.d = ([], []) if on_y else None
 
 
-# ops: value(k, prec) appends coefficient k of the values and partial(k, prec)
-# that of both channels, once every coefficient below k is in place
+# ops: value(k, prec) appends coefficient k of their outputs, once every
+# coefficient below k is in place
 
 class _Lin:
-    def __init__(self, out, c, terms):
-        self.out, self.deg = out, out.deg
-        terms = [(_raw(a), n) for a, n in terms]
-        self.a, self.nodes = [a for a, _ in terms], [n for _, n in terms]
+    def __init__(self, out, c, a, nodes):
+        self.out, self.deg, self.nodes = out, out.deg, nodes
+        self.a = [_raw(x) for x in a]
         self.a0, self.c = self.a + [fone], _raw(c)
-        self.ya, self.yd = [a for a, n in terms if n.d], [n.d for _, n in terms if n.d]
 
     def value(self, k, prec):
         ys = [n.v[k] if k <= n.deg else fzero for n in self.nodes]
         self.out.v.append(_fdot(self.a0, ys + [self.c], prec) if k == 0
                           else _fdot(self.a, ys, prec))
 
-    def partial(self, k, prec):
-        for i, ch in enumerate(self.out.d):
-            ch.append(_fdot(self.ya, [d[i][k] for d in self.yd], prec))
-
 
 class _Mul:
-    def __init__(self, out, a, b):
-        self.out, self.deg, self.a, self.b = out, out.deg, a, b
+    """sum_i a_i b_i over the pairs of factors (a_i, b_i), in one dot product."""
+
+    def __init__(self, out, factors):
+        self.out, self.deg = out, out.deg
+        self.pairs = list(zip(factors[::2], factors[1::2]))
 
     def value(self, k, prec):
-        a, b = self.a, self.b
-        self.out.v.append(_fdot(*_conv(a.v, b.v, max(0, k - b.deg), min(k, a.deg), k), prec))
-
-    def partial(self, k, prec):
-        a, b = self.a, self.b
-        lo, hi = max(0, k - b.deg), min(k, a.deg)
-        for i, ch in enumerate(self.out.d):
-            xs, ys = _conv(a.d[i], b.v, lo, hi, k) if a.d else ([], [])
-            if b.d:
-                xb, yb = _conv(a.v, b.d[i], lo, hi, k)
-                xs, ys = xs + xb, ys + yb
-            ch.append(_fdot(xs, ys, prec))
+        xs, ys = [], []
+        for a, b in self.pairs:
+            x, y = _conv(a.v, b.v, max(0, k - b.deg), min(k, a.deg), k)
+            xs += x
+            ys += y
+        self.out.v.append(_fdot(xs, ys, prec))
 
 
 class _Div:
@@ -281,20 +288,6 @@ class _Div:
             num = mpf_sub(num, _fdot(*_conv(q, b.v, max(0, k - b.deg), k - 1, k)))
         q.append(mpf_div(num, b.v[0], prec, RND))
 
-    def partial(self, k, prec):
-        # dq_k b_0 = da_k - sum_{j<k} dq_j b_{k-j} - sum_{j<=k} q_j db_{k-j}
-        a, b, q = self.a, self.b, self.out.v
-        lo = max(0, k - b.deg)
-        for i, ch in enumerate(self.out.d):
-            xs, ys = _conv(ch, b.v, lo, k - 1, k)
-            if b.d:
-                xb, yb = _conv(q, b.d[i], lo, k, k)
-                xs, ys = xs + xb, ys + yb
-            num = mpf_neg(_fdot(xs, ys))
-            if a.d:
-                num = mpf_add(a.d[i][k], num)
-            ch.append(mpf_div(num, b.v[0], prec, RND))
-
 
 class _SinCos:
     """s_k = sum_{j=1..k} j u_j c_{k-j} / k and c_k = -sum_{j=1..k} j u_j s_{k-j} / k."""
@@ -302,35 +295,33 @@ class _SinCos:
     def __init__(self, out, cos, u):
         self.out, self.cos, self.u, self.deg = out, cos, u, out.deg
 
-    def _ju(self, u, k):
-        """j u_j, j = 1..min(k, degree of u), exact."""
-        return [mpf_mul(u[j], from_int(j)) for j in range(1, min(k, self.u.deg) + 1)]
-
     def value(self, k, prec):
         u, s, c = self.u.v, self.out.v, self.cos.v
         if k == 0:
             cv, sv = mpf_cos_sin(u[0], prec, RND)
         else:
-            ju = self._ju(u, k)
+            ju = [mpf_mul(u[j], from_int(j)) for j in range(1, min(k, self.u.deg) + 1)]
             n = len(ju)
-            sv = _quotient(ju, _back(c, k, n), k, prec)
-            cv = _quotient(ju, _back(s, k, n), -k, prec)
+            sv = mpf_div(_fdot(ju, c[k - n:k][::-1]), from_int(k), prec, RND)
+            cv = mpf_div(_fdot(ju, s[k - n:k][::-1]), from_int(-k), prec, RND)
         s.append(sv)
         c.append(cv)
 
-    def partial(self, k, prec):
-        u, s, c = self.u, self.out.v, self.cos.v
-        for i, (ds, dc) in enumerate(zip(self.out.d, self.cos.d)):
-            if k == 0:
-                du = u.d[i][0]
-                ds.append(mpf_mul(c[0], du, prec, RND))
-                dc.append(mpf_neg(mpf_mul(s[0], du, prec, RND)))
-                continue
-            # d(j u_j c_{k-j}) = j du_j c_{k-j} + j u_j dc_{k-j}, and so for s
-            ju = self._ju(u.d[i], k) + self._ju(u.v, k)
-            n = len(ju) // 2
-            ds.append(_quotient(ju, _back(c, k, n) + _back(dc, k, n), k, prec))
-            dc.append(_quotient(ju, _back(s, k, n) + _back(ds, k, n), -k, prec))
+
+class _Leaf:
+    """The solution y_k = f_{k-2} / (k (k-1)) (lag 2), or its slope
+    y'_k = f_{k-1} / k (lag 1), above the initial values at the point, which
+    are ``start`` where the list holds none."""
+
+    def __init__(self, out, f, lag, start=()):
+        self.out, self.f, self.lag, self.start = out, f, lag, start
+
+    def value(self, k, prec):
+        c, fc, f, lag = self.out.v, self.f.v, self.f, self.lag
+        for j in range(len(c), k + 1):
+            c.append(self.start[j] if j < lag else
+                     mpf_div(fc[j - lag] if j - lag <= f.deg else fzero,
+                             from_int(math.perm(j, lag)), prec, RND))
 
 
 def _postorder(root):
@@ -349,25 +340,33 @@ def _postorder(root):
     return order
 
 
-class _Leaf:
-    """The solution y_k = f_{k-2} / (k (k-1)) (lag 2), or its slope
-    y'_k = f_{k-1} / k (lag 1), above the initial values at the point."""
-
-    def __init__(self, out, f, lag):
-        self.out, self.f, self.lag = out, f, lag
-
-    def _extend(self, c, fc, k, prec):
-        f, lag = self.f, self.lag
-        for j in range(len(c), k + 1):
-            c.append(mpf_div(fc[j - lag] if j - lag <= f.deg else fzero,
-                             from_int(math.perm(j, lag)), prec, RND))
-
-    def value(self, k, prec):
-        self._extend(self.out.v, self.f.v, k, prec)
-
-    def partial(self, k, prec):
-        for c, fc in zip(self.out.d, self.f.d):
-            self._extend(c, fc, k, prec)
+def _compile(order, nodes, ops, lists):
+    """Compile the nodes of ``order`` (a postorder) that ``nodes`` lacks into
+    it: each op goes to ops[on_y] and the coefficient lists it fills to
+    lists[on_y], ``on_y`` telling whether it depends on y or y'."""
+    for s in order:
+        if s in nodes:
+            continue
+        if s.kind == "poly":
+            nodes[s] = _Node(s.deg, [_raw(c) for c in s.data])
+            continue
+        if s.kind in ("sin", "cos"):
+            nodes[s] = nodes[s.args[0]][s.kind == "cos"]
+            continue
+        args = [nodes[a] for a in s.args]
+        outs = (_Node(s.deg),)
+        if s.kind == "lin":
+            op = _Lin(*outs, *s.data, args)
+        elif s.kind == "sincos":
+            outs += (_Node(s.deg),)
+            op = _SinCos(*outs, *args)
+        elif s.kind == "mul":
+            op = _Mul(*outs, args)
+        else:
+            op = _Div(*outs, *args)
+        nodes[s] = outs if s.kind == "sincos" else outs[0]
+        ops[s.on_y].append(op)
+        lists[s.on_y].extend(n.v for n in outs)
 
 
 class Coefficients:
@@ -394,44 +393,42 @@ class TracedODE:
     ``ops.cos``; an f2 that returns a plain number is a constant.  The point
     (x, y, y') is given as mpmath numbers, as the integrator passes it, and
     the program runs at the precision of y.  ``y`` and ``f`` give the Taylor
-    coefficients of the solution and of f2 there.
+    coefficients of the solution and of f2 there, and ``jacobian`` the
+    partials that the variational program computes over them.
     """
 
     def __init__(self, f2):
         sx = Series("var", (), None, 1, False)
         sy, syp = Series("var"), Series("var")
         root = _lift(f2(sx, sy, syp))
-        self._x, self._y, self._yp = _Node(1, False), _Node(DENSE, True), _Node(DENSE, True)
+        self._x, self._y, self._yp = _Node(1), _Node(DENSE), _Node(DENSE)
         nodes = {sx: self._x, sy: self._y, syp: self._yp}
-        self._x_ops, self._y_ops = [], []
+        self._x_ops, self._y_ops, self._d_ops = [], [], []
         self._x_lists, self._y_lists = [], []      # every coefficient list the ops fill
         order = _postorder(root)
-        for s in order:
-            if s in nodes:
-                continue
-            if s.kind == "poly":
-                nodes[s] = _Node(s.deg, False, [_raw(c) for c in s.data])
-                continue
-            if s.kind in ("sin", "cos"):
-                nodes[s] = nodes[s.args[0]][s.kind == "cos"]
-                continue
-            args = [nodes[a] for a in s.args]
-            outs = (_Node(s.deg, s.on_y),)
-            if s.kind == "lin":
-                op = _Lin(*outs, s.data[0], zip(s.data[1], args))
-            elif s.kind == "sincos":
-                outs += (_Node(s.deg, s.on_y),)
-                op = _SinCos(*outs, *args)
-            else:
-                op = (_Mul if s.kind == "mul" else _Div)(*outs, *args)
-            nodes[s] = outs if s.kind == "sincos" else outs[0]
-            (self._y_ops if s.on_y else self._x_ops).append(op)
-            lists = self._y_lists if s.on_y else self._x_lists
-            lists += [c for n in outs for c in (n.v, *(n.d or ()))]
+        _compile(order, nodes, (self._x_ops, self._y_ops), (self._x_lists, self._y_lists))
         self._f = nodes[root]
         # y' itself is filled only when f2 reads it
+        reads_yp = syp in order
         self._leaves = [_Leaf(self._y, self._f, 2)] + (
-            [_Leaf(self._yp, self._f, 1)] if syp in order else [])
+            [_Leaf(self._yp, self._f, 1)] if reads_yp else [])
+        # the variational program: per seed (w_0, w_1, w'_0), the leaves w and
+        # w' (when f2 reads y') and the ops of the tangent df of f2
+        self._df = []
+        for seed in ((fone, fzero, fzero), (fzero, fone, fone)):
+            w, wp = Series("var"), Series("var")
+            droot = _tangent(order, {sy: w, syp: wp})
+            if droot is None:
+                break
+            nodes[w], nodes[wp] = _Node(DENSE), _Node(DENSE)
+            ops = []
+            _compile(_postorder(droot), nodes, (self._x_ops, ops), (self._x_lists, self._y_lists))
+            df = nodes[droot]
+            leaves = [_Leaf(nodes[w], df, 2, seed[:2]), _Leaf(nodes[wp], df, 1, seed[2:])]
+            leaves = leaves[:1 + reads_yp]
+            self._d_ops += leaves + ops
+            self._y_lists += [leaf.out.v for leaf in leaves]
+            self._df.append(df)
         self.y = Coefficients(self, self._y, self._fill_solution)
         self.f = Coefficients(self, self._f, self._fill)
         self._point, self._prec, self._make = (None, None, None), None, None
@@ -467,8 +464,6 @@ class TracedODE:
         # f2 at a point may be asked for with y' = None when it ignores y'
         yp = None if yp is None else _raw(yp)
         self._y.v[:], self._yp.v[:] = [_raw(y), yp], [yp]
-        (dy, dyp), (dpy, dpyp) = self._y.d, self._yp.d
-        dy[:], dyp[:], dpy[:], dpyp[:] = [fone, fzero], [fzero, fone], [fzero], [fone]
 
     def _fill(self, n):
         """Fill the values of every op through level n."""
@@ -488,7 +483,7 @@ class TracedODE:
                 for op in self._y_ops:
                     op.value(k, prec)
                 k = self._levels = k + 1
-        except BaseException:
+        except BaseException:       # a fill that raised leaves no point and no coefficient
             self._point = (None, None, None)
             self._reset(on_x=True)
             raise
@@ -498,14 +493,19 @@ class TracedODE:
         self._fill(k - 2)
         self._leaves[0].value(k, self._prec)
 
-    def _fill_partials(self, n):
-        """Fill the d/dy and d/dy' channels of every op through level n."""
+    def _fill_tangents(self, n):
+        """Fill the variational program through level n, after the values it reads."""
         self._fill(n)
         prec = self._prec
-        for k in range(self._d_levels, n + 1):
-            for op in self._leaves + self._y_ops:
-                op.partial(k, prec)
-            self._d_levels = k + 1
+        try:
+            for k in range(self._d_levels, n + 1):
+                for op in self._d_ops:
+                    op.value(k, prec)
+                self._d_levels = k + 1
+        except BaseException:
+            self._point = (None, None, None)
+            self._reset(on_x=True)
+            raise
 
     def derivative(self, k: int):
         """The closure (x, y, y') -> y^(k) of the solution through that point."""
@@ -523,15 +523,15 @@ class TracedODE:
 
     def jacobian(self, x, y, yp, orders):
         """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] of the solution
-        through (x, y, y'), from the d/dy and d/dy' channels of the program.
+        through (x, y, y'), read off the variational program.
         """
         self.at(x, y, yp)
-        if self._f.d is None:
+        if not self._df:
             return [(0, 0) for _ in orders]
-        self._fill_partials(max(orders) - 2)
-        make, prec, d = self._make, self._prec, self._f.d
+        self._fill_tangents(max(orders) - 2)
+        make, prec = self._make, self._prec
         scales = [from_int(math.factorial(k - 2)) for k in orders]
-        return [tuple(make(mpf_mul(ch[k - 2], s, prec, RND)) for ch in d)
+        return [tuple(make(mpf_mul(df.v[k - 2], s, prec, RND)) for df in self._df)
                 for k, s in zip(orders, scales)]
 
 

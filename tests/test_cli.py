@@ -321,3 +321,19 @@ def test_malformed_number_is_a_usage_error(command, option, value, capsys):
     assert main([command] + [f"{k}={v}" for k, v in args.items()]) == 2
     err = capsys.readouterr().err
     assert option in err and repr(value.split(",")[-1]) in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--divisors", "100,100", "strictly increasing"),
+    ("--digits", "10", "at least 16 digits"),
+    ("--trajectory-every", "-3", "--trajectory-every takes a count >= 0")])
+def test_bad_run_settings_exit_2_before_any_cell(option, value, message, tmp_path, capsys):
+    # equal divisors, too few digits or a negative dump interval are usage
+    # errors: no cell runs and no table is written
+    out = tmp_path / "t.csv"
+    args = {"--problem": "linear", "--method": "classical", "--divisors": "10",
+            "--digits": "30", "--span": "0.6283185307179586", "--out": out}
+    args[option] = value
+    assert main(["run"] + [f"{k}={v}" for k, v in args.items()]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -96,6 +96,10 @@ JACOBIAN_CASES = {
     "sin-of-y": lambda ctx: TracedODE(lambda x, y, yp: -ops.sin(y)),
     "damped": lambda ctx: TracedODE(lambda x, y, yp: -y - yp / 10),
     "y-divisor": lambda ctx: TracedODE(lambda x, y, yp: -y / (1 + y * y)),
+    "cos-of-y": lambda ctx: TracedODE(lambda x, y, yp: -ops.cos(y) * y + ops.sin(x)),
+    "slope-only": lambda ctx: TracedODE(lambda x, y, yp: -yp / 10 + ops.sin(x)),
+    "cos-of-product": lambda ctx: TracedODE(lambda x, y, yp: -y - ops.cos(yp * y) / 7),
+    "slope-quotient": lambda ctx: TracedODE(lambda x, y, yp: (1 + yp * yp) / (2 + y * y + x)),
 }
 
 
@@ -120,6 +124,13 @@ def test_dual_jacobian_matches_central_differences(case, digits):
             assert abs(dyp - fd_yp) <= tol * scale, (k, point, "y'")
 
 
+@pytest.mark.parametrize("f2", [lambda x, y, yp: 3, lambda x, y, yp: ops.sin(x)],
+                         ids=["constant", "sin-of-x"])
+def test_partials_of_an_f2_free_of_y_are_zero(ctx50, f2):
+    point = (ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4"))
+    assert TracedODE(f2).jacobian(*point, (2, 4, 6)) == [(0, 0)] * 3
+
+
 def test_dual_pass_leaves_the_closures_exact(ctx50):
     # after a Jacobian pass, a closure at the same point returns the same value
     graph = duffing(ctx50).graph
@@ -137,6 +148,16 @@ def test_duffing_compiles_to_one_combination_and_two_products(ctx50):
     assert [type(op).__name__ for op in graph._y_ops] == ["_Mul", "_Mul", "_Lin"]
     assert len(graph._y_ops[-1].a) == 3
     assert sorted(type(op).__name__ for op in graph._x_ops) == ["_Lin", "_SinCos"]
+
+
+def test_duffing_tangent_program_keeps_one_product_per_product(ctx50):
+    # per channel, d(y*y) and d((y*y)*y) are each one fused sum of two
+    # products, rounded once, and d f2 one combination; f2 ignores y', so
+    # only the leaf w closes each channel
+    program = duffing(ctx50).graph._d_ops
+    assert [type(op).__name__ for op in program] == ["_Leaf", "_Mul", "_Mul", "_Lin"] * 2
+    assert [len(op.pairs) for op in program if type(op).__name__ == "_Mul"] == [2] * 4
+    assert [op.lag for op in program if type(op).__name__ == "_Leaf"] == [2, 2]
 
 
 def test_far_apart_and_non_finite_terms(ctx50):
