@@ -48,6 +48,8 @@ class ExperimentSpec:
     def validate(self):
         if not self.methods:
             raise ObrechkoffError("at least one method is required")
+        if not self.step_divisors:
+            raise ObrechkoffError("at least one step divisor is required")
         if any(d <= 0 for d in self.step_divisors):
             raise ObrechkoffError("step divisors must be positive")
         # equal neighbours would give an observed order of log(e/e')/log(1)
@@ -325,6 +327,8 @@ def main(argv=None) -> int:
             if args.trajectory_every < 0:
                 raise ObrechkoffError(
                     f"--trajectory-every takes a count >= 0, got {args.trajectory_every}")
+            if args.workers < 1:
+                raise ObrechkoffError(f"--workers takes a count >= 1, got {args.workers}")
             if args.trajectory_every:
                 spec.validate()
                 if len(spec.methods) * len(spec.step_divisors) != 1:

@@ -29,8 +29,18 @@ a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
 A = I - DPhi, where dF/dz comes from the variational program of the traced
 f2 at the predictor; F itself always comes from the closures.
 z is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both components;
-the step keeps Phi(z) and evaluates F there once more for the next step.
+the step keeps Phi(z) and evaluates F there once more for the next step.  A
+Phi(z) that is not finite fails the step at once: inf would pass the test.
 Node n sits at x0 + n*h, formed once by :func:`_node`.
+
+The solve runs on raw ``libmp`` numbers at the context's precision, with
+round-to-nearest: each weighted sum is one exactly summed dot product rounded
+once (``jets._fdot``), and every other operation rounds where the mpf
+operator would.  The results equal those of the same step in mpf operators
+and ``mp.fdot`` bit for bit; only a term more than 2 prec bits below the
+rest of a sum, which ``mp.fdot`` drops and ``_fdot`` keeps, could break a
+rounding tie differently.  mpf objects are made only for the closures'
+arguments and for the returned :class:`StepState`.
 """
 
 from __future__ import annotations
@@ -41,10 +51,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 from typing import Optional
 
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_mul_int,
+                          mpf_sub)
+
 from .coefficients import CoefficientSet, MethodId, coefficients
 from .context import Context
 from .errors import ConfigurationError, StepFailureError
-from .jets import ode_series
+from .jets import RND, _fdot, _raw, ode_series
 from .problems import ProblemDef
 
 #: weights of the degree-11-exact symmetric derivative quadrature
@@ -153,17 +166,23 @@ def _eval_f(problem, x, y, yp):
     return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
 
 
-def _chord_inverse(partials, end, ctx: Context):
+def _finite(v):
+    """Whether a raw libmp number is finite: inf and nan have a zero mantissa
+    and a nonzero exponent."""
+    return v[1] or not v[2]
+
+
+def _chord_inverse(partials, end, prec):
     """The rows of A^-1, A = I - DPhi, from the partials
-    [(d f_k/dy, d f_k/dy') for k = 2, 4, 6] and the rows ``end`` of W; None
-    when A is singular or not finite."""
+    [(d f_k/dy, d f_k/dy') for k = 2, 4, 6] and the rows ``end`` of W, all raw;
+    None when A is singular or not finite."""
     dy, dyp = zip(*partials)
-    (j11, j12), (j21, j22) = [(ctx.mp.fdot(row, dy), ctx.mp.fdot(row, dyp)) for row in end]
-    a11, a22 = 1 - j11, 1 - j22
-    det = a11 * a22 - j12 * j21
-    if det == 0 or not ctx.mp.isfinite(det):
+    (j11, j12), (j21, j22) = [(_fdot(row, dy, prec), _fdot(row, dyp, prec)) for row in end]
+    a11, a22 = mpf_sub(fone, j11, prec, RND), mpf_sub(fone, j22, prec, RND)
+    det = mpf_sub(mpf_mul(a11, a22, prec, RND), mpf_mul(j12, j21, prec, RND), prec, RND)
+    if det == fzero or not _finite(det):
         return None
-    return (a22 / det, j12 / det), (j21 / det, a11 / det)
+    return tuple(tuple(mpf_div(a, det, prec, RND) for a in row) for row in ((a22, j12), (j21, a11)))
 
 
 def startup(problem: ProblemDef, config: StepperConfig, ctx: Context):
@@ -195,46 +214,62 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
 
     Raises StepFailureError when the chord-Newton solve has not converged
     after MAX_ITERATIONS evaluations, when its matrix is singular, or when an
-    iterate is not finite.
+    iterate or Phi(z) is not finite.
     """
-    fdot, isfinite, tol = ctx.mp.fdot, ctx.mp.isfinite, weights.tol
+    prec, make = ctx.mp.prec, ctx.mp.make_mpf
     n, x_n, y_curr, yp_curr, yp_prev = (
         state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
     x_next = _node(state.x0, weights.h, n + 1)
     f_prev = state.f_prev or _eval_f(
         problem, _node(state.x0, weights.h, n - 1), state.y_prev, yp_prev)
     f_curr = state.f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
+    h, tol = _raw(weights.h), _raw(weights.tol)
+    end, mid = ([[_raw(w) for w in row] for row in rows] for rows in (weights.end, weights.mid))
     # the constant part c of Phi(z) = c + W F(z), fixed for the whole step
-    c = [base + fdot(end + mid, f_prev + f_curr) for base, end, mid in
-         zip((2 * y_curr - state.y_prev, yp_prev), weights.end, weights.mid)]
+    f_old = [_raw(f) for f in f_prev + f_curr]
+    base = (mpf_sub(mpf_mul_int(_raw(y_curr), 2, prec, RND), _raw(state.y_prev), prec, RND),
+            _raw(yp_prev))
+    c = [mpf_add(b, _fdot(e + m, f_old, prec), prec, RND) for b, e, m in zip(base, end, mid)]
 
     graph = problem.graph
     graph.at(x_n, y_curr, yp_curr)
-    taylor = [graph.y[k] for k in range(PREDICTOR_DEGREE, -1, -1)]
-    z = ctx.mp.polyval(taylor, weights.h, derivative=True)
+    # Horner's rule for the Taylor polynomial and its derivative at h
+    y, dy = graph.y.raw(PREDICTOR_DEGREE), fzero
+    for k in range(PREDICTOR_DEGREE - 1, -1, -1):
+        dy = mpf_add(y, mpf_mul(h, dy, prec, RND), prec, RND)
+        y = mpf_add(graph.y.raw(k), mpf_mul(h, y, prec, RND), prec, RND)
+    z = (y, dy)
     inverse = None           # A^-1 at the predictor, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
-        f_z = _eval_f(problem, x_next, *z)
-        phi = [ci + fdot(row, f_z) for ci, row in zip(c, weights.end)]
-        r = [p - zi for p, zi in zip(phi, z)]
-        if all(abs(ri) <= tol * (1 + abs(p)) for ri, p in zip(r, phi)):
+        z_mpf = make(z[0]), make(z[1])
+        f_z = [_raw(f) for f in _eval_f(problem, x_next, *z_mpf)]
+        phi = [mpf_add(ci, _fdot(row, f_z, prec), prec, RND) for ci, row in zip(c, end)]
+        r = [mpf_sub(p, zi, prec, RND) for p, zi in zip(phi, z)]
+        if not (_finite(r[0]) and _finite(r[1])):
+            # r is finite only if Phi(z) and z are; an infinite Phi(z) would
+            # pass the test below, as inf <= inf
+            raise StepFailureError(
+                f"implicit solve: non-finite iterate at x = {ctx.mp.nstr(x_next, 8)}",
+                step_index=n + 1, iterations=evals)
+        if all(mpf_le(mpf_abs(ri, prec, RND),
+                      mpf_mul(tol, mpf_add(mpf_abs(p, prec, RND), fone, prec, RND), prec, RND))
+               for ri, p in zip(r, phi)):
             # f at the accepted pair is kept, so the next step sees consistent data
+            y_next, yp_next = make(phi[0]), make(phi[1])
             return StepState(
                 index=n + 1, x0=state.x0, x_n=x_next,
-                y_prev=y_curr, y_curr=phi[0], yp_prev=yp_curr, yp_curr=phi[1],
+                y_prev=y_curr, y_curr=y_next, yp_prev=yp_curr, yp_curr=yp_next,
                 iterations=state.iterations + evals + 1,
-                f_prev=f_curr, f_curr=_eval_f(problem, x_next, *phi))
+                f_prev=f_curr, f_curr=_eval_f(problem, x_next, y_next, yp_next))
         if inverse is None:
-            inverse = _chord_inverse(graph.jacobian(x_next, *z, (2, 4, 6)), weights.end, ctx)
+            partials = [(_raw(a), _raw(b))
+                        for a, b in graph.jacobian(x_next, *z_mpf, (2, 4, 6))]
+            inverse = _chord_inverse(partials, end, prec)
             if inverse is None:
                 raise StepFailureError(
                     f"implicit solve: singular Newton matrix at x = {ctx.mp.nstr(x_next, 8)}",
                     step_index=n + 1, iterations=evals)
-        z = [zi + fdot(row, r) for zi, row in zip(z, inverse)]
-        if not all(map(isfinite, z)):
-            raise StepFailureError(
-                f"implicit solve: non-finite iterate at x = {ctx.mp.nstr(x_next, 8)}",
-                step_index=n + 1, iterations=evals)
+        z = [mpf_add(zi, _fdot(row, r, prec), prec, RND) for zi, row in zip(z, inverse)]
     raise StepFailureError(
         f"implicit solve stalled after {MAX_ITERATIONS} iterations "
         f"at x = {ctx.mp.nstr(x_next, 8)}",

@@ -184,15 +184,16 @@ class ops:
 
 
 def _raw(v):
-    """The raw libmp value of an int, a float or an mpmath real."""
+    """The raw libmp value of an mpmath real, an int or a float."""
+    try:
+        return v._mpf_
+    except AttributeError:
+        pass
     if isinstance(v, int):
         return from_int(v)
     if isinstance(v, float):
         return from_float(v)
-    try:
-        return v._mpf_
-    except AttributeError:
-        raise DomainError(f"a traced f2 takes real numbers, not {type(v).__name__}") from None
+    raise DomainError(f"a traced f2 takes real numbers, not {type(v).__name__}")
 
 
 def _fdot(xs, ys, prec=0):
@@ -371,19 +372,23 @@ def _compile(order, nodes, ops, lists):
 
 class Coefficients:
     """Coefficient k of y or of f2 at the current point of a
-    :class:`TracedODE`, as ``[k]``; ``fill(k)`` puts it in place."""
+    :class:`TracedODE`, as ``[k]`` (an mpf) or ``raw(k)`` (a raw libmp
+    number); ``fill(k)`` puts it in place."""
 
     __slots__ = ("c", "_deg", "_fill", "_graph")
 
     def __init__(self, graph, node, fill):
         self.c, self._deg, self._fill, self._graph = node.v, node.deg, fill, graph
 
-    def __getitem__(self, k):
-        make = self._graph._make
+    def raw(self, k):
+        """Coefficient k as a raw libmp number."""
         if k > self._deg:
-            return make(fzero)
+            return fzero
         self._fill(k)
-        return make(self.c[k])
+        return self.c[k]
+
+    def __getitem__(self, k):
+        return self._graph._make(self.raw(k))
 
 
 class TracedODE:

@@ -326,10 +326,13 @@ def test_malformed_number_is_a_usage_error(command, option, value, capsys):
 @pytest.mark.parametrize("option, value, message", [
     ("--divisors", "100,100", "strictly increasing"),
     ("--digits", "10", "at least 16 digits"),
-    ("--trajectory-every", "-3", "--trajectory-every takes a count >= 0")])
+    ("--trajectory-every", "-3", "--trajectory-every takes a count >= 0"),
+    ("--divisors", ",", "at least one step divisor"),
+    ("--workers", "0", "--workers takes a count >= 1"),
+    ("--workers", "-4", "--workers takes a count >= 1")])
 def test_bad_run_settings_exit_2_before_any_cell(option, value, message, tmp_path, capsys):
-    # equal divisors, too few digits or a negative dump interval are usage
-    # errors: no cell runs and no table is written
+    # equal or no divisors, too few digits, a negative dump interval or fewer
+    # than one worker are usage errors: no cell runs and no table is written
     out = tmp_path / "t.csv"
     args = {"--problem": "linear", "--method": "classical", "--divisors": "10",
             "--digits": "30", "--span": "0.6283185307179586", "--out": out}

@@ -294,6 +294,35 @@ def test_non_finite_iterate_raises_step_failure(ctx50):
     assert info.value.iterations == 1
 
 
+@pytest.mark.parametrize("last_node, step_index", [(True, 500), (False, 16)])
+def test_infinite_phi_fails_at_the_step_that_formed_it(ctx50, last_node, step_index):
+    # |Phi(z) - z| <= tol (1 + |Phi(z)|) holds for Phi = inf, as inf <= inf:
+    # an infinite f4 at the last node alone must not end the run at -inf
+    p = linear_forced(ctx50)
+    h = (p.x_end - p.x0) / 500
+    start, f4 = (p.x_end - h / 2 if last_node else 1), p.f4
+    p = dataclasses.replace(p, f4=lambda x, y, yp: ctx50.mp.inf if x > start else f4(x, y, yp))
+    with pytest.raises(StepFailureError, match="non-finite iterate") as info:
+        integrate(p, StepperConfig(method=MethodId.CLASSICAL, h=h), ctx50)
+    assert info.value.step_index == step_index
+
+
+@pytest.mark.parametrize("name, closure, triples", [
+    ("f6", lambda x, y, yp: 0, 196),
+    ("f4", lambda x, y, yp: float(10000 * y), 189)])
+def test_closures_may_return_python_numbers(name, closure, triples):
+    # a closure may return an int or a float, as a traced f2 may
+    ctx = make_context(30)
+    w2 = ctx.mpf(100)
+    p = ProblemDef(name="oscillator", x0=ctx.mpf(0), x_end=ctx.mpf(1),
+                   y0=ctx.mpf(1), yp0=ctx.mpf(0), f2=lambda x, y, yp: -w2 * y)
+    p = dataclasses.replace(p, **{name: closure})
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx.mpf(1) / 50, startup="taylor")
+    res = integrate(p, cfg, ctx)
+    assert res.steps == 50 and res.total_iterations == triples
+    assert abs(res.y_end - ctx.mp.cos(10)) < ctx.mpf(10) ** -5
+
+
 def test_omega_none_is_a_configuration_error(ctx50):
     cfg = StepperConfig(method=MethodId.PL_PRIME, h=ctx50.mpf("0.1"), omega=None)
     with pytest.raises(ConfigurationError, match="omega"):

@@ -1,0 +1,111 @@
+"""The step's raw-number arithmetic against the same step written with mpf operators.
+
+``reference_step`` forms every weighted sum with ``mp.fdot``, the predictor
+with ``mp.polyval`` and everything else with the mpf operators, in the order
+``integrator.step`` rounds them.  Both must agree bit for bit, so an edit that
+moves, drops or adds a rounding in ``step`` shows here.
+"""
+
+import pytest
+
+from obrechkoff import (
+    MethodId,
+    StepFailureError,
+    StepperConfig,
+    coefficients,
+    duffing,
+    linear_forced,
+    make_context,
+    rational_problem,
+    startup,
+    step,
+)
+from obrechkoff.integrator import (
+    MAX_ITERATIONS,
+    PREDICTOR_DEGREE,
+    StepState,
+    StepWeights,
+    _eval_f,
+    _node,
+)
+
+STEPS = 30
+
+
+def reference_chord_inverse(partials, end, ctx):
+    dy, dyp = zip(*partials)
+    (j11, j12), (j21, j22) = [(ctx.mp.fdot(row, dy), ctx.mp.fdot(row, dyp)) for row in end]
+    a11, a22 = 1 - j11, 1 - j22
+    det = a11 * a22 - j12 * j21
+    if det == 0 or not ctx.mp.isfinite(det):
+        return None
+    return (a22 / det, j12 / det), (j21 / det, a11 / det)
+
+
+def reference_step(state, weights, problem, ctx):
+    """One step of the chord-Newton solve in mpf arithmetic."""
+    fdot, isfinite, tol = ctx.mp.fdot, ctx.mp.isfinite, weights.tol
+    n, x_n, y_curr, yp_curr, yp_prev = (
+        state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
+    x_next = _node(state.x0, weights.h, n + 1)
+    f_prev = state.f_prev or _eval_f(
+        problem, _node(state.x0, weights.h, n - 1), state.y_prev, yp_prev)
+    f_curr = state.f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
+    c = [base + fdot(end + mid, f_prev + f_curr) for base, end, mid in
+         zip((2 * y_curr - state.y_prev, yp_prev), weights.end, weights.mid)]
+
+    graph = problem.graph
+    graph.at(x_n, y_curr, yp_curr)
+    taylor = [graph.y[k] for k in range(PREDICTOR_DEGREE, -1, -1)]
+    z = ctx.mp.polyval(taylor, weights.h, derivative=True)
+    inverse = None
+    for evals in range(1, MAX_ITERATIONS + 1):
+        f_z = _eval_f(problem, x_next, *z)
+        phi = [ci + fdot(row, f_z) for ci, row in zip(c, weights.end)]
+        r = [p - zi for p, zi in zip(phi, z)]
+        if all(abs(ri) <= tol * (1 + abs(p)) for ri, p in zip(r, phi)):
+            return StepState(
+                index=n + 1, x0=state.x0, x_n=x_next,
+                y_prev=y_curr, y_curr=phi[0], yp_prev=yp_curr, yp_curr=phi[1],
+                iterations=state.iterations + evals + 1,
+                f_prev=f_curr, f_curr=_eval_f(problem, x_next, *phi))
+        if inverse is None:
+            inverse = reference_chord_inverse(
+                graph.jacobian(x_next, *z, (2, 4, 6)), weights.end, ctx)
+            if inverse is None:
+                raise StepFailureError("singular", step_index=n + 1, iterations=evals)
+        z = [zi + fdot(row, r) for zi, row in zip(z, inverse)]
+        if not all(map(isfinite, z)):
+            raise StepFailureError("non-finite", step_index=n + 1, iterations=evals)
+    raise StepFailureError("stalled", step_index=n + 1, iterations=MAX_ITERATIONS)
+
+
+def bits(state):
+    return (state.y_curr._mpf_, state.yp_curr._mpf_,
+            tuple(f._mpf_ for f in state.f_curr), state.iterations)
+
+
+@pytest.mark.parametrize("make, digits, method, startup_mode, divisor", [
+    (duffing, 50, MethodId.CLASSICAL, "exact", 500),
+    (duffing, 50, MethodId.PL_PRIME, "exact", 500),
+    (duffing, 50, MethodId.PL_DOUBLE_PRIME, "exact", 500),
+    (linear_forced, 100, MethodId.PL_DOUBLE_PRIME, "taylor", 1000),
+    (rational_problem, 50, MethodId.CLASSICAL, "exact", 500),
+])
+def test_step_rounds_as_the_mpf_reference(make, digits, method, startup_mode, divisor):
+    ctx = make_context(digits)
+    p = make(ctx)
+    omega = 0 if method is MethodId.CLASSICAL else p.default_omega
+    cfg = StepperConfig(method=method, h=(p.x_end - p.x0) / divisor, omega=omega,
+                        startup=startup_mode)
+    h = ctx.mpf(cfg.h)
+    weights = StepWeights.build(coefficients(method, abs(ctx.mpf(omega) * h), ctx), h, ctx)
+    y0, y1, yp0, yp1 = startup(p, cfg, ctx)
+    x0 = ctx.mpf(p.x0)
+    state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
+                      yp_prev=yp0, yp_curr=yp1)
+    for _ in range(STEPS):
+        expected = reference_step(state, weights, p, ctx)
+        state = step(state, weights, p, ctx)
+        assert bits(state) == bits(expected), state.index
+    assert state.index == STEPS + 1
