@@ -12,22 +12,34 @@ All fitted coefficients depend on the dimensionless parameter v = w*h only
 through v^2 and cos(r v), so they are even functions of v and tend to the
 classical values as v -> 0.  There is one evaluation path: the closed forms,
 at every v with v^2 >= 10^-digits.  Their numerators cancel to orders
-v^12 .. v^24 at the origin, so they run on the caller's context with its
-precision raised by the digits that cancellation costs, and round back once.
-Below v^2 = 10^-digits the fitted weights equal the classical ones to working
-precision.  The rational Taylor tables are exact validation data for the
-closed forms; evaluation never uses them.
+v^12 .. v^24 at the origin, so they run at the caller's precision raised by
+the digits that cancellation costs, and round back once.  Each of their trig
+polynomials is a table of integer weights, one row per power of v^2, over
+products of cos v, cos 2v and cos 3v: a row is one exactly summed dot product
+on raw ``libmp`` numbers (``jets._fdot``), and Horner's rule in v^2 combines
+the rows.  Next to a pole, where a denominator loses more digits than the
+boost holds, the boost is raised by those digits and the weights evaluated
+again.  A denominator below 10^(5 - digits) of its scale raises
+SingularParameterError.  Below v^2 = 10^-digits the fitted weights equal the
+classical ones to working precision.  The rational Taylor tables are exact
+validation data for the closed forms; evaluation never uses them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
+from mpmath.libmp import (dps_to_prec, fone, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos,
+                          mpf_div, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
+                          mpf_shift, mpf_sub)
+
 from .context import Context
 from .errors import ConfigurationError, SingularParameterError
+from .jets import RND, _fdot
 
 
 class MethodId(enum.Enum):
@@ -206,6 +218,69 @@ TAYLOR_TABLES = {
 _CANCEL_ORDER = {MethodId.PL_PRIME: 12, MethodId.PL_DOUBLE_PRIME: 24}
 _GUARD_DIGITS = {MethodId.PL_PRIME: 15, MethodId.PL_DOUBLE_PRIME: 25}
 
+# The closed forms as integer weight tables.  Row k of a table holds the
+# weights of a basis of cosine products in the coefficient of v^(2k), so a
+# trig polynomial is sum_k v^(2k) (row_k . basis), evaluated by Horner's rule
+# in v^2 with one exact dot product per row.
+#
+# PL': basis (1, cos v).  The numerators of beta10 .. beta31, in COEFF_NAMES
+# order, are scaled so that every weight is numerator / (10080 v^2 den).
+_PL1_DEN = ((-15120, 15120), (6900, 660), (-313, 13))
+_PL1_NUM = (
+    ((152409600, -152409600), (-76204800, 0), (6219360, 131040), (-149520, 3360)),
+    ((-304819200, 304819200), (0, 152409600), (57113280, 6390720), (-2856000, 124320)),
+    ((-6652800, 6652800), (3195360, 131040), (-211680, 0), (3814, -34)),
+    ((-139104000, 139104000), (57113280, 12438720), (0, 423360), (-121028, 7628)),
+    ((131040, -131040), (-62160, -3360), (3814, -34), (-59, 0)),
+    ((-6310080, 6310080), (2856000, 299040), (-121028, 7628), (0, 118)),
+)
+# PL'' beta31 = num / (1080 v^6 den); basis (1, c1, c2, c3, c1 c2, c1 c3,
+# c2 c3, c1 c2 c3) with cr = cos(r v).
+_PL2_NUM = (
+    (-14400, 14400, 14400, 14400, -14400, -14400, -14400, 14400),
+    (0, 7200, 28800, 64800, -36000, -72000, -93600, 100800),
+    (0, 2875, 99200, -249075, -116475, 213800, 20275, 29400),
+    (0, 1830, -46848, 88938, -10332, 20832, 9660, 720),
+    (0, 0, 0, 0, -486, 1296, -810, 0),
+)
+_PL2_DEN = (
+    (-240, 240, 240, 240, -240, -240, -240, 240),
+    (0, 115, 992, -1107, -1107, 992, 115, 0),
+    (0, 75, -480, 405, -81, 96, -15, 0),
+)
+# The rest of PL'' solves p_r beta10 + q_r beta20 = r_r for the harmonics
+# r = 1, 2.  Rows give 24 p_r, 2 q_r and 720 r_r over the terms (v^2 c,
+# v^2, v^4, v^4 c, v^6 c, 1, c, beta31 v^6, beta31 v^6 c) with c = cos(r v).
+_PL2_PQR = (
+    ((24, -24, 12, 0, -1, 0, 0, 0, 0),
+     (0, 0, 2, -2, -1, 0, 0, 0, 0),
+     (0, -360, 30, 0, -1, 720, -720, -360, 360)),
+    ((96, -96, 192, 0, -64, 0, 0, 0, 0),
+     (0, 0, 32, -32, -64, 0, 0, 0, 0),
+     (0, -1440, 480, 0, -64, 720, -720, -23040, 23040)),
+)
+
+
+def _raw_rows(table):
+    return tuple(tuple(from_int(w) for w in row) for row in table)
+
+
+_PL1_DEN_RAW, _PL2_NUM_RAW, _PL2_DEN_RAW = map(_raw_rows, (_PL1_DEN, _PL2_NUM, _PL2_DEN))
+_PL1_NUM_RAW = tuple(map(_raw_rows, _PL1_NUM))
+_PL2_PQR_RAW = tuple(map(_raw_rows, _PL2_PQR))
+_PQR_DIVISORS = tuple(map(from_int, (24, 2, 720)))
+# b21 = 1/12 - b10 - 2 b20 and 24 b30 = 1/30 - 12 b31 - b10 - 12 b20
+_B21_WEIGHTS = tuple(map(from_int, (1, -1, -2)))
+_B30_WEIGHTS = tuple(map(from_int, (1, -12, -1, -12)))
+_TEN, _TWELVE, _TWENTY_FOUR, _THIRTY = map(from_int, (10, 12, 24, 30))
+_PL1_SCALE0, _PL2_SCALE0 = from_int(15120 + 15120), from_int(240 * 8)
+_BY_VALUE = functools.cmp_to_key(mpf_cmp)
+# the pole floor of each denominator shrinks like min(1, |v|)^k
+_VANISH_ORDER = {MethodId.PL_PRIME: 10, MethodId.PL_DOUBLE_PRIME: 18}
+_LOG2_10 = math.log2(10)
+#: bits between |value| and floor * scale within which the pole test is exact
+_SCREEN_BITS = 4
+
 
 def classical_coefficients(ctx: Context) -> CoefficientSet:
     """The constant order-12 weight set, converted once at ctx precision."""
@@ -219,90 +294,131 @@ def _boost_digits(method: MethodId, v_abs: float) -> int:
     return int(math.ceil(lost)) + _GUARD_DIGITS[method]
 
 
-def _singular_check(ctx, method, v, value, scale, vanish_order):
-    # the denominators legitimately vanish like v^k as v -> 0 (k = the
-    # cancellation depth), so the pole floor shrinks with min(1, |v|)^k
-    floor = ctx.mpf(10) ** (5 - ctx.digits) * min(ctx.mpf(1), abs(ctx.mpf(v))) ** vanish_order
-    if abs(value) < floor * scale:
-        raise SingularParameterError(
-            f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
-            v=v,
-        )
+def _horner(rows, basis_v2, prec):
+    """sum_k v^(2k) (row_k . basis) from raw rows; ``basis_v2`` is the basis
+    followed by v^2.  Each step, row_k . basis + acc v^2, is one dot product
+    rounded once; the top row's dot stops short of v^2 with the row."""
+    acc = _fdot(rows[-1], basis_v2, prec)
+    for row in rows[-2::-1]:
+        acc = _fdot(row + (acc,), basis_v2, prec)
+    return acc
+
+
+def _log2(x):
+    """log2 |x| of a raw number: -inf for 0, nan for inf and nan."""
+    _, man, exp, _ = x
+    if man:
+        return exp + math.log2(man)
+    return math.nan if exp else -math.inf
+
+
+def _singular_check(ctx, method, v, value, scale, vanish_order, prec):
+    """Raise SingularParameterError when |value| < floor * scale, where
+    floor = 10^(5 - digits) min(1, |v|)^vanish_order, as evaluated at prec.
+
+    value and scale are raw.  The denominators legitimately vanish like v^k
+    as v -> 0 (k = the cancellation depth), hence the factor in |v|.  The
+    binary exponents decide unless the two sides are within a few bits;
+    only then is the floor formed.  Returns the decimal digits that value
+    lost to cancellation, log10(scale / |value|).
+    """
+    lost = _log2(scale) - _log2(value)
+    # log2(floor * scale / |value|); nan (v = 0, non-finite v) takes the exact test
+    gap = (5 - ctx.digits) * _LOG2_10 + vanish_order * min(0.0, _log2(v._mpf_)) + lost
+    if not gap < -_SCREEN_BITS:
+        if gap > _SCREEN_BITS:
+            singular = True
+        else:
+            vv = mpf_abs(v._mpf_)
+            floor = mpf_mul(mpf_pow_int(_TEN, 5 - ctx.digits, prec, RND),
+                            mpf_pow_int(vv if mpf_lt(vv, fone) else fone, vanish_order, prec, RND),
+                            prec, RND)
+            singular = mpf_lt(mpf_abs(value), mpf_mul(floor, scale, prec, RND))
+        if singular:
+            raise SingularParameterError(
+                f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
+                v=v,
+            )
+    return lost / _LOG2_10
+
+
+def _boosted(method, v, ctx, terms):
+    """Run ``terms(vv, prec) -> (den, scale, rest)`` at the boosted precision.
+
+    When the denominator lost more digits than the boost holds, which only
+    happens next to a pole, the boost is raised by that many digits and the
+    terms are evaluated again.  Returns (prec, den, rest).
+    """
+    vv = mpf_abs(v._mpf_)
+    boost = _boost_digits(method, abs(float(v)))
+    while True:
+        prec = dps_to_prec(ctx.mp.dps + boost)
+        den, scale, rest = terms(vv, prec)
+        lost = _singular_check(ctx, method, v, den, scale, _VANISH_ORDER[method], prec)
+        if not boost < lost < math.inf:
+            return prec, den, rest
+        boost += math.ceil(lost)
+
+
+def _rounded_set(v, ctx, vals):
+    prec = ctx.mp.prec
+    return CoefficientSet(v=v, **{name: ctx.mp.make_mpf(mpf_pos(x, prec, RND))
+                                  for name, x in zip(COEFF_NAMES, vals)})
+
+
+def _pl1_terms(vv, prec):
+    c1 = mpf_cos(vv, prec, RND)
+    v2 = mpf_mul(vv, vv, prec, RND)
+    basis = (fone, c1, v2)
+    den = _horner(_PL1_DEN_RAW, basis, prec)
+    # the largest of |15120 + 15120|, |6900 v^2|, |313 v^4| and of the terms
+    # 660 v^2 c1, 13 v^4 c1, which never exceed them
+    scale = max((_PL1_SCALE0, mpf_mul_int(v2, 6900, prec, RND),
+                 mpf_mul_int(mpf_mul(v2, v2, prec, RND), 313, prec, RND)), key=_BY_VALUE)
+    return den, scale, basis
 
 
 def plprime_closed(v, ctx: Context) -> CoefficientSet:
     """Closed-form PL' coefficients at fitting parameter v (v != 0).
 
-    Each weight is prefactor/v^2 times a trig-polynomial numerator over the
-    common denominator; everything cancels to O(v^12)/O(v^10), so evaluation
-    runs at boosted precision on ctx and rounds back once.
+    Each weight is a trig-polynomial numerator over the common denominator
+    10080 v^2 den; everything cancels to O(v^12)/O(v^10), so evaluation runs
+    at boosted precision and rounds back once.
     """
     v_in = ctx.mpf(v)
-    with ctx.mp.extradps(_boost_digits(MethodId.PL_PRIME, abs(float(v_in)))):
-        vv = abs(ctx.mpf(v))
-        c1 = ctx.mp.cos(vv)
-        v2 = vv * vv
-        v4 = v2 * v2
-        v6 = v4 * v2
-        den = (15120 * c1 - 15120 + 6900 * v2 - 313 * v4 + 660 * v2 * c1
-               + 13 * v4 * c1)
-        scale = max(15120 + 15120, abs(6900 * v2), abs(313 * v4),
-                    abs(660 * v2 * c1), abs(13 * v4 * c1))
-        _singular_check(ctx, MethodId.PL_PRIME, v_in, den, scale, vanish_order=10)
-        n10 = (-45360 * v2 + 3702 * v4 - 89 * v6 + 78 * v4 * c1 + 2 * v6 * c1
-               + 90720 - 90720 * c1)
-        n11 = (45360 * v2 * c1 + 16998 * v4 - 850 * v6 + 37 * v6 * c1 - 90720
-               + 90720 * c1 + 1902 * v4 * c1)
-        n20 = (-65520 * v2 * c1 - 1597680 * v2 + 105840 * v4 - 1907 * v6
-               + 17 * v6 * c1 + 3326400 - 3326400 * c1)
-        n21 = (3109680 * v2 * c1 + 14278320 * v2 - 30257 * v6 + 1907 * v6 * c1
-               - 34776000 + 34776000 * c1 + 105840 * v4 * c1)
-        n30 = (3360 * v2 * c1 + 62160 * v2 - 3814 * v4 + 59 * v6 + 34 * v4 * c1
-               - 131040 + 131040 * c1)
-        n31 = (149520 * v2 * c1 + 1428000 * v2 - 60514 * v4 + 59 * v6 * c1
-               - 3155040 + 3155040 * c1 + 3814 * v4 * c1)
-        d = v2 * den
-        vals = {
-            "beta10": n10 / (6 * d),
-            "beta11": n11 / (3 * d),
-            "beta20": -n20 / (5040 * d),
-            "beta21": n21 / (2520 * d),
-            "beta30": -n30 / (10080 * d),
-            "beta31": n31 / (5040 * d),
-        }
-    return CoefficientSet(v=v_in, **{k: ctx.mpf(x) for k, x in vals.items()})
+    prec, den, basis = _boosted(MethodId.PL_PRIME, v_in, ctx, _pl1_terms)
+    d = mpf_mul(mpf_mul_int(den, 10080, prec, RND), basis[-1], prec, RND)
+    return _rounded_set(v_in, ctx, (mpf_div(_horner(rows, basis, prec), d, prec, RND)
+                                    for rows in _PL1_NUM_RAW))
+
+
+def _pl2_terms(vv, prec):
+    c1 = mpf_cos(vv, prec, RND)
+    c2 = mpf_cos(mpf_shift(vv, 1), prec, RND)
+    c3 = mpf_cos(mpf_mul_int(vv, 3, prec, RND), prec, RND)
+    c12 = mpf_mul(c1, c2)
+    basis = (fone, c1, c2, c3, c12, mpf_mul(c1, c3), mpf_mul(c2, c3), mpf_mul(c12, c3),
+             mpf_mul(vv, vv, prec, RND))
+    num = _horner(_PL2_NUM_RAW, basis, prec)
+    den = _horner(_PL2_DEN_RAW, basis, prec)
+    scale = mpf_add(_PL2_SCALE0, mpf_mul_int(mpf_pow_int(vv, 4, prec, RND), 1000, prec, RND),
+                    prec, RND)
+    return den, scale, (num, c1, c2, basis[-1])
 
 
 def _pl2_numden(w, vv):
     """Numerator/denominator trig polynomials of the PL'' beta31 weight.
 
-    beta31 = num / (1080 v^6 den).  Both trig polynomials cancel to O(v^24)
-    at the origin, which fixes the normalisation: attaching the prefactor's
-    v^6 to the final +240cos(2v) denominator term instead would drive the
-    small-v limit to zero and break the order conditions.
+    beta31 = num / (1080 v^6 den).  Both are evaluated at w's precision from
+    the weight tables ``_PL2_NUM`` and ``_PL2_DEN``, rows over the products of
+    cos v, cos 2v and cos 3v, one row per power of v^2.  The numerator
+    cancels to O(v^24) and the denominator to O(v^18) at the origin, which
+    fixes the normalisation: attaching the prefactor's v^6 to the final
+    +240cos(2v) denominator term instead would drive the small-v limit to
+    zero and break the order conditions.  Returns (num, den, (c1, c2)).
     """
-    c1, c2, c3 = w.mp.cos(vv), w.mp.cos(2 * vv), w.mp.cos(3 * vv)
-    v2 = vv * vv
-    v4 = v2 * v2
-    v6 = v4 * v2
-    v8 = v4 * v4
-    num = (-14400 + 213800 * c3 * v4 * c1 - 36000 * c2 * c1 * v2
-           + 14400 * c3 * c1 * c2 - 72000 * c3 * c1 * v2 + 20275 * c3 * v4 * c2
-           - 93600 * c3 * v2 * c2 + 9660 * c3 * v6 * c2 + 20832 * c3 * v6 * c1
-           - 10332 * c1 * v6 * c2 + 14400 * c1 - 14400 * c3 * c2
-           - 14400 * c2 * c1 + 14400 * c2 + 14400 * c3 - 116475 * c2 * v4 * c1
-           + 100800 * c3 * c1 * c2 * v2 + 29400 * c3 * c1 * c2 * v4
-           + 720 * c3 * c1 * c2 * v6 + 7200 * c1 * v2 + 2875 * c1 * v4
-           + 1830 * c1 * v6 + 28800 * c2 * v2 + 99200 * c2 * v4
-           - 46848 * c2 * v6 + 64800 * c3 * v2 - 249075 * c3 * v4
-           + 88938 * c3 * v6 - 14400 * c3 * c1 - 810 * c3 * v8 * c2
-           + 1296 * c3 * v8 * c1 - 486 * c1 * v8 * c2)
-    den = (240 * c1 - 81 * c2 * v4 * c1 - 240 * c3 * c1 - 240 * c2 * c1
-           + 96 * c3 * v4 * c1 + 75 * c1 * v4 - 1107 * c2 * c1 * v2
-           + 240 * c3 * c1 * c2 + 115 * c1 * v2 + 992 * c3 * c1 * v2 - 240
-           - 15 * c3 * v4 * c2 + 115 * c3 * v2 * c2 - 240 * c3 * c2
-           - 480 * c2 * v4 + 992 * c2 * v2 + 405 * c3 * v4 - 1107 * c3 * v2
-           + 240 * c3 + 240 * c2)
+    den, _, (num, c1, c2, _) = _pl2_terms(mpf_abs(vv._mpf_), w.mp.prec)
+    num, den, c1, c2 = map(w.mp.make_mpf, (num, den, c1, c2))
     return num, den, (c1, c2)
 
 
@@ -313,39 +429,35 @@ def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
     solve the defining exactness conditions: vanishing h^2/h^4/h^6 order
     brackets plus characteristic-root fit at the first and second harmonic
     (the third-harmonic condition is then satisfied identically).  Like
-    PL', everything runs at boosted precision on ctx and rounds back once.
+    PL', everything runs at boosted precision and rounds back once.
     """
     v_in = ctx.mpf(v)
-    with ctx.mp.extradps(_boost_digits(MethodId.PL_DOUBLE_PRIME, abs(float(v_in)))):
-        vv = abs(ctx.mpf(v))
-        num, den, (c1, c2) = _pl2_numden(ctx, vv)
-        _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, den,
-                        ctx.mpf(240 * 8) + 1000 * vv ** 4, vanish_order=18)
-        b31 = num / (1080 * vv ** 6 * den)
+    prec, den, (num, c1, c2, v2) = _boosted(MethodId.PL_DOUBLE_PRIME, v_in, ctx, _pl2_terms)
+    v4 = mpf_mul(v2, v2, prec, RND)
+    v6 = mpf_mul(v4, v2, prec, RND)
+    b31 = mpf_div(num, mpf_mul(mpf_mul_int(v6, 1080, prec, RND), den, prec, RND), prec, RND)
+    b31v6 = mpf_mul(b31, v6)
 
-        one = ctx.mpf(1)
+    def pqr(rows, c):
+        terms = (mpf_mul(v2, c), v2, v4, mpf_mul(v4, c), mpf_mul(v6, c), fone, c,
+                 b31v6, mpf_mul(b31v6, c))
+        return [mpf_div(_fdot(row, terms, prec), k, prec, RND)
+                for row, k in zip(rows, _PQR_DIVISORS)]
 
-        def pqr(x, cx):
-            x2 = x * x
-            x4 = x2 * x2
-            x6 = x4 * x2
-            p = x2 * (cx - 1) + x4 / 2 - x6 * cx / 24
-            q = x4 * (1 - cx) - x6 * cx / 2
-            r = (1 - cx) - x2 / 2 + x4 / 24 - b31 * x6 / 2 - (one / 360 - b31) * x6 * cx / 2
-            return p, q, r
-
-        p1, q1, r1 = pqr(vv, c1)
-        p2, q2, r2 = pqr(2 * vv, c2)
-        det = p1 * q2 - p2 * q1
-        _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, det,
-                        abs(p1 * q2) + abs(p2 * q1), vanish_order=2)
-        b10 = (r1 * q2 - r2 * q1) / det
-        b20 = (p1 * r2 - p2 * r1) / det
-        b11 = 1 - 2 * b10
-        b21 = one / 12 - b10 - 2 * b20
-        b30 = (one / 360 - b31 - b10 / 12 - b20) / 2
-        vals = (b10, b11, b20, b21, b30, b31)
-    return CoefficientSet(v=v_in, **dict(zip(COEFF_NAMES, (ctx.mpf(x) for x in vals))))
+    (p1, q1, r1), (p2, q2, r2) = pqr(_PL2_PQR_RAW[0], c1), pqr(_PL2_PQR_RAW[1], c2)
+    mq1, mr1 = mpf_neg(q1), mpf_neg(r1)
+    det = _fdot((p1, p2), (q2, mq1), prec)
+    _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, det,
+                    mpf_add(mpf_abs(mpf_mul(p1, q2, prec, RND)),
+                            mpf_abs(mpf_mul(p2, q1, prec, RND)), prec, RND),
+                    2, prec)
+    b10 = mpf_div(_fdot((r1, r2), (q2, mq1), prec), det, prec, RND)
+    b20 = mpf_div(_fdot((p1, p2), (r2, mr1), prec), det, prec, RND)
+    b11 = mpf_sub(fone, mpf_shift(b10, 1), prec, RND)
+    b21 = _fdot((mpf_div(fone, _TWELVE, prec, RND), b10, b20), _B21_WEIGHTS, prec)
+    b30 = mpf_div(_fdot((mpf_div(fone, _THIRTY, prec, RND), b31, b10, b20), _B30_WEIGHTS, prec),
+                  _TWENTY_FOUR, prec, RND)
+    return _rounded_set(v_in, ctx, (b10, b11, b20, b21, b30, b31))
 
 
 def taylor_fallback(method: MethodId, v, ctx: Context) -> CoefficientSet:

@@ -14,7 +14,10 @@ Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 A level loop fills coefficient k of y (and of y' when f2 reads it), then of
 every op, on raw ``libmp`` numbers: each coefficient is a sum of exact
 products, summed exactly and rounded once at the working precision of the
-point, as ``mp.fdot`` does.  Ops of x alone are refilled only when x changes.
+point.  That is ``mp.fdot``'s rounding, except that :func:`_fdot` keeps a term
+more than 2 prec bits below the running sum, which ``mp.fdot`` drops, so the
+two can differ when such a term decides a rounding tie.  Ops of x alone are
+refilled only when x changes.
 The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
 df2/dy' w' from (w, w') = (1, 0) and (0, 1): the trace, differentiated once
 along each seed, compiles into a second program of the same ops, closed by

@@ -156,12 +156,15 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max,
     Grid scan in v (step <= 0.01) plus bisection of the first failing cell
     to six significant digits.  Grid points where the fitted coefficients
     are singular are recorded and skipped: they are isolated poles at which
-    the ratio B/A stays finite in the limit.
+    the ratio B/A stays finite in the limit.  A v_max or grid step that is
+    not finite and positive raises DomainError.
     """
-    v_max = ctx.mpf(v_max)
-    if v_max <= 0:
-        raise DomainError("v_max must be positive")
-    step = ctx.mpf(min(grid_step, 0.01))
+    v_max, grid_step = ctx.mpf(v_max), ctx.mpf(grid_step)
+    if not (ctx.mp.isfinite(v_max) and v_max > 0):
+        raise DomainError("v_max must be finite and positive")
+    if not (ctx.mp.isfinite(grid_step) and grid_step > 0):
+        raise DomainError("grid_step must be finite and positive")
+    step = min(grid_step, ctx.mpf(0.01))
     margin = ctx.mpf(10) ** (5 - ctx.digits)
     singular = []
 

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from obrechkoff import (
+    DomainError,
     FitError,
     MethodId,
     OutsidePeriodicityError,
@@ -216,3 +218,16 @@ def test_stability_sweep_rows(ctx50):
     outside = [r for r in rows if r[5] == "outside-periodicity"]
     assert len(ok) == 2 and len(outside) == 1
     assert outside[0][4] is None
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid_step": 0}, {"grid_step": math.nan}, {"grid_step": -0.01},
+    {"v_max": math.nan}, {"v_max": math.inf},
+])
+def test_periodicity_scan_rejects_bad_grid_step_and_v_max(ctx50, kwargs):
+    # a zero or nan step used to stop after one sample at v0^2 = 0, a negative
+    # one scanned negative v, and a nan or infinite v_max never ended for PL'
+    args = {"v_max": 4, **kwargs}
+    for method in MethodId:
+        with pytest.raises(DomainError):
+            periodicity_interval(method, ctx50, **args)
