@@ -17,6 +17,7 @@ import pytest
 from mpmath.libmp import to_int
 
 from obrechkoff import (
+    CoefficientSet,
     MethodId,
     SingularParameterError,
     make_context,
@@ -24,6 +25,7 @@ from obrechkoff import (
     plprime_closed,
 )
 from obrechkoff.coefficients import (
+    COEFF_NAMES,
     _B21_WEIGHTS,
     _B30_WEIGHTS,
     _GUARD_DIGITS,
@@ -124,7 +126,7 @@ def reference_plprime_closed(v, ctx):
                     abs(660 * v2 * c1), abs(13 * v4 * c1))
         reference_singular_check(ctx, MethodId.PL_PRIME, v_in, den, scale, vanish_order=10)
         vals = plprime_weights(v2 * den, nums)
-    return tuple(ctx.mpf(x) for x in vals)
+    return CoefficientSet(v=v_in, **{k: ctx.mpf(x) for k, x in zip(COEFF_NAMES, vals)})
 
 
 def reference_pl2_numden(w, vv):
@@ -152,7 +154,7 @@ def reference_pldoubleprime_closed(v, ctx):
         b21 = one / 12 - b10 - 2 * b20
         b30 = (one / 360 - b31 - b10 / 12 - b20) / 2
         vals = (b10, b11, b20, b21, b30, b31)
-    return tuple(ctx.mpf(x) for x in vals)
+    return CoefficientSet(v=v_in, **{k: ctx.mpf(x) for k, x in zip(COEFF_NAMES, vals)})
 
 
 CASES = ((MethodId.PL_PRIME, plprime_closed, reference_plprime_closed),
@@ -162,10 +164,10 @@ CASES = ((MethodId.PL_PRIME, plprime_closed, reference_plprime_closed),
 def outcome(closed, v, ctx):
     """The weights as raw tuples, or "singular"."""
     try:
-        vals = closed(v, ctx)
+        cs = closed(v, ctx)
     except SingularParameterError:
         return "singular"
-    return tuple(x._mpf_ for x in getattr(vals, "as_tuple", lambda: vals)())
+    return tuple(x._mpf_ for x in cs.as_tuple())
 
 
 # ------------------------------------------------- tables = expressions
@@ -211,6 +213,18 @@ def test_pl2_tables_equal_the_expressions():
             assert got == list(pqr_expressions(x, c, b31, F(1)))
 
 
+def test_pl2_numden_matches_the_reference():
+    # same cosines; num and den agree to rounding at the context's precision
+    w = make_context(60)
+    for text in ("0.7", "2.5", "3.85", "9.1"):
+        vv = w.mpf(text)
+        num, den, cs = _pl2_numden(w, vv)
+        ref_num, ref_den, ref_cs = reference_pl2_numden(w, vv)
+        assert cs == ref_cs
+        assert abs(num - ref_num) < w.mpf(10) ** -50 * 10 ** 6
+        assert abs(den - ref_den) < w.mpf(10) ** -50 * 10 ** 4
+
+
 def test_last_two_pl2_weights_from_their_rows():
     rng = random.Random(3)
     b10, b20, b31 = random_rationals(rng, 3)
@@ -252,12 +266,12 @@ HIGH = make_context(120)
 
 
 def bisect_pl2_pole(lo, hi):
-    """The zero of the PL'' denominator in [lo, hi], to 120 digits."""
+    """The zero of the PL'' denominator in [lo, hi], to 115 digits."""
     lo, hi = HIGH.mpf(lo), HIGH.mpf(hi)
-    sign_lo = _pl2_numden(HIGH, lo)[1] > 0
+    sign_lo = reference_pl2_numden(HIGH, lo)[1] > 0
     while hi - lo > lo * HIGH.mpf(10) ** -115:
         mid = (lo + hi) / 2
-        if (_pl2_numden(HIGH, mid)[1] > 0) == sign_lo:
+        if (reference_pl2_numden(HIGH, mid)[1] > 0) == sign_lo:
             lo = mid
         else:
             hi = mid
