@@ -269,17 +269,12 @@ _PL1_DEN_RAW, _PL2_NUM_RAW, _PL2_DEN_RAW = map(_raw_rows, (_PL1_DEN, _PL2_NUM, _
 _PL1_NUM_RAW = tuple(map(_raw_rows, _PL1_NUM))
 _PL2_PQR_RAW = tuple(map(_raw_rows, _PL2_PQR))
 _PQR_DIVISORS = tuple(map(from_int, (24, 2, 720)))
-# b21 = 1/12 - b10 - 2 b20 and 24 b30 = 1/30 - 12 b31 - b10 - 12 b20
-_B21_WEIGHTS = tuple(map(from_int, (1, -1, -2)))
-_B30_WEIGHTS = tuple(map(from_int, (1, -12, -1, -12)))
-_TEN, _TWELVE, _TWENTY_FOUR, _THIRTY = map(from_int, (10, 12, 24, 30))
+_TEN, _TWELVE, _THREE_SIXTY = map(from_int, (10, 12, 360))
 _PL1_SCALE0, _PL2_SCALE0 = from_int(15120 + 15120), from_int(240 * 8)
 _BY_VALUE = functools.cmp_to_key(mpf_cmp)
 # the pole floor of each denominator shrinks like min(1, |v|)^k
 _VANISH_ORDER = {MethodId.PL_PRIME: 10, MethodId.PL_DOUBLE_PRIME: 18}
 _LOG2_10 = math.log2(10)
-#: bits between |value| and floor * scale within which the pole test is exact
-_SCREEN_BITS = 4
 
 
 def classical_coefficients(ctx: Context) -> CoefficientSet:
@@ -317,29 +312,20 @@ def _singular_check(ctx, method, v, value, scale, vanish_order, prec):
     floor = 10^(5 - digits) min(1, |v|)^vanish_order, as evaluated at prec.
 
     value and scale are raw.  The denominators legitimately vanish like v^k
-    as v -> 0 (k = the cancellation depth), hence the factor in |v|.  The
-    binary exponents decide unless the two sides are within a few bits;
-    only then is the floor formed.  Returns the decimal digits that value
-    lost to cancellation, log10(scale / |value|).
+    as v -> 0 (k = the cancellation depth), hence the factor in |v|.
+    Returns the decimal digits that value lost to cancellation,
+    log10(scale / |value|).
     """
-    lost = _log2(scale) - _log2(value)
-    # log2(floor * scale / |value|); nan (v = 0, non-finite v) takes the exact test
-    gap = (5 - ctx.digits) * _LOG2_10 + vanish_order * min(0.0, _log2(v._mpf_)) + lost
-    if not gap < -_SCREEN_BITS:
-        if gap > _SCREEN_BITS:
-            singular = True
-        else:
-            vv = mpf_abs(v._mpf_)
-            floor = mpf_mul(mpf_pow_int(_TEN, 5 - ctx.digits, prec, RND),
-                            mpf_pow_int(vv if mpf_lt(vv, fone) else fone, vanish_order, prec, RND),
-                            prec, RND)
-            singular = mpf_lt(mpf_abs(value), mpf_mul(floor, scale, prec, RND))
-        if singular:
-            raise SingularParameterError(
-                f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
-                v=v,
-            )
-    return lost / _LOG2_10
+    vv = mpf_abs(v._mpf_)
+    floor = mpf_mul(mpf_pow_int(_TEN, 5 - ctx.digits, prec, RND),
+                    mpf_pow_int(vv if mpf_lt(vv, fone) else fone, vanish_order, prec, RND),
+                    prec, RND)
+    if mpf_lt(mpf_abs(value), mpf_mul(floor, scale, prec, RND)):
+        raise SingularParameterError(
+            f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
+            v=v,
+        )
+    return (_log2(scale) - _log2(value)) / _LOG2_10
 
 
 def _boosted(method, v, ctx, terms):
@@ -407,16 +393,9 @@ def _pl2_terms(vv, prec):
 
 
 def _pl2_numden(w, vv):
-    """Numerator/denominator trig polynomials of the PL'' beta31 weight.
-
-    beta31 = num / (1080 v^6 den).  Both are evaluated at w's precision from
-    the weight tables ``_PL2_NUM`` and ``_PL2_DEN``, rows over the products of
-    cos v, cos 2v and cos 3v, one row per power of v^2.  The numerator
-    cancels to O(v^24) and the denominator to O(v^18) at the origin, which
-    fixes the normalisation: attaching the prefactor's v^6 to the final
-    +240cos(2v) denominator term instead would drive the small-v limit to
-    zero and break the order conditions.  Returns (num, den, (c1, c2)).
-    """
+    """Numerator and denominator of the PL'' weight beta31 = num / (1080 v^6 den),
+    from ``_PL2_NUM`` and ``_PL2_DEN`` at w's precision.  Returns mpf
+    (num, den, (c1, c2))."""
     den, _, (num, c1, c2, _) = _pl2_terms(mpf_abs(vv._mpf_), w.mp.prec)
     num, den, c1, c2 = map(w.mp.make_mpf, (num, den, c1, c2))
     return num, den, (c1, c2)
@@ -454,9 +433,13 @@ def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
     b10 = mpf_div(_fdot((r1, r2), (q2, mq1), prec), det, prec, RND)
     b20 = mpf_div(_fdot((p1, p2), (r2, mr1), prec), det, prec, RND)
     b11 = mpf_sub(fone, mpf_shift(b10, 1), prec, RND)
-    b21 = _fdot((mpf_div(fone, _TWELVE, prec, RND), b10, b20), _B21_WEIGHTS, prec)
-    b30 = mpf_div(_fdot((mpf_div(fone, _THIRTY, prec, RND), b31, b10, b20), _B30_WEIGHTS, prec),
-                  _TWENTY_FOUR, prec, RND)
+    # b21 = 1/12 - b10 - 2 b20 and b30 = (1/360 - b31 - b10/12 - b20) / 2
+    b21 = mpf_sub(mpf_sub(mpf_div(fone, _TWELVE, prec, RND), b10, prec, RND),
+                  mpf_shift(b20, 1), prec, RND)
+    b30 = mpf_div(fone, _THREE_SIXTY, prec, RND)
+    for x in (b31, mpf_div(b10, _TWELVE, prec, RND), b20):
+        b30 = mpf_sub(b30, x, prec, RND)
+    b30 = mpf_shift(b30, -1)
     return _rounded_set(v_in, ctx, (b10, b11, b20, b21, b30, b31))
 
 

@@ -26,8 +26,6 @@ from obrechkoff import (
 )
 from obrechkoff.coefficients import (
     COEFF_NAMES,
-    _B21_WEIGHTS,
-    _B30_WEIGHTS,
     _GUARD_DIGITS,
     _PL1_DEN,
     _PL1_NUM,
@@ -223,16 +221,6 @@ def test_pl2_numden_matches_the_reference():
         assert cs == ref_cs
         assert abs(num - ref_num) < w.mpf(10) ** -50 * 10 ** 6
         assert abs(den - ref_den) < w.mpf(10) ** -50 * 10 ** 4
-
-
-def test_last_two_pl2_weights_from_their_rows():
-    rng = random.Random(3)
-    b10, b20, b31 = random_rationals(rng, 3)
-    w21 = [to_int(w) for w in _B21_WEIGHTS]
-    w30 = [to_int(w) for w in _B30_WEIGHTS]
-    assert w21[0] * F(1, 12) + w21[1] * b10 + w21[2] * b20 == F(1, 12) - b10 - 2 * b20
-    b30 = (w30[0] * F(1, 30) + w30[1] * b31 + w30[2] * b10 + w30[3] * b20) / 24
-    assert b30 == (F(1, 360) - b31 - b10 / 12 - b20) / 2
 
 
 # ------------------------------------------- same numbers as the reference
