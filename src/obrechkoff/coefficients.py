@@ -38,7 +38,7 @@ from mpmath.libmp import (dps_to_prec, fone, from_int, mpf_abs, mpf_add, mpf_cmp
                           mpf_shift, mpf_sub)
 
 from .context import Context
-from .errors import ConfigurationError, SingularParameterError
+from .errors import ConfigurationError, DomainError, SingularParameterError
 from .jets import RND, _fdot
 
 
@@ -392,15 +392,6 @@ def _pl2_terms(vv, prec):
     return den, scale, (num, c1, c2, basis[-1])
 
 
-def _pl2_numden(w, vv):
-    """Numerator and denominator of the PL'' weight beta31 = num / (1080 v^6 den),
-    from ``_PL2_NUM`` and ``_PL2_DEN`` at w's precision.  Returns mpf
-    (num, den, (c1, c2))."""
-    den, _, (num, c1, c2, _) = _pl2_terms(mpf_abs(vv._mpf_), w.mp.prec)
-    num, den, c1, c2 = map(w.mp.make_mpf, (num, den, c1, c2))
-    return num, den, (c1, c2)
-
-
 def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
     """Closed-form PL'' coefficients at fitting parameter v (v != 0).
 
@@ -472,10 +463,14 @@ def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     their closed forms whenever v^2 >= 10^-digits; below that they differ
     from the classical weights by less than one unit in the last place, so
     the classical set is returned with v recorded.  Both are even in v.
+    A fitted method at a v that is not finite raises DomainError.
     """
     if method is MethodId.CLASSICAL:
         return classical_coefficients(ctx)
     v_in = ctx.mpf(v)
+    _, man, exp, _ = v_in._mpf_
+    if exp and not man:                 # inf and nan: a zero mantissa, a nonzero exponent
+        raise DomainError(f"fitting parameter v = {v_in} is not finite")
     if v_in * v_in < ctx.eps():
         return replace(classical_coefficients(ctx), v=v_in)
     if method is MethodId.PL_PRIME:

@@ -11,21 +11,29 @@ follows from f2 alone.  These are the Taylor-method recurrences of Jorba &
 Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 *ACM TOMS* 39, 2012).
 
-A level loop fills coefficient k of y (and of y' when f2 reads it), then of
-every op, on raw ``libmp`` numbers: each coefficient is a sum of exact
-products, summed exactly and rounded once at the working precision of the
-point.  That is ``mp.fdot``'s rounding, except that :func:`_fdot` keeps a term
-more than 2 prec bits below the running sum, which ``mp.fdot`` drops, so the
-two can differ when such a term decides a rounding tie.  Ops of x alone are
-refilled only when x changes.
+The program runs one level at a time.  Level k appends coefficient k of y
+(and of y' when f2 reads it), then of every op, on raw ``libmp`` numbers:
+each coefficient is a sum of exact products, summed exactly and rounded once
+at the working precision of the point.  That is ``mp.fdot``'s rounding,
+except that :func:`_fdot` keeps a term more than 2 prec bits below the
+running sum, which ``mp.fdot`` drops, so the two can differ when such a term
+decides a rounding tie.  No op list is interpreted: the first time a level
+is asked for, each op emits its lines of Python source for that k, with the
+convolution index ranges, the degree cuts and the integer constants fixed,
+and the level is compiled into one function, under a filename such as
+``<obrechkoff program duffing y level 4>`` that tracebacks and profiles
+quote.  Ops of x alone form a program of their own, refilled only when x
+changes.
 The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
 df2/dy' w' from (w, w') = (1, 0) and (0, 1): the trace, differentiated once
-along each seed, compiles into a second program of the same ops, closed by
+along each seed, compiles into a program of the same ops, closed by
 w_k = (df)_{k-2} / (k (k-1)) and filled on request over the values.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 
 from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_cos_sin,
@@ -232,9 +240,15 @@ def _fdot(xs, ys, prec=0):
     return mpf_sum([mpf_mul(x, y) for x, y in zip(xs, ys)], prec, RND)
 
 
-def _conv(a, b, lo, hi, k):
-    """The factors a_j and b_{k-j}, j = lo..hi, of a convolution sum."""
-    return a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]
+def _tuple(items):
+    """Python source for a tuple of the source expressions ``items``."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+def _conv(a, b, lo, hi, k, name):
+    """Source for the factors a_j and b_{k-j}, j = lo..hi, of a convolution sum."""
+    js = range(lo, hi + 1)
+    return [f"{name(a)}[{j}]" for j in js], [f"{name(b)}[{k - j}]" for j in js]
 
 
 class _Node:
@@ -246,19 +260,21 @@ class _Node:
         self.v, self.deg = [] if v is None else v, deg
 
 
-# ops: value(k, prec) appends coefficient k of their outputs, once every
-# coefficient below k is in place
+# ops: emit(k, name) returns the source lines that append coefficient k of
+# their outputs, once every coefficient below k is in place; name(node) is
+# the identifier of a node's coefficient list, name(c) that of a raw constant
 
 class _Lin:
     def __init__(self, out, c, a, nodes):
         self.out, self.deg, self.nodes = out, out.deg, nodes
-        self.a = [_raw(x) for x in a]
-        self.a0, self.c = self.a + [fone], _raw(c)
+        self.a, self.c = [_raw(x) for x in a], _raw(c)
 
-    def value(self, k, prec):
-        ys = [n.v[k] if k <= n.deg else fzero for n in self.nodes]
-        self.out.v.append(_fdot(self.a0, ys + [self.c], prec) if k == 0
-                          else _fdot(self.a, ys, prec))
+    def emit(self, k, name):
+        xs = [name(a) for a in self.a]
+        ys = [f"{name(n)}[{k}]" if k <= n.deg else "fzero" for n in self.nodes]
+        if k == 0:
+            xs, ys = xs + ["fone"], ys + [name(self.c)]
+        return [f"{name(self.out)}.append(_fdot({_tuple(xs)}, {_tuple(ys)}, prec))"]
 
 
 class _Mul:
@@ -268,13 +284,13 @@ class _Mul:
         self.out, self.deg = out, out.deg
         self.pairs = list(zip(factors[::2], factors[1::2]))
 
-    def value(self, k, prec):
+    def emit(self, k, name):
         xs, ys = [], []
         for a, b in self.pairs:
-            x, y = _conv(a.v, b.v, max(0, k - b.deg), min(k, a.deg), k)
+            x, y = _conv(a, b, max(0, k - b.deg), min(k, a.deg), k, name)
             xs += x
             ys += y
-        self.out.v.append(_fdot(xs, ys, prec))
+        return [f"{name(self.out)}.append(_fdot({_tuple(xs)}, {_tuple(ys)}, prec))"]
 
 
 class _Div:
@@ -283,14 +299,16 @@ class _Div:
     def __init__(self, out, a, b):
         self.out, self.deg, self.a, self.b = out, out.deg, a, b
 
-    def value(self, k, prec):
-        a, b, q = self.a, self.b, self.out.v
-        if k == 0 and b.v[0] == fzero:
-            raise DomainError("series division by a series with zero constant term")
-        num = a.v[k] if k <= a.deg else fzero
-        if k:
-            num = mpf_sub(num, _fdot(*_conv(q, b.v, max(0, k - b.deg), k - 1, k)))
-        q.append(mpf_div(num, b.v[0], prec, RND))
+    def emit(self, k, name):
+        q, b = name(self.out), name(self.b)
+        num = f"{name(self.a)}[{k}]" if k <= self.a.deg else "fzero"
+        if k == 0:
+            return [f"if {b}[0] == fzero: raise DomainError("
+                    "'series division by a series with zero constant term')",
+                    f"{q}.append(mpf_div({num}, {b}[0], prec, RND))"]
+        xs, ys = _conv(self.out, self.b, max(0, k - self.b.deg), k - 1, k, name)
+        return [f"{q}.append(mpf_div(mpf_sub({num}, _fdot({_tuple(xs)}, {_tuple(ys)})), "
+                f"{b}[0], prec, RND))"]
 
 
 class _SinCos:
@@ -299,33 +317,115 @@ class _SinCos:
     def __init__(self, out, cos, u):
         self.out, self.cos, self.u, self.deg = out, cos, u, out.deg
 
-    def value(self, k, prec):
-        u, s, c = self.u.v, self.out.v, self.cos.v
+    def emit(self, k, name):
+        u, s, c = name(self.u), name(self.out), name(self.cos)
         if k == 0:
-            cv, sv = mpf_cos_sin(u[0], prec, RND)
-        else:
-            ju = [mpf_mul(u[j], from_int(j)) for j in range(1, min(k, self.u.deg) + 1)]
-            n = len(ju)
-            sv = mpf_div(_fdot(ju, c[k - n:k][::-1]), from_int(k), prec, RND)
-            cv = mpf_div(_fdot(ju, s[k - n:k][::-1]), from_int(-k), prec, RND)
-        s.append(sv)
-        c.append(cv)
+            return [f"cv, sv = mpf_cos_sin({u}[0], prec, RND)", f"{s}.append(sv)",
+                    f"{c}.append(cv)"]
+        js = range(1, min(k, self.u.deg) + 1)
+        ju = _tuple([f"mpf_mul({u}[{j}], {name(from_int(j))})" for j in js])
+        return [f"ju = {ju}",
+                f"{s}.append(mpf_div(_fdot(ju, {_tuple([f'{c}[{k - j}]' for j in js])}), "
+                f"{name(from_int(k))}, prec, RND))",
+                f"{c}.append(mpf_div(_fdot(ju, {_tuple([f'{s}[{k - j}]' for j in js])}), "
+                f"{name(from_int(-k))}, prec, RND))"]
 
 
 class _Leaf:
     """The solution y_k = f_{k-2} / (k (k-1)) (lag 2), or its slope
     y'_k = f_{k-1} / k (lag 1), above the initial values at the point, which
-    are ``start`` where the list holds none."""
+    are ``start`` where the list holds none.  Coefficient k is appended only
+    if the list does not hold it yet, since y runs ahead of the levels when
+    its own coefficients are asked for."""
+
+    deg = DENSE
 
     def __init__(self, out, f, lag, start=()):
         self.out, self.f, self.lag, self.start = out, f, lag, start
 
-    def value(self, k, prec):
-        c, fc, f, lag = self.out.v, self.f.v, self.f, self.lag
-        for j in range(len(c), k + 1):
-            c.append(self.start[j] if j < lag else
-                     mpf_div(fc[j - lag] if j - lag <= f.deg else fzero,
-                             from_int(math.perm(j, lag)), prec, RND))
+    def emit(self, k, name):
+        out, j = name(self.out), k - self.lag
+        if j >= 0:
+            num = f"{name(self.f)}[{j}]" if j <= self.f.deg else "fzero"
+            value = f"mpf_div({num}, {name(from_int(math.perm(k, self.lag)))}, prec, RND)"
+        elif self.start:
+            value = name(self.start[k])
+        else:
+            return []
+        return [f"if len({out}) == {k}: {out}.append({value})"]
+
+
+#: the globals every generated level reads besides its lists and constants
+_HELPERS = {"_fdot": _fdot, "mpf_cos_sin": mpf_cos_sin, "mpf_div": mpf_div, "mpf_mul": mpf_mul,
+            "mpf_sub": mpf_sub, "RND": RND, "fzero": fzero, "fone": fone,
+            "DomainError": DomainError}
+
+
+class _Names(dict):
+    """The globals of one graph's generated code: the helpers, then each
+    coefficient list and raw constant the code reads, under the identifier
+    that calling the namespace with its node or value returns."""
+
+    def __init__(self, preferred):
+        super().__init__(_HELPERS)
+        self._ids = {fzero: "fzero", fone: "fone"}
+        for node, ident in preferred:
+            if node not in self._ids:
+                self._bind(node, ident)
+
+    def _bind(self, item, ident):
+        self._ids[item] = ident
+        self[ident] = item.v if isinstance(item, _Node) else item
+
+    def __call__(self, item):
+        ident = self._ids.get(item)
+        if ident is None:
+            ident = f"{'v' if isinstance(item, _Node) else 'c'}{len(self._ids)}"
+            self._bind(item, ident)
+        return ident
+
+
+def _compiled(source, filename):
+    """``source`` compiled under ``filename``, its lines put in ``linecache`` so
+    that tracebacks, pdb and profiles quote them; a filename already holding
+    other lines gets a serial number."""
+    lines = source.splitlines(True)
+    name, n = filename, 1
+    while linecache.cache.get(name, (None, None, lines))[2:3] != (lines,):
+        n += 1
+        name = f"{filename[:-1]} #{n}>"
+    linecache.cache[name] = (len(source), None, lines, name)
+    return _code(source, name)
+
+
+@functools.lru_cache(maxsize=1024)
+def _code(source, filename):
+    """``source`` compiled; graphs traced from the same f2, one per cell of a
+    run, share it."""
+    return compile(source, filename, "exec")
+
+
+class _Program:
+    """Ops filled one level at a time.  The function that fills level k is
+    Python source, the ops' ``emit(k, ...)`` lines in order, generated and
+    compiled the first time that level is asked for and kept."""
+
+    __slots__ = ("ops", "names", "label", "levels")
+
+    def __init__(self, ops, names, label):
+        self.ops, self.names, self.label, self.levels = ops, names, label, {}
+
+    def level(self, k):
+        """The function prec -> None that fills level k."""
+        fill = self.levels.get(k)
+        if fill is None:
+            lines = [line for op in self.ops if k <= op.deg for line in op.emit(k, self.names)]
+            source = "def level(prec):\n" + "".join(f"    {line}\n" for line in lines or ["pass"])
+            scope = {}
+            exec(_compiled(source, f"<obrechkoff program {self.label} level {k}>"),
+                 self.names, scope)
+            fill = self.levels[k] = scope["level"]
+        return fill
 
 
 def _postorder(root):
@@ -402,10 +502,11 @@ class TracedODE:
     (x, y, y') is given as mpmath numbers, as the integrator passes it, and
     the program runs at the precision of y.  ``y`` and ``f`` give the Taylor
     coefficients of the solution and of f2 there, and ``jacobian`` the
-    partials that the variational program computes over them.
+    partials that the variational program computes over them.  ``name``
+    labels the generated code in tracebacks and profiles.
     """
 
-    def __init__(self, f2):
+    def __init__(self, f2, name="f2"):
         sx = Series("var", (), None, 1, False)
         sy, syp = Series("var"), Series("var")
         root = _lift(f2(sx, sy, syp))
@@ -423,6 +524,7 @@ class TracedODE:
         # the variational program: per seed (w_0, w_1, w'_0), the leaves w and
         # w' (when f2 reads y') and the ops of the tangent df of f2
         self._df = []
+        preferred = [(self._x, "x"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
         for seed in ((fone, fzero, fzero), (fzero, fone, fone)):
             w, wp = Series("var"), Series("var")
             droot = _tangent(order, {sy: w, syp: wp})
@@ -437,6 +539,14 @@ class TracedODE:
             self._d_ops += leaves + ops
             self._y_lists += [leaf.out.v for leaf in leaves]
             self._df.append(df)
+            preferred += [(nodes[w], f"w{len(self._df)}"), (nodes[wp], f"wp{len(self._df)}"),
+                          (df, f"df{len(self._df)}")]
+        # the code of each level is generated when the level is first filled
+        names = _Names(preferred)
+        self._x_program = _Program(self._x_ops, names, f"{name} x")
+        self._y_program = _Program(self._leaves + self._y_ops, names, f"{name} y")
+        self._d_program = _Program(self._d_ops, names, f"{name} tangent")
+        self._solution = _Program(self._leaves[:1], names, f"{name} solution")
         self.y = Coefficients(self, self._y, self._fill_solution)
         self.f = Coefficients(self, self._f, self._fill)
         self._point, self._prec, self._make = (None, None, None), None, None
@@ -481,15 +591,10 @@ class TracedODE:
         prec = self._prec
         try:
             while k <= n:
-                for leaf in self._leaves:
-                    leaf.value(k, prec)
                 if self._x_levels <= k:
-                    for op in self._x_ops:
-                        if k <= op.deg:
-                            op.value(k, prec)
+                    self._x_program.level(k)(prec)
                     self._x_levels = k + 1
-                for op in self._y_ops:
-                    op.value(k, prec)
+                self._y_program.level(k)(prec)
                 k = self._levels = k + 1
         except BaseException:       # a fill that raised leaves no point and no coefficient
             self._point = (None, None, None)
@@ -499,7 +604,8 @@ class TracedODE:
     def _fill_solution(self, k):
         """Fill y through coefficient k, which needs f through k - 2."""
         self._fill(k - 2)
-        self._leaves[0].value(k, self._prec)
+        for j in range(len(self._y.v), k + 1):
+            self._solution.level(j)(self._prec)
 
     def _fill_tangents(self, n):
         """Fill the variational program through level n, after the values it reads."""
@@ -507,8 +613,7 @@ class TracedODE:
         prec = self._prec
         try:
             for k in range(self._d_levels, n + 1):
-                for op in self._d_ops:
-                    op.value(k, prec)
+                self._d_program.level(k)(prec)
                 self._d_levels = k + 1
         except BaseException:
             self._point = (None, None, None)

@@ -44,7 +44,7 @@ class ProblemDef:
 
     def __post_init__(self):
         if self.graph is None:
-            object.__setattr__(self, "graph", TracedODE(self.f2))
+            object.__setattr__(self, "graph", TracedODE(self.f2, self.name))
             for k in range(2, 8):
                 if k == 2 or getattr(self, f"f{k}") is None:
                     object.__setattr__(self, f"f{k}", self.graph.derivative(k))

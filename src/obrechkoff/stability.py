@@ -76,6 +76,9 @@ def phase_lag(method: MethodId, v, ctx: Context):
 
 def _lag_from_ratio(ratio, v, ctx: Context):
     """Phase lag at v of a method whose characteristic ratio B/A is `ratio`."""
+    _, man, exp, _ = v._mpf_
+    if exp and not man:                 # inf and nan: a zero mantissa, a nonzero exponent
+        raise DomainError(f"v = {v} is not finite")
     if abs(ratio) > 1:
         raise OutsidePeriodicityError(
             f"|B/A| = {ctx.mp.nstr(abs(ratio), 8)} > 1 at v = {ctx.mp.nstr(v, 8)}"

@@ -139,12 +139,12 @@ def test_sweep_coefficients_zero_row_is_classical():
 def test_sweep_coefficients_flags_singular_rows():
     # hit the beta31 pole located inside [3.8, 4.0] by bisection, then sweep
     from obrechkoff import make_context
-    from obrechkoff.coefficients import _pl2_numden
+    from test_coefficient_tables import reference_pl2_numden
     ctx = make_context(16)
 
     def den(v):
         w = make_context(ctx.digits + 30)
-        return _pl2_numden(w, w.mpf(v))[1]
+        return reference_pl2_numden(w, w.mpf(v))[1]
 
     lo, hi = ctx.mpf("3.8"), ctx.mpf("4.0")
     for _ in range(90):

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import to_int
+from mpmath.libmp import mpf_abs, to_int
 
 from obrechkoff import (
     CoefficientSet,
@@ -34,7 +34,7 @@ from obrechkoff.coefficients import (
     _PL2_PQR,
     _PQR_DIVISORS,
     _boost_digits,
-    _pl2_numden,
+    _pl2_terms,
 )
 
 # ------------------------------------------------------------ the reference
@@ -216,7 +216,8 @@ def test_pl2_numden_matches_the_reference():
     w = make_context(60)
     for text in ("0.7", "2.5", "3.85", "9.1"):
         vv = w.mpf(text)
-        num, den, cs = _pl2_numden(w, vv)
+        den, _, (num, c1, c2, _) = _pl2_terms(mpf_abs(vv._mpf_), w.mp.prec)
+        num, den, cs = w.mp.make_mpf(num), w.mp.make_mpf(den), tuple(map(w.mp.make_mpf, (c1, c2)))
         ref_num, ref_den, ref_cs = reference_pl2_numden(w, vv)
         assert cs == ref_cs
         assert abs(num - ref_num) < w.mpf(10) ** -50 * 10 ** 6

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from obrechkoff import (
+    DomainError,
     MethodId,
     SingularParameterError,
     classical_coefficients,
@@ -19,9 +20,10 @@ from obrechkoff.coefficients import (
     COEFF_NAMES,
     PL_DOUBLE_PRIME_SERIES,
     PL_PRIME_SERIES,
-    _pl2_numden,
 )
 from obrechkoff.stability import stability_pair
+
+from test_coefficient_tables import reference_pl2_numden
 
 FITTED = (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME)
 # the package re-exports the function coefficients() under the module's name
@@ -67,6 +69,16 @@ def test_classical_ignores_v(ctx50):
     cs = coefficients(MethodId.CLASSICAL, ctx50.mpf(7), ctx50)
     assert cs.v == 0
     assert cs.as_tuple() == classical_coefficients(ctx50).as_tuple()
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("method", FITTED)
+def test_fitted_methods_reject_a_non_finite_v(ctx50, method, v):
+    # these used to return six nan weights
+    with pytest.raises(DomainError, match="not finite"):
+        coefficients(method, v, ctx50)
+    with pytest.raises(DomainError, match="not finite"):
+        coefficients(method, ctx50.mpf(v), ctx50)
 
 
 # ----------------------------------------------------------- Taylor tables
@@ -266,7 +278,7 @@ def test_pl2_singular_parameter_detected():
 
     def den(v):
         w = make_context(ctx.digits + 30)
-        return _pl2_numden(w, w.mpf(v))[1]
+        return reference_pl2_numden(w, w.mpf(v))[1]
 
     assert den(lo) * den(hi) < 0
     for _ in range(80):

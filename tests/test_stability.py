@@ -220,6 +220,16 @@ def test_stability_sweep_rows(ctx50):
     assert outside[0][4] is None
 
 
+@pytest.mark.parametrize("method", list(MethodId))
+def test_stability_sweep_and_phase_lag_reject_a_non_finite_v(ctx50, method):
+    # a sweep used to die in the phase lag with an untyped ValueError
+    for v in (ctx50.mp.inf, -ctx50.mp.inf, ctx50.mp.nan):
+        with pytest.raises(DomainError, match="not finite"):
+            stability_sweep(method, ["0.5", v], ctx50)
+        with pytest.raises(DomainError, match="not finite"):
+            phase_lag(method, v, ctx50)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"grid_step": 0}, {"grid_step": math.nan}, {"grid_step": -0.01},
     {"v_max": math.nan}, {"v_max": math.inf},
