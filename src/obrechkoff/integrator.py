@@ -57,7 +57,7 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mu
 from .coefficients import CoefficientSet, MethodId, coefficients
 from .context import Context
 from .errors import ConfigurationError, StepFailureError
-from .jets import RND, _fdot, _raw, ode_series
+from .jets import RND, _fdot, _raw, in_range, ode_series
 from .problems import ProblemDef
 
 #: weights of the degree-11-exact symmetric derivative quadrature
@@ -213,8 +213,9 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     """Advance (y_{n-1}, y_n) -> y_{n+1}; returns the shifted state.
 
     Raises StepFailureError when the chord-Newton solve has not converged
-    after MAX_ITERATIONS evaluations, when its matrix is singular, or when an
-    iterate or Phi(z) is not finite.
+    after MAX_ITERATIONS evaluations, when its matrix is singular, when an
+    iterate or Phi(z) is not finite, or when an iterate has diverged beyond
+    the range of the Taylor program (``jets.RANGE_BITS``).
     """
     prec, make = ctx.mp.prec, ctx.mp.make_mpf
     n, x_n, y_curr, yp_curr, yp_prev = (
@@ -241,6 +242,10 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     z = (y, dy)
     inverse = None           # A^-1 at the predictor, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
+        if not (in_range(z[0]) and in_range(z[1])):
+            raise StepFailureError(
+                f"implicit solve diverged: iterate beyond the Taylor program's range "
+                f"at x = {ctx.mp.nstr(x_next, 8)}", step_index=n + 1, iterations=evals - 1)
         z_mpf = make(z[0]), make(z[1])
         f_z = [_raw(f) for f in _eval_f(problem, x_next, *z_mpf)]
         phi = [mpf_add(ci, _fdot(row, f_z, prec), prec, RND) for ci, row in zip(c, end)]

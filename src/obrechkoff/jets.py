@@ -12,18 +12,46 @@ Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 *ACM TOMS* 39, 2012).
 
 The program runs one level at a time.  Level k appends coefficient k of y
-(and of y' when f2 reads it), then of every op, on raw ``libmp`` numbers:
-each coefficient is a sum of exact products, summed exactly and rounded once
-at the working precision of the point.  That is ``mp.fdot``'s rounding,
-except that :func:`_fdot` keeps a term more than 2 prec bits below the
-running sum, which ``mp.fdot`` drops, so the two can differ when such a term
-decides a rounding tie.  No op list is interpreted: the first time a level
-is asked for, each op emits its lines of Python source for that k, with the
-convolution index ranges, the degree cuts and the integer constants fixed,
-and the level is compiled into one function, under a filename such as
-``<obrechkoff program duffing y level 4>`` that tracebacks and profiles
-quote.  Ops of x alone form a program of their own, refilled only when x
-changes.
+(and of y' when f2 reads it), then of every op, in fixed point: a
+coefficient c is the Python int m with c = m 2^-P, at one binary point
+P = prec + GUARD_BITS set by the working precision prec of the point, not
+by the point.  A product is one exact integer sum of products, shifted by P
+once; a linear combination takes its constants as integer weights over
+their least exponent, one exact sum and one shift; a quotient divides one
+exact sum by b_0, and the solution divides by the integer k (k-1) or k.
+Each shift or division rounds down, so each op adds less than one unit
+2^-P to the errors its inputs carry.  libmp is met only at the boundary:
+``at`` converts x, y and y' in, level 0 of a sin/cos pair calls
+``mpf_cos_sin`` at P bits, the x program converts the constants of
+polynomial nodes, and ``derivative``, ``jacobian`` and ``Coefficients.raw``
+round a result out to nearest at prec.  No op list is interpreted: the
+first time a level is asked for, each op emits its lines of Python source
+for that k, with the convolution index ranges, the degree cuts and the
+integer weights fixed, and the level is compiled into one function, under a
+filename such as ``<obrechkoff program duffing y level 4>`` that tracebacks
+and profiles quote.  Ops of x alone form a program of their own, refilled
+only when x or the precision changes.
+
+Error bound.  A value v read off the program (a coefficient, a derivative
+y^(k) = (k-2)! f_{k-2} or one of its partials) lies within
+
+    |v - c| <= 2^-prec |c| + 2^-(prec + GUARD_BITS / 2) max(|c|, s)
+
+of the exact value c of the traced program at the point, s being (k-2)!
+for y^(k) and its partials and 1 for a coefficient.  The first term is the
+rounding out; the second leaves 2^20 units 2^-P for the errors that the
+recurrences carry, measured at under 2^6 units of max(|c|, 1) on the
+problems and the test cases at 16, 50 and 100 digits.  Below 1 the error is
+absolute: a coefficient of size 2^-m keeps about P - m bits, and one below
+2^-P reads 0, as y = 1e-30 does at 16 digits.  The bound covers that, as the
+step's acceptance test is absolute below |Phi| = 1 and the step weights
+scale f_k by h^k.  Above 1 the integers grow and keep every bit above the
+point, so the error is relative.  A quotient multiplies the errors of its
+inputs by up to 1/|b_0|, so b_0 = 2^-m spends m guard bits; the program
+adds none, and the bound is checked for |b_0| >= 0.1 (every quotient of the
+benchmark problems has b_0 = 1 + 2x >= 1).  inf, nan and numbers of
+2^RANGE_BITS or more are a DomainError, since the integers are as long as
+the numbers are large.
 The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
 df2/dy' w' from (w, w') = (1, 0) and (0, 1): the trace, differentiated once
 along each seed, compiles into a program of the same ops, closed by
@@ -32,12 +60,13 @@ w_k = (df)_{k-2} / (k (k-1)) and filled on request over the values.
 
 from __future__ import annotations
 
+import collections
 import functools
 import linecache
 import math
 
-from mpmath.libmp import (fone, from_float, from_int, from_man_exp, fzero, mpf_cos_sin,
-                          mpf_div, mpf_mul, mpf_sub, mpf_sum, normalize, round_nearest)
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_cos_sin, mpf_mul,
+                          mpf_sum, normalize, round_nearest)
 
 from .errors import DomainError
 
@@ -48,6 +77,14 @@ RND = round_nearest
 
 #: exponent gap, in bits, up to which a dot product aligns its terms exactly
 ALIGN_LIMIT = 1 << 14
+
+#: bits the Taylor program keeps below the working precision: its binary
+#: point is 2^-(prec + GUARD_BITS)
+GUARD_BITS = 40
+
+#: the Taylor program takes numbers below 2^RANGE_BITS in magnitude: its
+#: integers are as long as the numbers are large
+RANGE_BITS = 1 << 16
 
 
 class Series:
@@ -210,7 +247,10 @@ def _raw(v):
 def _fdot(xs, ys, prec=0):
     """sum x_i y_i over raw numbers: exact products, summed exactly and
     rounded once at prec (not at all for prec 0).  Non-finite terms, and
-    terms too far apart in exponent to align cheaply, go to ``mpf_sum``."""
+    terms too far apart in exponent to align cheaply, go to ``mpf_sum``.
+    That is ``mp.fdot``'s rounding, except that a term more than 2 prec bits
+    below the running sum is kept, which ``mp.fdot`` drops, so the two can
+    differ when such a term decides a rounding tie."""
     man, exp = 0, None
     for (xsign, xman, xexp, _), (ysign, yman, yexp, _) in zip(xs, ys):
         m = xman * yman
@@ -240,15 +280,40 @@ def _fdot(xs, ys, prec=0):
     return mpf_sum([mpf_mul(x, y) for x, y in zip(xs, ys)], prec, RND)
 
 
-def _tuple(items):
-    """Python source for a tuple of the source expressions ``items``."""
-    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+def in_range(v):
+    """Whether the raw number v is finite and below 2^RANGE_BITS in magnitude."""
+    return v[2] + v[3] <= RANGE_BITS if v[1] else not v[2]
+
+
+def _signed(v):
+    """(m, e) with the raw number v = m 2^e."""
+    if not in_range(v):
+        raise DomainError("a Taylor program takes finite numbers below 2^RANGE_BITS "
+                          "in magnitude")
+    sign, man, exp, _ = v
+    return -man if sign else man, exp
+
+
+def _fixed(v, P):
+    """The raw number v as an integer at the binary point 2^-P, rounded down."""
+    m, e = _signed(v)
+    e += P
+    return m << e if e >= 0 else m >> -e
+
+
+def _sum(terms):
+    """Python source for the sum of the source terms ``terms``, 0 for none."""
+    return " + ".join(terms).replace("+ -", "- ") or "0"
+
+
+def _times(w, ref):
+    """Python source for the int w times the source ``ref``."""
+    return ref if w == 1 else f"-{ref}" if w == -1 else f"{w} * {ref}"
 
 
 def _conv(a, b, lo, hi, k, name):
-    """Source for the factors a_j and b_{k-j}, j = lo..hi, of a convolution sum."""
-    js = range(lo, hi + 1)
-    return [f"{name(a)}[{j}]" for j in js], [f"{name(b)}[{k - j}]" for j in js]
+    """Source for the factors (a_j, b_{k-j}), j = lo..hi, of a convolution sum."""
+    return [(f"{name(a)}[{j}]", f"{name(b)}[{k - j}]") for j in range(lo, hi + 1)]
 
 
 class _Node:
@@ -256,63 +321,91 @@ class _Node:
 
     __slots__ = ("v", "deg")
 
-    def __init__(self, deg, v=None):
-        self.v, self.deg = [] if v is None else v, deg
+    def __init__(self, deg):
+        self.v, self.deg = [], deg
 
 
 # ops: emit(k, name) returns the source lines that append coefficient k of
 # their outputs, once every coefficient below k is in place; name(node) is
-# the identifier of a node's coefficient list, name(c) that of a raw constant
+# the identifier of a node's coefficient list, name(c) that of a raw constant.
+# A coefficient is an int m standing for m 2^-P, P the binary point of the
+# level function; the raw constants (``a``, ``c``, ``data``) are kept as
+# given.
+
+class _Poly:
+    """The coefficients of a polynomial constant, converted once per fill of x."""
+
+    def __init__(self, out, data):
+        self.out, self.deg, self.data = out, out.deg, data
+
+    def emit(self, k, name):
+        value = f"_fixed({name(self.data[k])}, P)" if self.data[k][1] else "0"
+        return [f"{name(self.out)}.append({value})"]
+
 
 class _Lin:
+    """c + sum a_i n_i.  An integer constant is an integer weight; the others
+    are integer weights over their least exponent -s, summed exactly and
+    shifted by s once, which rounds the whole sum down once."""
+
     def __init__(self, out, c, a, nodes):
         self.out, self.deg, self.nodes = out, out.deg, nodes
         self.a, self.c = [_raw(x) for x in a], _raw(c)
+        signed = [_signed(r) for r in self.a + [self.c]]
+        self.s = -min((e for m, e in signed if e < 0), default=0)
+        # (weight, whether it is over 2^-s), per node and for c
+        self.w = [(m << e, False) if e >= 0 else (m << e + self.s, True) for m, e in signed]
 
     def emit(self, k, name):
-        xs = [name(a) for a in self.a]
-        ys = [f"{name(n)}[{k}]" if k <= n.deg else "fzero" for n in self.nodes]
-        if k == 0:
-            xs, ys = xs + ["fone"], ys + [name(self.c)]
-        return [f"{name(self.out)}.append(_fdot({_tuple(xs)}, {_tuple(ys)}, prec))"]
+        refs = [f"{name(n)}[{k}]" if k <= n.deg else None for n in self.nodes]
+        refs.append("(1 << P)" if k == 0 else None)
+        terms = {False: [], True: []}
+        for (w, shifted), ref in zip(self.w, refs):
+            if w and ref:
+                terms[shifted].append(_times(w, ref))
+        if terms[True]:
+            terms[False].append(f"(({_sum(terms[True])}) >> {self.s})")
+        return [f"{name(self.out)}.append({_sum(terms[False])})"]
 
 
 class _Mul:
-    """sum_i a_i b_i over the pairs of factors (a_i, b_i), in one dot product."""
+    """sum_i a_i b_i over the pairs of factors (a_i, b_i), in one integer sum,
+    where a product that recurs (as in a square, or in d(uv) = du v + u dv
+    along u = v) is taken once with its count."""
 
     def __init__(self, out, factors):
         self.out, self.deg = out, out.deg
         self.pairs = list(zip(factors[::2], factors[1::2]))
 
     def emit(self, k, name):
-        xs, ys = [], []
-        for a, b in self.pairs:
-            x, y = _conv(a, b, max(0, k - b.deg), min(k, a.deg), k, name)
-            xs += x
-            ys += y
-        return [f"{name(self.out)}.append(_fdot({_tuple(xs)}, {_tuple(ys)}, prec))"]
+        counts = collections.Counter(
+            tuple(sorted(t)) for a, b in self.pairs
+            for t in _conv(a, b, max(0, k - b.deg), min(k, a.deg), k, name))
+        terms = [_times(n, " * ".join(t)) for t, n in counts.items()]
+        return [f"{name(self.out)}.append(({_sum(terms)}) >> P)"]
 
 
 class _Div:
-    """q = a / b from q_k b_0 = a_k - sum_{j<k} q_j b_{k-j}."""
+    """q = a / b from q_k b_0 = a_k - sum_{j<k} q_j b_{k-j}, one integer division."""
 
     def __init__(self, out, a, b):
         self.out, self.deg, self.a, self.b = out, out.deg, a, b
 
     def emit(self, k, name):
         q, b = name(self.out), name(self.b)
-        num = f"{name(self.a)}[{k}]" if k <= self.a.deg else "fzero"
+        terms = [f"({name(self.a)}[{k}] << P)"] if k <= self.a.deg else []
+        terms += [f"-{qj} * {bj}"
+                  for qj, bj in _conv(self.out, self.b, max(0, k - self.b.deg), k - 1, k, name)]
+        lines = [f"{q}.append(({_sum(terms)}) // {b}[0])"]
         if k == 0:
-            return [f"if {b}[0] == fzero: raise DomainError("
-                    "'series division by a series with zero constant term')",
-                    f"{q}.append(mpf_div({num}, {b}[0], prec, RND))"]
-        xs, ys = _conv(self.out, self.b, max(0, k - self.b.deg), k - 1, k, name)
-        return [f"{q}.append(mpf_div(mpf_sub({num}, _fdot({_tuple(xs)}, {_tuple(ys)})), "
-                f"{b}[0], prec, RND))"]
+            lines.insert(0, f"if not {b}[0]: raise DomainError("
+                            "'series division by a series with zero constant term')")
+        return lines
 
 
 class _SinCos:
-    """s_k = sum_{j=1..k} j u_j c_{k-j} / k and c_k = -sum_{j=1..k} j u_j s_{k-j} / k."""
+    """s_k = sum_{j=1..k} j u_j c_{k-j} / k and c_k = -sum_{j=1..k} j u_j s_{k-j} / k;
+    s_0 and c_0 come from ``mpf_cos_sin`` at P bits."""
 
     def __init__(self, out, cos, u):
         self.out, self.cos, self.u, self.deg = out, cos, u, out.deg
@@ -320,23 +413,21 @@ class _SinCos:
     def emit(self, k, name):
         u, s, c = name(self.u), name(self.out), name(self.cos)
         if k == 0:
-            return [f"cv, sv = mpf_cos_sin({u}[0], prec, RND)", f"{s}.append(sv)",
-                    f"{c}.append(cv)"]
+            return [f"cv, sv = mpf_cos_sin(from_man_exp({u}[0], -P), P, RND)",
+                    f"{s}.append(_fixed(sv, P))", f"{c}.append(_fixed(cv, P))"]
         js = range(1, min(k, self.u.deg) + 1)
-        ju = _tuple([f"mpf_mul({u}[{j}], {name(from_int(j))})" for j in js])
-        return [f"ju = {ju}",
-                f"{s}.append(mpf_div(_fdot(ju, {_tuple([f'{c}[{k - j}]' for j in js])}), "
-                f"{name(from_int(k))}, prec, RND))",
-                f"{c}.append(mpf_div(_fdot(ju, {_tuple([f'{s}[{k - j}]' for j in js])}), "
-                f"{name(from_int(-k))}, prec, RND))"]
+        ju = [_times(j, f"{u}[{j}]") for j in js]
+        scale = ">> P" if k == 1 else f"// ({k} << P)"
+        return [f"{s}.append(({_sum([f'{x} * {c}[{k - j}]' for x, j in zip(ju, js)])}) {scale})",
+                f"{c}.append(-({_sum([f'{x} * {s}[{k - j}]' for x, j in zip(ju, js)])}) {scale})"]
 
 
 class _Leaf:
     """The solution y_k = f_{k-2} / (k (k-1)) (lag 2), or its slope
     y'_k = f_{k-1} / k (lag 1), above the initial values at the point, which
-    are ``start`` where the list holds none.  Coefficient k is appended only
-    if the list does not hold it yet, since y runs ahead of the levels when
-    its own coefficients are asked for."""
+    are ``start`` (0 or 1) where the list holds none.  Coefficient k is
+    appended only if the list does not hold it yet, since y runs ahead of the
+    levels when its own coefficients are asked for."""
 
     deg = DENSE
 
@@ -345,20 +436,21 @@ class _Leaf:
 
     def emit(self, k, name):
         out, j = name(self.out), k - self.lag
-        if j >= 0:
-            num = f"{name(self.f)}[{j}]" if j <= self.f.deg else "fzero"
-            value = f"mpf_div({num}, {name(from_int(math.perm(k, self.lag)))}, prec, RND)"
+        if j > self.f.deg:
+            value = "0"
+        elif j >= 0:
+            div = math.perm(k, self.lag)
+            value = f"{name(self.f)}[{j}]" + (f" // {div}" if div > 1 else "")
         elif self.start:
-            value = name(self.start[k])
+            value = "(1 << P)" if self.start[k] else "0"
         else:
             return []
         return [f"if len({out}) == {k}: {out}.append({value})"]
 
 
 #: the globals every generated level reads besides its lists and constants
-_HELPERS = {"_fdot": _fdot, "mpf_cos_sin": mpf_cos_sin, "mpf_div": mpf_div, "mpf_mul": mpf_mul,
-            "mpf_sub": mpf_sub, "RND": RND, "fzero": fzero, "fone": fone,
-            "DomainError": DomainError}
+_HELPERS = {"_fixed": _fixed, "mpf_cos_sin": mpf_cos_sin, "from_man_exp": from_man_exp,
+            "RND": RND, "DomainError": DomainError}
 
 
 class _Names(dict):
@@ -368,7 +460,7 @@ class _Names(dict):
 
     def __init__(self, preferred):
         super().__init__(_HELPERS)
-        self._ids = {fzero: "fzero", fone: "fone"}
+        self._ids = {}
         for node, ident in preferred:
             if node not in self._ids:
                 self._bind(node, ident)
@@ -416,11 +508,11 @@ class _Program:
         self.ops, self.names, self.label, self.levels = ops, names, label, {}
 
     def level(self, k):
-        """The function prec -> None that fills level k."""
+        """The function P -> None that fills level k at the binary point 2^-P."""
         fill = self.levels.get(k)
         if fill is None:
             lines = [line for op in self.ops if k <= op.deg for line in op.emit(k, self.names)]
-            source = "def level(prec):\n" + "".join(f"    {line}\n" for line in lines or ["pass"])
+            source = "def level(P):\n" + "".join(f"    {line}\n" for line in lines or ["pass"])
             scope = {}
             exec(_compiled(source, f"<obrechkoff program {self.label} level {k}>"),
                  self.names, scope)
@@ -451,15 +543,14 @@ def _compile(order, nodes, ops, lists):
     for s in order:
         if s in nodes:
             continue
-        if s.kind == "poly":
-            nodes[s] = _Node(s.deg, [_raw(c) for c in s.data])
-            continue
         if s.kind in ("sin", "cos"):
             nodes[s] = nodes[s.args[0]][s.kind == "cos"]
             continue
         args = [nodes[a] for a in s.args]
         outs = (_Node(s.deg),)
-        if s.kind == "lin":
+        if s.kind == "poly":
+            op = _Poly(*outs, [_raw(c) for c in s.data])
+        elif s.kind == "lin":
             op = _Lin(*outs, *s.data, args)
         elif s.kind == "sincos":
             outs += (_Node(s.deg),)
@@ -484,11 +575,12 @@ class Coefficients:
         self.c, self._deg, self._fill, self._graph = node.v, node.deg, fill, graph
 
     def raw(self, k):
-        """Coefficient k as a raw libmp number."""
+        """Coefficient k as a raw libmp number, rounded at the working precision."""
         if k > self._deg:
             return fzero
         self._fill(k)
-        return self.c[k]
+        graph = self._graph
+        return from_man_exp(self.c[k], -graph._P, graph._prec, RND)
 
     def __getitem__(self, k):
         return self._graph._make(self.raw(k))
@@ -500,7 +592,8 @@ class TracedODE:
     f2 may use + - * /, positive integer powers, numbers and ``ops.sin`` /
     ``ops.cos``; an f2 that returns a plain number is a constant.  The point
     (x, y, y') is given as mpmath numbers, as the integrator passes it, and
-    the program runs at the precision of y.  ``y`` and ``f`` give the Taylor
+    the program runs at the binary point 2^-(prec + GUARD_BITS), prec being
+    the precision of y.  ``y`` and ``f`` give the Taylor
     coefficients of the solution and of f2 there, and ``jacobian`` the
     partials that the variational program computes over them.  ``name``
     labels the generated code in tracebacks and profiles.
@@ -518,14 +611,14 @@ class TracedODE:
         _compile(order, nodes, (self._x_ops, self._y_ops), (self._x_lists, self._y_lists))
         self._f = nodes[root]
         # y' itself is filled only when f2 reads it
-        reads_yp = syp in order
+        self._reads_yp = reads_yp = syp in order
         self._leaves = [_Leaf(self._y, self._f, 2)] + (
             [_Leaf(self._yp, self._f, 1)] if reads_yp else [])
         # the variational program: per seed (w_0, w_1, w'_0), the leaves w and
         # w' (when f2 reads y') and the ops of the tangent df of f2
         self._df = []
         preferred = [(self._x, "x"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
-        for seed in ((fone, fzero, fzero), (fzero, fone, fone)):
+        for seed in ((1, 0, 0), (0, 1, 1)):
             w, wp = Series("var"), Series("var")
             droot = _tangent(order, {sy: w, syp: wp})
             if droot is None:
@@ -549,7 +642,8 @@ class TracedODE:
         self._solution = _Program(self._leaves[:1], names, f"{name} solution")
         self.y = Coefficients(self, self._y, self._fill_solution)
         self.f = Coefficients(self, self._f, self._fill)
-        self._point, self._prec, self._make = (None, None, None), None, None
+        self._point, self._prec, self._P, self._make = (None, None, None), None, None, None
+        self._scales = {}           # orders -> their (k - 2)!, for jacobian
         self._levels = self._x_levels = self._d_levels = 0
 
     def _reset(self, on_x):
@@ -563,38 +657,43 @@ class TracedODE:
         """Centre the program at (x, y, y'), keeping what that point leaves valid.
 
         The same y and y' objects at an equal x keep every coefficient; ops
-        of x alone are reset only when x or the precision changes.
+        of x alone are reset only when x or the precision changes.  y' may be
+        None when f2 ignores it.  A non-finite x, y or y', one of
+        2^RANGE_BITS or more, or a missing y' that f2 reads, is a DomainError
+        and leaves the program as it was.
         """
         px, py, pyp = self._point
         try:
             ctx = y.context
         except AttributeError:
             raise DomainError("a traced f2 is evaluated at mpmath numbers") from None
-        if x is not px and x != px or ctx.prec != self._prec:
-            self._prec, self._make = ctx.prec, ctx.make_mpf
-            self._x.v[:] = [_raw(x), fone]
-            self._reset(on_x=True)
-        elif y is py and yp is pyp:
+        new_x = x is not px and x != px or ctx.prec != self._prec
+        if not new_x and y is py and yp is pyp:
             return
-        else:
-            self._reset(on_x=False)
+        if yp is None and self._reads_yp:
+            raise DomainError("this f2 reads y', so the point needs one")
+        P = ctx.prec + GUARD_BITS
+        y0 = _fixed(_raw(y), P)
+        yp0 = None if yp is None else _fixed(_raw(yp), P)
+        if new_x:
+            self._x.v[:] = [_fixed(_raw(x), P), 1 << P]
+            self._prec, self._P, self._make = ctx.prec, P, ctx.make_mpf
+        self._reset(on_x=new_x)
         self._point = (x, y, yp)
-        # f2 at a point may be asked for with y' = None when it ignores y'
-        yp = None if yp is None else _raw(yp)
-        self._y.v[:], self._yp.v[:] = [_raw(y), yp], [yp]
+        self._y.v[:], self._yp.v[:] = [y0, yp0], [yp0]
 
     def _fill(self, n):
         """Fill the values of every op through level n."""
         k = self._levels
         if k > n:
             return
-        prec = self._prec
+        P = self._P
         try:
             while k <= n:
                 if self._x_levels <= k:
-                    self._x_program.level(k)(prec)
+                    self._x_program.level(k)(P)
                     self._x_levels = k + 1
-                self._y_program.level(k)(prec)
+                self._y_program.level(k)(P)
                 k = self._levels = k + 1
         except BaseException:       # a fill that raised leaves no point and no coefficient
             self._point = (None, None, None)
@@ -605,15 +704,15 @@ class TracedODE:
         """Fill y through coefficient k, which needs f through k - 2."""
         self._fill(k - 2)
         for j in range(len(self._y.v), k + 1):
-            self._solution.level(j)(self._prec)
+            self._solution.level(j)(self._P)
 
     def _fill_tangents(self, n):
         """Fill the variational program through level n, after the values it reads."""
         self._fill(n)
-        prec = self._prec
+        P = self._P
         try:
             for k in range(self._d_levels, n + 1):
-                self._d_program.level(k)(prec)
+                self._d_program.level(k)(P)
                 self._d_levels = k + 1
         except BaseException:
             self._point = (None, None, None)
@@ -623,14 +722,14 @@ class TracedODE:
     def derivative(self, k: int):
         """The closure (x, y, y') -> y^(k) of the solution through that point."""
         n, at, fill, f = k - 2, self.at, self._fill, self._f
-        scale = from_int(math.factorial(n))
+        scale = math.factorial(n)
 
         def fk(x, y, yp):
             at(x, y, yp)
             if n > f.deg:
                 return self._make(fzero)
             fill(n)
-            return self._make(mpf_mul(f.v[n], scale, self._prec, RND) if n > 1 else f.v[n])
+            return self._make(from_man_exp(f.v[n] * scale, -self._P, self._prec, RND))
 
         return fk
 
@@ -642,9 +741,12 @@ class TracedODE:
         if not self._df:
             return [(0, 0) for _ in orders]
         self._fill_tangents(max(orders) - 2)
-        make, prec = self._make, self._prec
-        scales = [from_int(math.factorial(k - 2)) for k in orders]
-        return [tuple(make(mpf_mul(df.v[k - 2], s, prec, RND)) for df in self._df)
+        make, P, prec = self._make, self._P, self._prec
+        orders = tuple(orders)
+        scales = self._scales.get(orders)
+        if scales is None:
+            scales = self._scales[orders] = [math.factorial(k - 2) for k in orders]
+        return [tuple(make(from_man_exp(df.v[k - 2] * s, -P, prec, RND)) for df in self._df)
                 for k, s in zip(orders, scales)]
 
 

@@ -6,6 +6,7 @@ vanishes, so the published ``abs_end_error`` is |y_end| and cannot see a
 method error below about 1e-13. These tests measure against Y_END instead.
 """
 
+import functools
 import math
 
 from obrechkoff import MethodId, StepperConfig, duffing, integrate, make_context
@@ -40,6 +41,7 @@ def test_duffing_true_end_value_regenerates():
     assert abs(yp - ctx.real(YP_END)) < ctx.mpf(10) ** -32
 
 
+@functools.cache
 def true_error(method, divisor):
     ctx = make_context(50)
     p = duffing(ctx)
@@ -58,3 +60,11 @@ def test_duffing_true_error_resolves_the_method():
     assert pl2_500 <= 1e-15
     assert 11 <= math.log2(pl2_500 / pl2_1000) <= 13
     assert pl2_500 < true_error(MethodId.CLASSICAL, 500)
+
+
+def test_duffing_true_errors_to_three_digits():
+    # pins the end errors of the Taylor-startup runs, which rounding in the
+    # Taylor program or the step could move only far below these digits
+    assert f"{true_error(MethodId.PL_DOUBLE_PRIME, 500):.2e}" == "2.17e-16"
+    assert f"{true_error(MethodId.PL_DOUBLE_PRIME, 1000):.2e}" == "5.42e-20"
+    assert f"{true_error(MethodId.CLASSICAL, 500):.2e}" == "8.56e-16"

@@ -198,13 +198,26 @@ def test_iteration_budget_on_benchmark_run(ctx50):
 
 
 def test_stalled_solve_raises_step_failure():
+    # h = 1.5: the iterates of the third step neither converge nor leave range
+    ctx = make_context(30)
+    p = rational_problem(ctx)
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=(p.x_end - p.x0) / 3)
+    with pytest.raises(StepFailureError, match="implicit solve stalled") as info:
+        integrate(p, cfg, ctx)
+    assert info.value.step_index == 3
+    assert info.value.iterations == MAX_ITERATIONS == 60
+
+
+def test_diverging_solve_raises_step_failure():
+    # h = 25: the iterates grow about 7-fold in exponent per evaluation, and the
+    # 7th lies beyond the Taylor program's range, 2^RANGE_BITS
     ctx = make_context(30)
     p = duffing(ctx)
     cfg = StepperConfig(method=MethodId.CLASSICAL, h=(p.x_end - p.x0) / 5)
-    with pytest.raises(StepFailureError, match="implicit solve stalled") as info:
+    with pytest.raises(StepFailureError, match="implicit solve diverged") as info:
         integrate(p, cfg, ctx)
     assert info.value.step_index == 2          # the first solved step
-    assert info.value.iterations == MAX_ITERATIONS == 60
+    assert info.value.iterations == 6
 
 
 @pytest.mark.parametrize("make, digits, divisor, startup_mode, most", [

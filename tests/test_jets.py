@@ -1,9 +1,11 @@
+import linecache
 import math
+import re
 
 import pytest
 
 from obrechkoff import DomainError, duffing, linear_forced, make_context, rational_problem
-from obrechkoff.jets import Series, TracedODE, ode_series, ops
+from obrechkoff.jets import RANGE_BITS, Series, TracedODE, ode_series, ops
 
 
 def taylor(ctx, expr, order):
@@ -161,12 +163,47 @@ def test_duffing_tangent_program_keeps_one_product_per_product(ctx50):
 
 
 def test_far_apart_and_non_finite_terms(ctx50):
-    # an exponent gap too wide to align exactly, and inf/nan inputs, take the
-    # rounded mpmath sum; the values match plain mpmath arithmetic
+    # terms far apart in magnitude are summed exactly as integers at one
+    # binary point; inf and nan cannot be, and are a DomainError
     f2 = TracedODE(lambda x, y, yp: -y - y ** 3 + 1).derivative(2)
     x, zero = ctx50.mpf("0.5"), ctx50.mpf(0)
     big = ctx50.mpf("1e5000")
     assert abs(f2(x, big, zero) / (-big - big ** 3 + 1) - 1) < ctx50.mpf(10) ** -49
     inf = ctx50.mp.inf
-    assert f2(x, inf, zero) == -inf
-    assert ctx50.mp.isnan(f2(x, ctx50.mp.nan, zero))
+    with pytest.raises(DomainError, match="finite"):
+        f2(x, inf, zero)
+    with pytest.raises(DomainError, match="finite"):
+        f2(x, ctx50.mp.nan, zero)
+    with pytest.raises(DomainError, match="finite"):
+        f2(x, ctx50.mpf(2) ** RANGE_BITS, zero)
+    assert f2(x, zero, zero) == 1            # a refused point leaves the program usable
+
+
+def test_a_missing_slope_that_f2_reads_is_a_domain_error(ctx50):
+    one, two = ctx50.mpf(1), ctx50.mpf(2)
+    with pytest.raises(DomainError, match="reads y'"):
+        TracedODE(lambda x, y, yp: -y - yp / 10).derivative(2)(one, two, None)
+    assert TracedODE(lambda x, y, yp: -y).derivative(2)(one, two, None) == -2
+
+
+def test_duffing_levels_are_integer_code(ctx50):
+    # the y and tangent levels of duffing run on ints alone: no libmp call and
+    # no term for a zero constant; only level 0 of x calls mpf_cos_sin
+    graph = duffing(ctx50).graph
+    point = (ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4"))
+    for k in (2, 4, 6):
+        graph.derivative(k)(*point)
+    graph.jacobian(*point, (2, 4, 6))
+
+    def source(label, k):
+        lines = linecache.getlines(f"<obrechkoff program duffing {label} level {k}>")
+        assert lines, (label, k)
+        return "".join(lines)
+
+    for k in range(5):
+        for label in ("y", "tangent"):
+            code = source(label, k)
+            assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), (label, k)
+            assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), (label, k)
+    assert "mpf_cos_sin(" in source("x", 0)
+    assert all("mpf_" not in source("x", k) for k in range(1, 5))
