@@ -3,10 +3,10 @@
 Every other module takes an explicit :class:`Context` so that independent
 computations at different precisions never interfere.  A context wraps an
 isolated mpmath ``MPContext``; values created by one context are ordinary
-mpmath floats bound to that context's precision.  Code that needs guard
-digits raises that precision inside ``ctx.mp.extradps(n)``, which restores it
-on exit even when an exception escapes, and rounds its results back with
-:meth:`Context.mpf`.
+mpmath floats bound to that context's precision, which no code changes.
+Code that needs guard digits works on raw ``libmp`` numbers at a higher
+binary precision (``coefficients`` at ``dps_to_prec(dps + boost)``) and
+rounds each result back once with ``ctx.mp.make_mpf``.
 """
 
 from __future__ import annotations

@@ -11,15 +11,16 @@ follows from f2 alone.  These are the Taylor-method recurrences of Jorba &
 Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 *ACM TOMS* 39, 2012).
 
-The program runs one level at a time.  Level k appends coefficient k of y
-(and of y' when f2 reads it), then of every op, in fixed point: a
-coefficient c is the Python int m with c = m 2^-P, at one binary point
-P = prec + GUARD_BITS set by the working precision prec of the point, not
-by the point.  A product is one exact integer sum of products, shifted by P
-once; a linear combination takes its constants as integer weights over
-their least exponent, one exact sum and one shift; a quotient divides one
-exact sum by b_0, and the solution divides by the integer k (k-1) or k.
-Each shift or division rounds down, so each op adds less than one unit
+The program runs one level at a time.  Level k appends coefficient k of
+every op, then those of the solution that f_k determines, y_{k+2} and (when
+f2 reads y') y'_{k+1}; ``at`` sets y_0, y_1 = y'_0 and y'_0.  It works in
+fixed point: a coefficient c is the Python int m with c = m 2^-P, at one
+binary point P = prec + GUARD_BITS set by the working precision prec of the
+point, not by the point.  A product is one exact integer sum of products,
+shifted by P once; a linear combination takes its constants as integer
+weights over their least exponent, one exact sum and one shift; a quotient
+divides one exact sum by b_0, and the solution by the integer (k+1)(k+2) or
+k+1.  Each shift or division rounds down, so each op adds less than one unit
 2^-P to the errors its inputs carry.  libmp is met only at the boundary:
 ``at`` converts x, y and y' in, level 0 of a sin/cos pair calls
 ``mpf_cos_sin`` at P bits, the x program converts the constants of
@@ -53,9 +54,10 @@ benchmark problems has b_0 = 1 + 2x >= 1).  inf, nan and numbers of
 2^RANGE_BITS or more are a DomainError, since the integers are as long as
 the numbers are large.
 The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
-df2/dy' w' from (w, w') = (1, 0) and (0, 1): the trace, differentiated once
-along each seed, compiles into a program of the same ops, closed by
-w_k = (df)_{k-2} / (k (k-1)) and filled on request over the values.
+df2/dy' w' from (w, w') = (1, 0) and (0, 1), which ``at`` sets: the trace,
+differentiated once along each seed, compiles into a program of the same
+ops, whose level k closes with w_{k+2} = (df)_k / ((k+1)(k+2)) and
+w'_{k+1} = (df)_k / (k+1), filled on request over the values.
 """
 
 from __future__ import annotations
@@ -423,29 +425,22 @@ class _SinCos:
 
 
 class _Leaf:
-    """The solution y_k = f_{k-2} / (k (k-1)) (lag 2), or its slope
-    y'_k = f_{k-1} / k (lag 1), above the initial values at the point, which
-    are ``start`` (0 or 1) where the list holds none.  Coefficient k is
-    appended only if the list does not hold it yet, since y runs ahead of the
-    levels when its own coefficients are asked for."""
+    """The coefficient of the solution that f_k determines,
+    y_{k+2} = f_k / ((k+1)(k+2)) (lag 2), or of its slope,
+    y'_{k+1} = f_k / (k+1) (lag 1); ``at`` sets those below the lag."""
 
     deg = DENSE
 
-    def __init__(self, out, f, lag, start=()):
-        self.out, self.f, self.lag, self.start = out, f, lag, start
+    def __init__(self, out, f, lag):
+        self.out, self.f, self.lag = out, f, lag
 
     def emit(self, k, name):
-        out, j = name(self.out), k - self.lag
-        if j > self.f.deg:
+        if k > self.f.deg:
             value = "0"
-        elif j >= 0:
-            div = math.perm(k, self.lag)
-            value = f"{name(self.f)}[{j}]" + (f" // {div}" if div > 1 else "")
-        elif self.start:
-            value = "(1 << P)" if self.start[k] else "0"
         else:
-            return []
-        return [f"if len({out}) == {k}: {out}.append({value})"]
+            div = math.perm(k + self.lag, self.lag)
+            value = f"{name(self.f)}[{k}]" + (f" // {div}" if div > 1 else "")
+        return [f"{name(self.out)}.append({value})"]
 
 
 #: the globals every generated level reads besides its lists and constants
@@ -498,14 +493,14 @@ def _code(source, filename):
 
 
 class _Program:
-    """Ops filled one level at a time.  The function that fills level k is
-    Python source, the ops' ``emit(k, ...)`` lines in order, generated and
-    compiled the first time that level is asked for and kept."""
+    """Ops filled one level at a time, ``filled`` levels so far.  The function
+    that fills level k is Python source, the ops' ``emit(k, ...)`` lines in
+    order, generated and compiled the first time it is asked for and kept."""
 
-    __slots__ = ("ops", "names", "label", "levels")
+    __slots__ = ("ops", "names", "label", "levels", "filled")
 
     def __init__(self, ops, names, label):
-        self.ops, self.names, self.label, self.levels = ops, names, label, {}
+        self.ops, self.names, self.label, self.levels, self.filled = ops, names, label, {}, 0
 
     def level(self, k):
         """The function P -> None that fills level k at the binary point 2^-P."""
@@ -567,19 +562,20 @@ def _compile(order, nodes, ops, lists):
 class Coefficients:
     """Coefficient k of y or of f2 at the current point of a
     :class:`TracedODE`, as ``[k]`` (an mpf) or ``raw(k)`` (a raw libmp
-    number); ``fill(k)`` puts it in place."""
+    number), in place once the program is filled through level k - lag:
+    lag 2 for y, 0 for f2."""
 
-    __slots__ = ("c", "_deg", "_fill", "_graph")
+    __slots__ = ("c", "_deg", "_lag", "_graph")
 
-    def __init__(self, graph, node, fill):
-        self.c, self._deg, self._fill, self._graph = node.v, node.deg, fill, graph
+    def __init__(self, graph, node, lag):
+        self.c, self._deg, self._lag, self._graph = node.v, node.deg, lag, graph
 
     def raw(self, k):
         """Coefficient k as a raw libmp number, rounded at the working precision."""
         if k > self._deg:
             return fzero
-        self._fill(k)
         graph = self._graph
+        graph._fill(k - self._lag)
         return from_man_exp(self.c[k], -graph._P, graph._prec, RND)
 
     def __getitem__(self, k):
@@ -612,46 +608,39 @@ class TracedODE:
         self._f = nodes[root]
         # y' itself is filled only when f2 reads it
         self._reads_yp = reads_yp = syp in order
-        self._leaves = [_Leaf(self._y, self._f, 2)] + (
-            [_Leaf(self._yp, self._f, 1)] if reads_yp else [])
-        # the variational program: per seed (w_0, w_1, w'_0), the leaves w and
-        # w' (when f2 reads y') and the ops of the tangent df of f2
-        self._df = []
+        leaves = [_Leaf(self._y, self._f, 2), _Leaf(self._yp, self._f, 1)][:1 + reads_yp]
+        # the variational program: per seed, the ops of the tangent df of f2,
+        # then the leaves w and w' (when f2 reads y'); ``at`` sets the first
+        # coefficients of each solution and its slope in ``_pairs``
+        self._pairs, self._df = [(self._y, self._yp)], []
         preferred = [(self._x, "x"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
-        for seed in ((1, 0, 0), (0, 1, 1)):
+        for n in (1, 2):
             w, wp = Series("var"), Series("var")
             droot = _tangent(order, {sy: w, syp: wp})
             if droot is None:
                 break
             nodes[w], nodes[wp] = _Node(DENSE), _Node(DENSE)
-            ops = []
-            _compile(_postorder(droot), nodes, (self._x_ops, ops), (self._x_lists, self._y_lists))
+            _compile(_postorder(droot), nodes, (self._x_ops, self._d_ops),
+                     (self._x_lists, self._y_lists))
             df = nodes[droot]
-            leaves = [_Leaf(nodes[w], df, 2, seed[:2]), _Leaf(nodes[wp], df, 1, seed[2:])]
-            leaves = leaves[:1 + reads_yp]
-            self._d_ops += leaves + ops
-            self._y_lists += [leaf.out.v for leaf in leaves]
+            self._d_ops += [_Leaf(nodes[w], df, 2), _Leaf(nodes[wp], df, 1)][:1 + reads_yp]
+            self._pairs.append((nodes[w], nodes[wp]))
             self._df.append(df)
-            preferred += [(nodes[w], f"w{len(self._df)}"), (nodes[wp], f"wp{len(self._df)}"),
-                          (df, f"df{len(self._df)}")]
+            preferred += [(nodes[w], f"w{n}"), (nodes[wp], f"wp{n}"), (df, f"df{n}")]
         # the code of each level is generated when the level is first filled
         names = _Names(preferred)
-        self._x_program = _Program(self._x_ops, names, f"{name} x")
-        self._y_program = _Program(self._leaves + self._y_ops, names, f"{name} y")
-        self._d_program = _Program(self._d_ops, names, f"{name} tangent")
-        self._solution = _Program(self._leaves[:1], names, f"{name} solution")
-        self.y = Coefficients(self, self._y, self._fill_solution)
-        self.f = Coefficients(self, self._f, self._fill)
+        self._programs = (_Program(self._x_ops, names, f"{name} x"),
+                          _Program(self._y_ops + leaves, names, f"{name} y"),
+                          _Program(self._d_ops, names, f"{name} tangent"))
+        self.y = Coefficients(self, self._y, 2)
+        self.f = Coefficients(self, self._f, 0)
         self._point, self._prec, self._P, self._make = (None, None, None), None, None, None
-        self._scales = {}           # orders -> their (k - 2)!, for jacobian
-        self._levels = self._x_levels = self._d_levels = 0
 
     def _reset(self, on_x):
         for c in self._y_lists + (self._x_lists if on_x else []):
             c.clear()
-        if on_x:
-            self._x_levels = 0
-        self._levels = self._d_levels = 0
+        for program in self._programs[not on_x:]:
+            program.filled = 0
 
     def at(self, x, y, yp):
         """Centre the program at (x, y, y'), keeping what that point leaves valid.
@@ -680,41 +669,26 @@ class TracedODE:
             self._prec, self._P, self._make = ctx.prec, P, ctx.make_mpf
         self._reset(on_x=new_x)
         self._point = (x, y, yp)
-        self._y.v[:], self._yp.v[:] = [y0, yp0], [yp0]
+        one = 1 << P
+        for (u, up), (u0, up0) in zip(self._pairs, ((y0, yp0), (one, 0), (0, one))):
+            u.v[:], up.v[:] = [u0, up0], [up0]
 
-    def _fill(self, n):
-        """Fill the values of every op through level n."""
-        k = self._levels
-        if k > n:
+    def _fill(self, n, tangents=False):
+        """Fill x, then y, then with ``tangents`` the variational program,
+        through level n.  Levels -2 and -1 are y_0 and y_1 = y'_0, set by ``at``;
+        without y', a fill through level -1 or above 0, or of the partials,
+        is a DomainError that leaves the program as it was."""
+        if self._point[2] is None and (n == -1 or n > 0 or tangents):
+            raise DomainError("the point has no y', which y_1, levels above 0 and partials read")
+        if self._programs[1 + tangents].filled > n:
             return
         P = self._P
         try:
-            while k <= n:
-                if self._x_levels <= k:
-                    self._x_program.level(k)(P)
-                    self._x_levels = k + 1
-                self._y_program.level(k)(P)
-                k = self._levels = k + 1
+            for program in self._programs[:2 + tangents]:
+                for k in range(program.filled, n + 1):
+                    program.level(k)(P)
+                    program.filled = k + 1
         except BaseException:       # a fill that raised leaves no point and no coefficient
-            self._point = (None, None, None)
-            self._reset(on_x=True)
-            raise
-
-    def _fill_solution(self, k):
-        """Fill y through coefficient k, which needs f through k - 2."""
-        self._fill(k - 2)
-        for j in range(len(self._y.v), k + 1):
-            self._solution.level(j)(self._P)
-
-    def _fill_tangents(self, n):
-        """Fill the variational program through level n, after the values it reads."""
-        self._fill(n)
-        P = self._P
-        try:
-            for k in range(self._d_levels, n + 1):
-                self._d_program.level(k)(P)
-                self._d_levels = k + 1
-        except BaseException:
             self._point = (None, None, None)
             self._reset(on_x=True)
             raise
@@ -740,14 +714,10 @@ class TracedODE:
         self.at(x, y, yp)
         if not self._df:
             return [(0, 0) for _ in orders]
-        self._fill_tangents(max(orders) - 2)
+        self._fill(max(orders) - 2, tangents=True)
         make, P, prec = self._make, self._P, self._prec
-        orders = tuple(orders)
-        scales = self._scales.get(orders)
-        if scales is None:
-            scales = self._scales[orders] = [math.factorial(k - 2) for k in orders]
-        return [tuple(make(from_man_exp(df.v[k - 2] * s, -P, prec, RND)) for df in self._df)
-                for k, s in zip(orders, scales)]
+        return [tuple(make(from_man_exp(df.v[k - 2] * math.factorial(k - 2), -P, prec, RND))
+                      for df in self._df) for k in orders]
 
 
 def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:

@@ -126,6 +126,30 @@ def test_dual_jacobian_matches_central_differences(case, digits):
             assert abs(dyp - fd_yp) <= tol * scale, (k, point, "y'")
 
 
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("case", sorted(JACOBIAN_CASES))
+def test_values_do_not_depend_on_the_order_they_are_asked_for(case, digits):
+    # y_0..y_14, f_0..f_12 and the partials at one point, bit for bit the same
+    # whether y (from the top down), f (from the bottom up) or the partials
+    # are asked for first
+    ctx = make_context(digits)
+    point = tuple(map(ctx.real, ("0.7", "0.3", "-0.4")))
+
+    def values(order):
+        graph = JACOBIAN_CASES[case](ctx)
+        graph.at(*point)
+        reads = {"y": lambda: [graph.y.raw(k) for k in range(14, -1, -1)][::-1],
+                 "f": lambda: [graph.f.raw(k) for k in range(13)],
+                 "jacobian": lambda: [getattr(p, "_mpf_", p) for pair in
+                                      graph.jacobian(*point, (2, 4, 6, 8, 10, 12, 14))
+                                      for p in pair]}
+        return {name: reads[name]() for name in order}
+
+    first = values(("y", "f", "jacobian"))
+    assert values(("f", "y", "jacobian")) == first
+    assert values(("jacobian", "y", "f")) == first
+
+
 @pytest.mark.parametrize("f2", [lambda x, y, yp: 3, lambda x, y, yp: ops.sin(x)],
                          ids=["constant", "sin-of-x"])
 def test_partials_of_an_f2_free_of_y_are_zero(ctx50, f2):
@@ -157,7 +181,7 @@ def test_duffing_tangent_program_keeps_one_product_per_product(ctx50):
     # products, rounded once, and d f2 one combination; f2 ignores y', so
     # only the leaf w closes each channel
     program = duffing(ctx50).graph._d_ops
-    assert [type(op).__name__ for op in program] == ["_Leaf", "_Mul", "_Mul", "_Lin"] * 2
+    assert [type(op).__name__ for op in program] == ["_Mul", "_Mul", "_Lin", "_Leaf"] * 2
     assert [len(op.pairs) for op in program if type(op).__name__ == "_Mul"] == [2] * 4
     assert [op.lag for op in program if type(op).__name__ == "_Leaf"] == [2, 2]
 
@@ -184,6 +208,16 @@ def test_a_missing_slope_that_f2_reads_is_a_domain_error(ctx50):
     with pytest.raises(DomainError, match="reads y'"):
         TracedODE(lambda x, y, yp: -y - yp / 10).derivative(2)(one, two, None)
     assert TracedODE(lambda x, y, yp: -y).derivative(2)(one, two, None) == -2
+    # f2 itself does without y', but y_1 = y'_0, every level above 0 and the
+    # partials read it; a refused read leaves the program usable
+    graph = TracedODE(lambda x, y, yp: -y * y)
+    assert graph.derivative(2)(one, two, None) == -4
+    for read in (lambda: graph.derivative(3)(one, two, None), lambda: graph.y.raw(1),
+                 lambda: graph.jacobian(one, two, None, (2, 4, 6))):
+        with pytest.raises(DomainError, match="no y'"):
+            read()
+    assert graph.y[2] == -2
+    assert graph.derivative(3)(one, two, ctx50.mpf(3)) == -12
 
 
 def test_duffing_levels_are_integer_code(ctx50):
@@ -205,5 +239,6 @@ def test_duffing_levels_are_integer_code(ctx50):
             code = source(label, k)
             assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), (label, k)
             assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), (label, k)
+        assert all("if len(" not in source(label, k) for label in ("x", "y", "tangent"))
     assert "mpf_cos_sin(" in source("x", 0)
     assert all("mpf_" not in source("x", k) for k in range(1, 5))

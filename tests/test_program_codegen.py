@@ -77,11 +77,9 @@ def sincos_value(op, k, prec):
 
 
 def leaf_value(op, k, prec):
-    c, fc, f, lag = op.out.v, op.f.v, op.f, op.lag
-    for j in range(len(c), k + 1):
-        c.append((fzero, fone)[op.start[j]] if j < lag else
-                 mpf_div(fc[j - lag] if j - lag <= f.deg else fzero,
-                         from_int(math.perm(j, lag)), prec, RND))
+    f, lag = op.f, op.lag
+    op.out.v.append(mpf_div(f.v[k] if k <= f.deg else fzero, from_int(math.perm(k + lag, lag)),
+                            prec, RND))
 
 
 VALUE = {_Lin: lin_value, _Poly: poly_value, _Mul: mul_value, _Div: div_value,
@@ -98,7 +96,7 @@ class RawCoefficients(Coefficients):
     def raw(self, k):
         if k > self._deg:
             return fzero
-        self._fill(k)
+        self._graph._fill(k - self._lag)
         return self.c[k]
 
 
@@ -121,42 +119,20 @@ class InterpretedODE(TracedODE):
             self._reset(on_x=False)
         self._point = (x, y, yp)
         yp = None if yp is None else _raw(yp)
-        self._y.v[:], self._yp.v[:] = [_raw(y), yp], [yp]
+        for (u, up), (u0, up0) in zip(self._pairs, ((_raw(y), yp), (fone, fzero), (fzero, fone))):
+            u.v[:], up.v[:] = [u0, up0], [up0]
 
-    def _fill(self, n):
-        k = self._levels
-        if k > n:
+    def _fill(self, n, tangents=False):
+        if self._programs[1 + tangents].filled > n:
             return
         prec = self._prec + self.extra
         try:
-            while k <= n:
-                for leaf in self._leaves:
-                    value(leaf, k, prec)
-                if self._x_levels <= k:
-                    for op in self._x_ops:
+            for program in self._programs[:2 + tangents]:
+                for k in range(program.filled, n + 1):
+                    for op in program.ops:
                         if k <= op.deg:
                             value(op, k, prec)
-                    self._x_levels = k + 1
-                for op in self._y_ops:
-                    value(op, k, prec)
-                k = self._levels = k + 1
-        except BaseException:
-            self._point = (None, None, None)
-            self._reset(on_x=True)
-            raise
-
-    def _fill_solution(self, k):
-        self._fill(k - 2)
-        value(self._leaves[0], k, self._prec + self.extra)
-
-    def _fill_tangents(self, n):
-        self._fill(n)
-        prec = self._prec + self.extra
-        try:
-            for k in range(self._d_levels, n + 1):
-                for op in self._d_ops:
-                    value(op, k, prec)
-                self._d_levels = k + 1
+                    program.filled = k + 1
         except BaseException:
             self._point = (None, None, None)
             self._reset(on_x=True)
@@ -180,7 +156,7 @@ class InterpretedODE(TracedODE):
         self.at(x, y, yp)
         if not self._df:
             return [(0, 0) for _ in orders]
-        self._fill_tangents(max(orders) - 2)
+        self._fill(max(orders) - 2, tangents=True)
         return [tuple(self._scaled(df.v[k - 2], k) for df in self._df) for k in orders]
 
 
@@ -188,8 +164,8 @@ def interpreted(graph, extra=0):
     """``graph``, filled from now on by the interpreted level loop."""
     graph.__class__ = InterpretedODE
     graph.extra = extra
-    graph.y = RawCoefficients(graph, graph._y, graph._fill_solution)
-    graph.f = RawCoefficients(graph, graph._f, graph._fill)
+    graph.y = RawCoefficients(graph, graph._y, 2)
+    graph.f = RawCoefficients(graph, graph._f, 0)
     return graph
 
 
@@ -215,7 +191,7 @@ def _tangents(graph):
 
 def _raw_program(graph, ctx, point, y_first):
     """(value, s) for raw y_0..y_14 and f_0..f_12 at ``point``, asked for in
-    one of two orders (y running ahead of the levels, or behind them), then
+    one of two orders (y first, or f first), then
     for the partials of f2, f4, f6 and the raw tangents df_0..df_4."""
     graph.at(*map(ctx.real, point))
     ys = lambda: [graph.y.raw(k) for k in range(15)]
@@ -304,7 +280,7 @@ def test_a_fill_that_raises_resets_the_program(which, through, digits):
             graph.jacobian(*bad, (2, 4, 6))
     assert graph._point == (None, None, None)
     assert not any(graph._x_lists + graph._y_lists)
-    assert graph._levels == graph._x_levels == graph._d_levels == 0
+    assert [program.filled for program in graph._programs] == [0, 0, 0]
     next_point = tuple(map(str, (good[0] + 1, good[1] / 3, good[2])))
     assert_within_bound(_raw_program(graph, ctx, next_point, True),
                         _raw_program(oracle, ctx, next_point, True), ctx.mp.prec)
