@@ -57,7 +57,9 @@ The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
 df2/dy' w' from (w, w') = (1, 0) and (0, 1), which ``at`` sets: the trace,
 differentiated once along each seed, compiles into a program of the same
 ops, whose level k closes with w_{k+2} = (df)_k / ((k+1)(k+2)) and
-w'_{k+1} = (df)_k / (k+1), filled on request over the values.
+w'_{k+1} = (df)_k / (k+1), filled on request over the values.  The seeds
+that are 0 (w_1 = w'_0 = 0 along y, w_0 = 0 along y'), and the coefficients
+that only they feed, are left out of the generated sums.
 """
 
 from __future__ import annotations
@@ -87,6 +89,10 @@ GUARD_BITS = 40
 #: the Taylor program takes numbers below 2^RANGE_BITS in magnitude: its
 #: integers are as long as the numbers are large
 RANGE_BITS = 1 << 16
+
+#: the seeds (w_0, w'_0) of the variational program, in units of 2^P: the
+#: partials along y and along y'
+_SEEDS = ((1, 0), (0, 1))
 
 
 class Series:
@@ -303,6 +309,14 @@ def _fixed(v, P):
     return m << e if e >= 0 else m >> -e
 
 
+def _integer_weights(values):
+    """(s, weights): the raw numbers ``values`` as integers over 2^-s, -s
+    being their least exponent below 0 (s = 0 when none is)."""
+    signed = [_signed(r) for r in values]
+    s = -min((e for m, e in signed if e < 0), default=0)
+    return s, [m << e + s for m, e in signed]
+
+
 def _sum(terms):
     """Python source for the sum of the source terms ``terms``, 0 for none."""
     return " + ".join(terms).replace("+ -", "- ") or "0"
@@ -313,18 +327,34 @@ def _times(w, ref):
     return ref if w == 1 else f"-{ref}" if w == -1 else f"{w} * {ref}"
 
 
+def _ref(node, k, name):
+    """Source for coefficient k of ``node``, None where it is known to be 0."""
+    return None if k > node.deg or k in node.zero else f"{name(node)}[{k}]"
+
+
 def _conv(a, b, lo, hi, k, name):
-    """Source for the factors (a_j, b_{k-j}), j = lo..hi, of a convolution sum."""
-    return [(f"{name(a)}[{j}]", f"{name(b)}[{k - j}]") for j in range(lo, hi + 1)]
+    """Source for the factors (a_j, b_{k-j}), j = lo..hi, of a convolution sum,
+    leaving out the pairs with a factor known to be 0."""
+    return [(f"{name(a)}[{j}]", f"{name(b)}[{k - j}]") for j in range(lo, hi + 1)
+            if j not in a.zero and k - j not in b.zero]
+
+
+def _append(out, k, value, name):
+    """Source that appends ``value`` as coefficient k of ``out``; "0" marks the
+    coefficient as known to be 0, for the ops that read it to leave out."""
+    if value == "0":
+        out.zero.add(k)
+    return f"{name(out)}.append({value})"
 
 
 class _Node:
-    """The coefficient list ``v`` of one compiled node, and its degree."""
+    """The coefficient list ``v`` of one compiled node, its degree, and the
+    indices ``zero`` of the coefficients that are 0 at every point."""
 
-    __slots__ = ("v", "deg")
+    __slots__ = ("v", "deg", "zero")
 
-    def __init__(self, deg):
-        self.v, self.deg = [], deg
+    def __init__(self, deg, zero=()):
+        self.v, self.deg, self.zero = [], deg, set(zero)
 
 
 # ops: emit(k, name) returns the source lines that append coefficient k of
@@ -342,7 +372,7 @@ class _Poly:
 
     def emit(self, k, name):
         value = f"_fixed({name(self.data[k])}, P)" if self.data[k][1] else "0"
-        return [f"{name(self.out)}.append({value})"]
+        return [_append(self.out, k, value, name)]
 
 
 class _Lin:
@@ -353,13 +383,12 @@ class _Lin:
     def __init__(self, out, c, a, nodes):
         self.out, self.deg, self.nodes = out, out.deg, nodes
         self.a, self.c = [_raw(x) for x in a], _raw(c)
-        signed = [_signed(r) for r in self.a + [self.c]]
-        self.s = -min((e for m, e in signed if e < 0), default=0)
+        self.s, weights = _integer_weights(self.a + [self.c])
         # (weight, whether it is over 2^-s), per node and for c
-        self.w = [(m << e, False) if e >= 0 else (m << e + self.s, True) for m, e in signed]
+        self.w = [(w, True) if w % (1 << self.s) else (w >> self.s, False) for w in weights]
 
     def emit(self, k, name):
-        refs = [f"{name(n)}[{k}]" if k <= n.deg else None for n in self.nodes]
+        refs = [_ref(n, k, name) for n in self.nodes]
         refs.append("(1 << P)" if k == 0 else None)
         terms = {False: [], True: []}
         for (w, shifted), ref in zip(self.w, refs):
@@ -367,7 +396,7 @@ class _Lin:
                 terms[shifted].append(_times(w, ref))
         if terms[True]:
             terms[False].append(f"(({_sum(terms[True])}) >> {self.s})")
-        return [f"{name(self.out)}.append({_sum(terms[False])})"]
+        return [_append(self.out, k, _sum(terms[False]), name)]
 
 
 class _Mul:
@@ -384,7 +413,7 @@ class _Mul:
             tuple(sorted(t)) for a, b in self.pairs
             for t in _conv(a, b, max(0, k - b.deg), min(k, a.deg), k, name))
         terms = [_times(n, " * ".join(t)) for t, n in counts.items()]
-        return [f"{name(self.out)}.append(({_sum(terms)}) >> P)"]
+        return [_append(self.out, k, f"({_sum(terms)}) >> P" if terms else "0", name)]
 
 
 class _Div:
@@ -394,11 +423,11 @@ class _Div:
         self.out, self.deg, self.a, self.b = out, out.deg, a, b
 
     def emit(self, k, name):
-        q, b = name(self.out), name(self.b)
-        terms = [f"({name(self.a)}[{k}] << P)"] if k <= self.a.deg else []
+        b, a = name(self.b), _ref(self.a, k, name)
+        terms = [f"({a} << P)"] if a else []
         terms += [f"-{qj} * {bj}"
                   for qj, bj in _conv(self.out, self.b, max(0, k - self.b.deg), k - 1, k, name)]
-        lines = [f"{q}.append(({_sum(terms)}) // {b}[0])"]
+        lines = [_append(self.out, k, f"({_sum(terms)}) // {b}[0]" if terms else "0", name)]
         if k == 0:
             lines.insert(0, f"if not {b}[0]: raise DomainError("
                             "'series division by a series with zero constant term')")
@@ -435,12 +464,10 @@ class _Leaf:
         self.out, self.f, self.lag = out, f, lag
 
     def emit(self, k, name):
-        if k > self.f.deg:
-            value = "0"
-        else:
-            div = math.perm(k + self.lag, self.lag)
-            value = f"{name(self.f)}[{k}]" + (f" // {div}" if div > 1 else "")
-        return [f"{name(self.out)}.append({value})"]
+        value, div = _ref(self.f, k, name), math.perm(k + self.lag, self.lag)
+        if value and div > 1:
+            value += f" // {div}"
+        return [_append(self.out, k + self.lag, value or "0", name)]
 
 
 #: the globals every generated level reads besides its lists and constants
@@ -561,22 +588,24 @@ def _compile(order, nodes, ops, lists):
 
 class Coefficients:
     """Coefficient k of y or of f2 at the current point of a
-    :class:`TracedODE`, as ``[k]`` (an mpf) or ``raw(k)`` (a raw libmp
-    number), in place once the program is filled through level k - lag:
-    lag 2 for y, 0 for f2."""
+    :class:`TracedODE`, as ``[k]`` (an mpf), ``raw(k)`` (a raw libmp number)
+    or ``fixed(k)`` (the int m of m 2^-P), in place once the program is
+    filled through level k - lag: lag 2 for y, 0 for f2."""
 
     __slots__ = ("c", "_deg", "_lag", "_graph")
 
     def __init__(self, graph, node, lag):
         self.c, self._deg, self._lag, self._graph = node.v, node.deg, lag, graph
 
+    def fixed(self, k):
+        """Coefficient k as an int at the program's binary point 2^-P."""
+        self._graph._fill(min(k, self._deg) - self._lag)
+        return self.c[k] if k <= self._deg else 0
+
     def raw(self, k):
         """Coefficient k as a raw libmp number, rounded at the working precision."""
-        if k > self._deg:
-            return fzero
         graph = self._graph
-        graph._fill(k - self._lag)
-        return from_man_exp(self.c[k], -graph._P, graph._prec, RND)
+        return from_man_exp(self.fixed(k), -graph._P, graph._prec, RND)
 
     def __getitem__(self, k):
         return self._graph._make(self.raw(k))
@@ -614,12 +643,13 @@ class TracedODE:
         # coefficients of each solution and its slope in ``_pairs``
         self._pairs, self._df = [(self._y, self._yp)], []
         preferred = [(self._x, "x"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
-        for n in (1, 2):
+        for n, (w0, wp0) in enumerate(_SEEDS, 1):
             w, wp = Series("var"), Series("var")
             droot = _tangent(order, {sy: w, syp: wp})
             if droot is None:
                 break
-            nodes[w], nodes[wp] = _Node(DENSE), _Node(DENSE)
+            nodes[w] = _Node(DENSE, [i for i, c in enumerate((w0, wp0)) if not c])
+            nodes[wp] = _Node(DENSE, [0] if not wp0 else [])
             _compile(_postorder(droot), nodes, (self._x_ops, self._d_ops),
                      (self._x_lists, self._y_lists))
             df = nodes[droot]
@@ -669,15 +699,18 @@ class TracedODE:
             self._prec, self._P, self._make = ctx.prec, P, ctx.make_mpf
         self._reset(on_x=new_x)
         self._point = (x, y, yp)
-        one = 1 << P
-        for (u, up), (u0, up0) in zip(self._pairs, ((y0, yp0), (one, 0), (0, one))):
+        seeds = [(y0, yp0)] + [(w0 << P, wp0 << P) for w0, wp0 in _SEEDS]
+        for (u, up), (u0, up0) in zip(self._pairs, seeds):
             u.v[:], up.v[:] = [u0, up0], [up0]
 
     def _fill(self, n, tangents=False):
         """Fill x, then y, then with ``tangents`` the variational program,
         through level n.  Levels -2 and -1 are y_0 and y_1 = y'_0, set by ``at``;
         without y', a fill through level -1 or above 0, or of the partials,
-        is a DomainError that leaves the program as it was."""
+        is a DomainError that leaves the program as it was, as is any read
+        before the first ``at``."""
+        if self._point[1] is None:
+            raise DomainError("the program has no point: call at(x, y, y') before reading it")
         if self._point[2] is None and (n == -1 or n > 0 or tangents):
             raise DomainError("the point has no y', which y_1, levels above 0 and partials read")
         if self._programs[1 + tangents].filled > n:

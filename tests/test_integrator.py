@@ -320,6 +320,20 @@ def test_infinite_phi_fails_at_the_step_that_formed_it(ctx50, last_node, step_in
     assert info.value.step_index == step_index
 
 
+@pytest.mark.parametrize("from_x, step_index", [(-1, 2), (1, 16)])
+def test_a_closure_value_beyond_range_is_a_diverged_solve(ctx50, from_x, step_index):
+    # 2^70000 is finite but beyond the Taylor program's range, 2^RANGE_BITS: at
+    # the old nodes (from x0 on) or at the first iterate past x = 1
+    p = linear_forced(ctx50)
+    huge, f4 = ctx50.mpf(2) ** 70000, p.f4
+    p = dataclasses.replace(p, f4=lambda x, y, yp: huge if x > from_x else f4(x, y, yp))
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=(p.x_end - p.x0) / 500)
+    with pytest.raises(StepFailureError, match="implicit solve diverged") as info:
+        integrate(p, cfg, ctx50)
+    assert info.value.step_index == step_index
+    assert info.value.iterations == 1
+
+
 @pytest.mark.parametrize("name, closure, triples", [
     ("f6", lambda x, y, yp: 0, 196),
     ("f4", lambda x, y, yp: float(10000 * y), 189)])

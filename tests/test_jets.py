@@ -220,9 +220,17 @@ def test_a_missing_slope_that_f2_reads_is_a_domain_error(ctx50):
     assert graph.derivative(3)(one, two, ctx50.mpf(3)) == -12
 
 
+def test_a_read_before_any_point_is_a_domain_error():
+    graph = TracedODE(lambda x, y, yp: -y)
+    for read in (lambda: graph.y.raw(0), lambda: graph.f.raw(0), lambda: graph.y[3]):
+        with pytest.raises(DomainError, match=r"no point: call at\(x, y, y'\)"):
+            read()
+
+
 def test_duffing_levels_are_integer_code(ctx50):
     # the y and tangent levels of duffing run on ints alone: no libmp call and
-    # no term for a zero constant; only level 0 of x calls mpf_cos_sin
+    # no term for a zero constant or a zero seed; only level 0 of x calls
+    # mpf_cos_sin
     graph = duffing(ctx50).graph
     point = (ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4"))
     for k in (2, 4, 6):
@@ -239,6 +247,8 @@ def test_duffing_levels_are_integer_code(ctx50):
             code = source(label, k)
             assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), (label, k)
             assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), (label, k)
+        # the seeds w1_1 = 0 and w2_0 = 0 that ``at`` sets are left out
+        assert not re.search(r"w1\[1\]|w2\[0\]", source("tangent", k)), k
         assert all("if len(" not in source(label, k) for label in ("x", "y", "tangent"))
     assert "mpf_cos_sin(" in source("x", 0)
     assert all("mpf_" not in source("x", k) for k in range(1, 5))

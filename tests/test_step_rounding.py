@@ -1,10 +1,14 @@
-"""The step's raw-number arithmetic against the same step written with mpf operators.
+"""The step's integer arithmetic against the same step written with mpf operators.
 
 ``reference_step`` forms every weighted sum with ``mp.fdot``, the predictor
-with ``mp.polyval`` and everything else with the mpf operators, in the order
-``integrator.step`` rounds them.  Both must agree bit for bit, so an edit that
-moves, drops or adds a rounding in ``step`` shows here.
+with ``mp.polyval`` and everything else with the mpf operators.  From the same
+state, ``integrator.step`` must take as many evaluations as the reference at
+the working precision and as the reference at 20 more digits, and land within
+2^(3 - prec) max(|c|, 1) of the wider run's y_{n+1} and y'_{n+1} = c: the
+bound that the ``integrator`` docstring states.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -80,9 +84,19 @@ def reference_step(state, weights, problem, ctx):
     raise StepFailureError("stalled", step_index=n + 1, iterations=MAX_ITERATIONS)
 
 
-def bits(state):
-    return (state.y_curr._mpf_, state.yp_curr._mpf_,
-            tuple(f._mpf_ for f in state.f_curr), state.iterations)
+def widened(state, weights, ctx):
+    """The state and weights as numbers of ``ctx``: the same values, which
+    the reference then works on at a wider precision.  It reads only h, tol,
+    end and mid of the weights."""
+    wide = [ctx.mpf(v) for v in (state.x0, state.x_n, state.y_prev, state.y_curr,
+                                 state.yp_prev, state.yp_curr)]
+    f_old = [f and tuple(ctx.mpf(v) for v in f) for f in (state.f_prev, state.f_curr)]
+    rows = [tuple(tuple(ctx.mpf(w) for w in row) for row in rows)
+            for rows in (weights.end, weights.mid)]
+    return (StepState(state.index, *wide, iterations=state.iterations,
+                      f_prev=f_old[0], f_curr=f_old[1]),
+            SimpleNamespace(h=ctx.mpf(weights.h), tol=ctx.mpf(weights.tol),
+                            end=rows[0], mid=rows[1]))
 
 
 @pytest.mark.parametrize("make, digits, method, startup_mode, divisor", [
@@ -93,7 +107,7 @@ def bits(state):
     (rational_problem, 50, MethodId.CLASSICAL, "exact", 500),
 ])
 def test_step_rounds_as_the_mpf_reference(make, digits, method, startup_mode, divisor):
-    ctx = make_context(digits)
+    ctx, wide = make_context(digits), make_context(digits + 20)
     p = make(ctx)
     omega = 0 if method is MethodId.CLASSICAL else p.default_omega
     cfg = StepperConfig(method=method, h=(p.x_end - p.x0) / divisor, omega=omega,
@@ -104,8 +118,12 @@ def test_step_rounds_as_the_mpf_reference(make, digits, method, startup_mode, di
     x0 = ctx.mpf(p.x0)
     state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
                       yp_prev=yp0, yp_curr=yp1)
+    unit = wide.mpf(2) ** (3 - ctx.mp.prec)
     for _ in range(STEPS):
         expected = reference_step(state, weights, p, ctx)
+        exact = reference_step(*widened(state, weights, wide), p, wide)
         state = step(state, weights, p, ctx)
-        assert bits(state) == bits(expected), state.index
+        assert state.iterations == expected.iterations == exact.iterations, state.index
+        for got, c in ((state.y_curr, exact.y_curr), (state.yp_curr, exact.yp_curr)):
+            assert abs(wide.mpf(got) - c) <= unit * max(abs(c), 1), state.index
     assert state.index == STEPS + 1
