@@ -13,33 +13,37 @@ through v^2 and cos(r v), so they are even functions of v and tend to the
 classical values as v -> 0.  There is one evaluation path: the closed forms,
 at every v with v^2 >= 10^-digits.  Their numerators cancel to orders
 v^12 .. v^24 at the origin, so they run at the caller's precision raised by
-the digits that cancellation costs, and round back once.  Each of their trig
-polynomials is a table of integer weights, one row per power of v^2, over
-products of cos v, cos 2v and cos 3v: a row is one exactly summed dot product
-on raw ``libmp`` numbers (``jets._fdot``), and Horner's rule in v^2 combines
-the rows.  Next to a pole, where a denominator loses more digits than the
-boost holds, the boost is raised by those digits and the weights evaluated
-again.  A denominator below 10^(5 - digits) of its scale raises
-SingularParameterError.  Below v^2 = 10^-digits the fitted weights equal the
-classical ones to working precision.  The rational Taylor tables are exact
-validation data for the closed forms; evaluation never uses them.
+the digits that cancellation costs (for PL'' above |v| = 1 also the
+2 log10 |v| digits that its beta30 and beta31, falling like v^-2, lose to
+absolute errors), and round back once.  They run on Python integers at one
+binary point 2^-P, P = dps_to_prec(digits + boost), as the Taylor program in
+``jets`` does; libmp is met only where |v| and each cosine (``mpf_cos``)
+come in and where the weights are rounded out to nearest.  Each trig
+polynomial is a table of integer weights, one row per power of v^2, over
+products of cos v, cos 2v and cos 3v: a row is one exact integer dot
+product, Horner's rule in v^2 combines the rows, and each product or
+quotient shifts or floor-divides once.  Next to a pole, where a denominator
+keeps fewer than 3 digits beyond the working precision, the boost is raised
+by the digits it lost and the weights evaluated again.  A denominator below 10^(5 - digits) of its
+scale raises SingularParameterError; that test is one exact integer
+comparison.  Below v^2 = 10^-digits the fitted weights equal the classical
+ones to working precision.  The rational Taylor tables are exact validation
+data for the closed forms; evaluation never uses them.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
+from operator import mul
 
-from mpmath.libmp import (dps_to_prec, fone, from_int, mpf_abs, mpf_add, mpf_cmp, mpf_cos,
-                          mpf_div, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
-                          mpf_shift, mpf_sub)
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_cos
 
 from .context import Context
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .jets import RND, _fdot
+from .jets import RANGE_BITS, RND, _fixed, _raw, in_range
 
 
 class MethodId(enum.Enum):
@@ -259,22 +263,12 @@ _PL2_PQR = (
      (0, 0, 32, -32, -64, 0, 0, 0, 0),
      (0, -1440, 480, 0, -64, 720, -720, -23040, 23040)),
 )
-
-
-def _raw_rows(table):
-    return tuple(tuple(from_int(w) for w in row) for row in table)
-
-
-_PL1_DEN_RAW, _PL2_NUM_RAW, _PL2_DEN_RAW = map(_raw_rows, (_PL1_DEN, _PL2_NUM, _PL2_DEN))
-_PL1_NUM_RAW = tuple(map(_raw_rows, _PL1_NUM))
-_PL2_PQR_RAW = tuple(map(_raw_rows, _PL2_PQR))
-_PQR_DIVISORS = tuple(map(from_int, (24, 2, 720)))
-_TEN, _TWELVE, _THREE_SIXTY = map(from_int, (10, 12, 360))
-_PL1_SCALE0, _PL2_SCALE0 = from_int(15120 + 15120), from_int(240 * 8)
-_BY_VALUE = functools.cmp_to_key(mpf_cmp)
-# the pole floor of each denominator shrinks like min(1, |v|)^k
+_PQR_DIVISORS = (24, 2, 720)
+# digits a denominator keeps beyond the working precision: with fewer, the
+# last bit of a weight next to a pole can come out wrong
+_SPARE_DIGITS = 3
+# the pole floor of each denominator shrinks like min(1, |v|)^k, k even
 _VANISH_ORDER = {MethodId.PL_PRIME: 10, MethodId.PL_DOUBLE_PRIME: 18}
-_LOG2_10 = math.log2(10)
 
 
 def classical_coefficients(ctx: Context) -> CoefficientSet:
@@ -283,85 +277,91 @@ def classical_coefficients(ctx: Context) -> CoefficientSet:
     return CoefficientSet(v=ctx.mpf(0), **vals)
 
 
-def _boost_digits(method: MethodId, v_abs: float) -> int:
-    order = _CANCEL_ORDER[method]
-    lost = order * math.log10(1.0 / min(max(v_abs, 1e-300), 0.5)) if v_abs < 0.5 else 0.0
+def _boost_digits(method: MethodId, v) -> int:
+    """Guard digits for the closed forms at v, a float or an mpf: the
+    cancellation depth below |v| = 0.5, and for PL'' above |v| = 1 the digits
+    that its beta30 and beta31, which fall like v^-2, lose to absolute errors.
+    log10 |v| is read off the mantissa and exponent, so v may lie outside the
+    float range."""
+    _, man, exp, _ = _raw(v)
+    log_v = math.log10(man) + exp * math.log10(2) if man else 0.0  # v = 0 fails the pole test
+    if log_v < math.log10(0.5):
+        lost = -_CANCEL_ORDER[method] * log_v
+    elif log_v > 0 and method is MethodId.PL_DOUBLE_PRIME:
+        lost = 2 * log_v
+    else:
+        lost = 0.0
     return int(math.ceil(lost)) + _GUARD_DIGITS[method]
 
 
-def _horner(rows, basis_v2, prec):
-    """sum_k v^(2k) (row_k . basis) from raw rows; ``basis_v2`` is the basis
-    followed by v^2.  Each step, row_k . basis + acc v^2, is one dot product
-    rounded once; the top row's dot stops short of v^2 with the row."""
-    acc = _fdot(rows[-1], basis_v2, prec)
-    for row in rows[-2::-1]:
-        acc = _fdot(row + (acc,), basis_v2, prec)
+def _horner(rows, basis, v2, P):
+    """sum_k v^(2k) (row_k . basis) at 2^-P, from the basis at 2^-P and v2 =
+    v^2 at 2^-2P: each row is one exact dot product, and each product of the
+    sum so far with v^2 one shift."""
+    acc = 0
+    for row in reversed(rows):
+        acc = sum(map(mul, row, basis)) + (acc * v2 >> 2 * P)
     return acc
 
 
-def _log2(x):
-    """log2 |x| of a raw number: -inf for 0, nan for inf and nan."""
-    _, man, exp, _ = x
-    if man:
-        return exp + math.log2(man)
-    return math.nan if exp else -math.inf
+def _cos(x, P):
+    """cos(x 2^-P) at 2^-P for the integer x."""
+    return _fixed(mpf_cos(from_man_exp(x, -P), P, RND), P)
 
 
-def _singular_check(ctx, method, v, value, scale, vanish_order, prec):
-    """Raise SingularParameterError when |value| < floor * scale, where
-    floor = 10^(5 - digits) min(1, |v|)^vanish_order, as evaluated at prec.
+def _singular_check(ctx, method, v, value, scale, vanish_order, v2, P):
+    """Raise SingularParameterError when |value| <= floor * scale, where
+    floor = 10^(5 - digits) min(1, |v|)^vanish_order.
 
-    value and scale are raw.  The denominators legitimately vanish like v^k
-    as v -> 0 (k = the cancellation depth), hence the factor in |v|.
-    Returns the decimal digits that value lost to cancellation,
-    log10(scale / |value|).
+    value and scale are integers at one binary point and v2 = v^2 at 2^-2P,
+    so the test is one exact comparison.  The denominators legitimately
+    vanish like v^k as v -> 0 (k = the cancellation depth), hence the factor
+    in |v|; at v = 0 both sides are 0, and the forms are 0/0.
     """
-    vv = mpf_abs(v._mpf_)
-    floor = mpf_mul(mpf_pow_int(_TEN, 5 - ctx.digits, prec, RND),
-                    mpf_pow_int(vv if mpf_lt(vv, fone) else fone, vanish_order, prec, RND),
-                    prec, RND)
-    if mpf_lt(mpf_abs(value), mpf_mul(floor, scale, prec, RND)):
+    k = vanish_order
+    if abs(value) * 10 ** (ctx.digits - 5) << P * k <= min(v2, 1 << 2 * P) ** (k // 2) * scale:
         raise SingularParameterError(
             f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
             v=v,
         )
-    return (_log2(scale) - _log2(value)) / _LOG2_10
 
 
 def _boosted(method, v, ctx, terms):
-    """Run ``terms(vv, prec) -> (den, scale, rest)`` at the boosted precision.
+    """Run ``terms(V, P) -> (den, scale, rest)`` at the boosted binary point
+    2^-P, V = |v| 2^P.
 
-    When the denominator lost more digits than the boost holds, which only
-    happens next to a pole, the boost is raised by that many digits and the
-    terms are evaluated again.  Returns (prec, den, rest).
+    When the denominator keeps fewer than _SPARE_DIGITS digits beyond the
+    working precision, which only happens next to a pole, the boost is raised
+    by the digits it lost and the terms are evaluated again.  Returns (P,
+    den, rest).
     """
-    vv = mpf_abs(v._mpf_)
-    boost = _boost_digits(method, abs(float(v)))
+    boost = _boost_digits(method, v)
     while True:
-        prec = dps_to_prec(ctx.mp.dps + boost)
-        den, scale, rest = terms(vv, prec)
-        lost = _singular_check(ctx, method, v, den, scale, _VANISH_ORDER[method], prec)
-        if not boost < lost < math.inf:
-            return prec, den, rest
+        P = dps_to_prec(ctx.mp.dps + boost)
+        V = abs(_fixed(v._mpf_, P))
+        den, scale, rest = terms(V, P)
+        _singular_check(ctx, method, v, den, scale, _VANISH_ORDER[method], V * V, P)
+        lost = math.log10(scale) - math.log10(abs(den))
+        if lost <= boost - _SPARE_DIGITS:
+            return P, den, rest
         boost += math.ceil(lost)
 
 
-def _rounded_set(v, ctx, vals):
+def _rounded_set(v, ctx, P, vals):
+    """The weights ``vals``, integers at 2^-P, rounded to nearest at ctx."""
     prec = ctx.mp.prec
-    return CoefficientSet(v=v, **{name: ctx.mp.make_mpf(mpf_pos(x, prec, RND))
+    return CoefficientSet(v=v, **{name: ctx.mp.make_mpf(from_man_exp(x, -P, prec, RND))
                                   for name, x in zip(COEFF_NAMES, vals)})
 
 
-def _pl1_terms(vv, prec):
-    c1 = mpf_cos(vv, prec, RND)
-    v2 = mpf_mul(vv, vv, prec, RND)
-    basis = (fone, c1, v2)
-    den = _horner(_PL1_DEN_RAW, basis, prec)
+def _pl1_terms(V, P):
+    v2 = V * V
+    basis = (1 << P, _cos(V, P))
+    den = _horner(_PL1_DEN, basis, v2, P)
     # the largest of |15120 + 15120|, |6900 v^2|, |313 v^4| and of the terms
     # 660 v^2 c1, 13 v^4 c1, which never exceed them
-    scale = max((_PL1_SCALE0, mpf_mul_int(v2, 6900, prec, RND),
-                 mpf_mul_int(mpf_mul(v2, v2, prec, RND), 313, prec, RND)), key=_BY_VALUE)
-    return den, scale, basis
+    scale = max(30240 << P, 6900 * v2 >> P, 313 * v2 * v2 >> 3 * P)
+    return den, scale, (basis, v2)
 
 
 def plprime_closed(v, ctx: Context) -> CoefficientSet:
@@ -369,27 +369,24 @@ def plprime_closed(v, ctx: Context) -> CoefficientSet:
 
     Each weight is a trig-polynomial numerator over the common denominator
     10080 v^2 den; everything cancels to O(v^12)/O(v^10), so evaluation runs
-    at boosted precision and rounds back once.
+    at a boosted binary point and rounds back once.
     """
     v_in = ctx.mpf(v)
-    prec, den, basis = _boosted(MethodId.PL_PRIME, v_in, ctx, _pl1_terms)
-    d = mpf_mul(mpf_mul_int(den, 10080, prec, RND), basis[-1], prec, RND)
-    return _rounded_set(v_in, ctx, (mpf_div(_horner(rows, basis, prec), d, prec, RND)
-                                    for rows in _PL1_NUM_RAW))
+    P, den, (basis, v2) = _boosted(MethodId.PL_PRIME, v_in, ctx, _pl1_terms)
+    d = 10080 * den * v2
+    return _rounded_set(v_in, ctx, P, ((_horner(rows, basis, v2, P) << 3 * P) // d
+                                       for rows in _PL1_NUM))
 
 
-def _pl2_terms(vv, prec):
-    c1 = mpf_cos(vv, prec, RND)
-    c2 = mpf_cos(mpf_shift(vv, 1), prec, RND)
-    c3 = mpf_cos(mpf_mul_int(vv, 3, prec, RND), prec, RND)
-    c12 = mpf_mul(c1, c2)
-    basis = (fone, c1, c2, c3, c12, mpf_mul(c1, c3), mpf_mul(c2, c3), mpf_mul(c12, c3),
-             mpf_mul(vv, vv, prec, RND))
-    num = _horner(_PL2_NUM_RAW, basis, prec)
-    den = _horner(_PL2_DEN_RAW, basis, prec)
-    scale = mpf_add(_PL2_SCALE0, mpf_mul_int(mpf_pow_int(vv, 4, prec, RND), 1000, prec, RND),
-                    prec, RND)
-    return den, scale, (num, c1, c2, basis[-1])
+def _pl2_terms(V, P):
+    c1, c2, c3 = (_cos(r * V, P) for r in (1, 2, 3))
+    basis = (1 << P, c1, c2, c3, c1 * c2 >> P, c1 * c3 >> P, c2 * c3 >> P,
+             c1 * c2 * c3 >> 2 * P)
+    v2 = V * V
+    num = _horner(_PL2_NUM, basis, v2, P)
+    den = _horner(_PL2_DEN, basis, v2, P)
+    scale = (240 * 8 << P) + (1000 * v2 * v2 >> 3 * P)
+    return den, scale, (num, c1, c2, v2)
 
 
 def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
@@ -399,39 +396,31 @@ def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
     solve the defining exactness conditions: vanishing h^2/h^4/h^6 order
     brackets plus characteristic-root fit at the first and second harmonic
     (the third-harmonic condition is then satisfied identically).  Like
-    PL', everything runs at boosted precision and rounds back once.
+    PL', everything runs at a boosted binary point and rounds back once.
     """
     v_in = ctx.mpf(v)
-    prec, den, (num, c1, c2, v2) = _boosted(MethodId.PL_DOUBLE_PRIME, v_in, ctx, _pl2_terms)
-    v4 = mpf_mul(v2, v2, prec, RND)
-    v6 = mpf_mul(v4, v2, prec, RND)
-    b31 = mpf_div(num, mpf_mul(mpf_mul_int(v6, 1080, prec, RND), den, prec, RND), prec, RND)
-    b31v6 = mpf_mul(b31, v6)
+    P, den, (num, c1, c2, v2) = _boosted(MethodId.PL_DOUBLE_PRIME, v_in, ctx, _pl2_terms)
+    one = 1 << P
+    v4 = v2 * v2                        # at 2^-4P
+    v6 = v4 * v2                        # at 2^-6P
+    d = 1080 * den
+    b31, b31v6 = (num << 7 * P) // (d * v6), (num << P) // d
 
     def pqr(rows, c):
-        terms = (mpf_mul(v2, c), v2, v4, mpf_mul(v4, c), mpf_mul(v6, c), fone, c,
-                 b31v6, mpf_mul(b31v6, c))
-        return [mpf_div(_fdot(row, terms, prec), k, prec, RND)
-                for row, k in zip(rows, _PQR_DIVISORS)]
+        terms = (v2 * c >> 2 * P, v2 >> P, v4 >> 3 * P, v4 * c >> 4 * P, v6 * c >> 6 * P, one, c,
+                 b31v6, num * c // d)
+        return [sum(map(mul, row, terms)) // k for row, k in zip(rows, _PQR_DIVISORS)]
 
-    (p1, q1, r1), (p2, q2, r2) = pqr(_PL2_PQR_RAW[0], c1), pqr(_PL2_PQR_RAW[1], c2)
-    mq1, mr1 = mpf_neg(q1), mpf_neg(r1)
-    det = _fdot((p1, p2), (q2, mq1), prec)
+    (p1, q1, r1), (p2, q2, r2) = pqr(_PL2_PQR[0], c1), pqr(_PL2_PQR[1], c2)
+    det = p1 * q2 - p2 * q1             # at 2^-2P, as are the numerators below
     _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, det,
-                    mpf_add(mpf_abs(mpf_mul(p1, q2, prec, RND)),
-                            mpf_abs(mpf_mul(p2, q1, prec, RND)), prec, RND),
-                    2, prec)
-    b10 = mpf_div(_fdot((r1, r2), (q2, mq1), prec), det, prec, RND)
-    b20 = mpf_div(_fdot((p1, p2), (r2, mr1), prec), det, prec, RND)
-    b11 = mpf_sub(fone, mpf_shift(b10, 1), prec, RND)
+                    abs(p1 * q2) + abs(p2 * q1), 2, v2, P)
+    b10 = ((r1 * q2 - r2 * q1) << P) // det
+    b20 = ((p1 * r2 - p2 * r1) << P) // det
     # b21 = 1/12 - b10 - 2 b20 and b30 = (1/360 - b31 - b10/12 - b20) / 2
-    b21 = mpf_sub(mpf_sub(mpf_div(fone, _TWELVE, prec, RND), b10, prec, RND),
-                  mpf_shift(b20, 1), prec, RND)
-    b30 = mpf_div(fone, _THREE_SIXTY, prec, RND)
-    for x in (b31, mpf_div(b10, _TWELVE, prec, RND), b20):
-        b30 = mpf_sub(b30, x, prec, RND)
-    b30 = mpf_shift(b30, -1)
-    return _rounded_set(v_in, ctx, (b10, b11, b20, b21, b30, b31))
+    b21 = (one - 12 * b10 - 24 * b20) // 12
+    b30 = (one - 360 * (b31 + b20) - 30 * b10) // 720
+    return _rounded_set(v_in, ctx, P, (b10, one - 2 * b10, b20, b21, b30, b31))
 
 
 def taylor_fallback(method: MethodId, v, ctx: Context) -> CoefficientSet:
@@ -463,14 +452,15 @@ def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     their closed forms whenever v^2 >= 10^-digits; below that they differ
     from the classical weights by less than one unit in the last place, so
     the classical set is returned with v recorded.  Both are even in v.
-    A fitted method at a v that is not finite raises DomainError.
+    A fitted method at a v that is not finite, or not below 2^RANGE_BITS in
+    magnitude (the range of ``jets``' fixed point), raises DomainError.
     """
     if method is MethodId.CLASSICAL:
         return classical_coefficients(ctx)
     v_in = ctx.mpf(v)
-    _, man, exp, _ = v_in._mpf_
-    if exp and not man:                 # inf and nan: a zero mantissa, a nonzero exponent
-        raise DomainError(f"fitting parameter v = {v_in} is not finite")
+    if not in_range(v_in._mpf_):        # inf and nan have a zero mantissa
+        size = "not finite" if not v_in._mpf_[1] else f"2^{RANGE_BITS} or more in magnitude"
+        raise DomainError(f"fitting parameter v = {v_in} is {size}")
     if v_in * v_in < ctx.eps():
         return replace(classical_coefficients(ctx), v=v_in)
     if method is MethodId.PL_PRIME:

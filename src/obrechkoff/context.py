@@ -4,9 +4,11 @@ Every other module takes an explicit :class:`Context` so that independent
 computations at different precisions never interfere.  A context wraps an
 isolated mpmath ``MPContext``; values created by one context are ordinary
 mpmath floats bound to that context's precision, which no code changes.
-Code that needs guard digits works on raw ``libmp`` numbers at a higher
-binary precision (``coefficients`` at ``dps_to_prec(dps + boost)``) and
-rounds each result back once with ``ctx.mp.make_mpf``.
+Code that needs guard digits works on Python integers at a binary point
+below the working precision (``coefficients`` at 2^-P, P =
+``dps_to_prec(dps + boost)``; the Taylor program and the step at 2^-(prec +
+``jets.GUARD_BITS``)) and rounds each result back once with
+``ctx.mp.make_mpf``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The fitted closed forms from their weight tables, against the expanded expressions.
 
 ``coefficients.py`` evaluates each trig polynomial of the closed forms from a
-table of integer weights, one row per power of v^2, on raw numbers.  This
+table of integer weights, one row per power of v^2, on integers at a binary
+point.  This
 module keeps the same closed forms written out as mpf expressions, with their
 pole test, as the reference.  The tables must equal the expressions exactly
 as polynomials, and both evaluations must round back to the same numbers and
@@ -14,7 +15,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import mpf_abs, to_int
+from mpmath.libmp import from_man_exp
 
 from obrechkoff import (
     CoefficientSet,
@@ -36,6 +37,7 @@ from obrechkoff.coefficients import (
     _boost_digits,
     _pl2_terms,
 )
+from obrechkoff.jets import RND, _fixed
 
 # ------------------------------------------------------------ the reference
 
@@ -206,18 +208,24 @@ def test_pl2_tables_equal_the_expressions():
         v4, v6 = v2 * v2, v2 * v2 * v2
         for rows, x, c in zip(_PL2_PQR, (vv, 2 * vv), (c1, c2)):
             terms = (v2 * c, v2, v4, v4 * c, v6 * c, 1, c, b31 * v6, b31 * v6 * c)
-            got = [sum(w * t for w, t in zip(row, terms)) / to_int(k)
+            got = [sum(w * t for w, t in zip(row, terms)) / k
                    for row, k in zip(rows, _PQR_DIVISORS)]
             assert got == list(pqr_expressions(x, c, b31, F(1)))
 
 
 def test_pl2_numden_matches_the_reference():
-    # same cosines; num and den agree to rounding at the context's precision
+    # same cosines; num and den agree to rounding at the context's precision,
+    # once rounded out from 40 guard bits
     w = make_context(60)
+    P = w.mp.prec + 40
+
+    def out(x):
+        return w.mp.make_mpf(from_man_exp(x, -P, w.mp.prec, RND))
+
     for text in ("0.7", "2.5", "3.85", "9.1"):
         vv = w.mpf(text)
-        den, _, (num, c1, c2, _) = _pl2_terms(mpf_abs(vv._mpf_), w.mp.prec)
-        num, den, cs = w.mp.make_mpf(num), w.mp.make_mpf(den), tuple(map(w.mp.make_mpf, (c1, c2)))
+        den, _, (num, c1, c2, _) = _pl2_terms(_fixed(vv._mpf_, P), P)
+        num, den, cs = out(num), out(den), (out(c1), out(c2))
         ref_num, ref_den, ref_cs = reference_pl2_numden(w, vv)
         assert cs == ref_cs
         assert abs(num - ref_num) < w.mpf(10) ** -50 * 10 ** 6
@@ -235,12 +243,17 @@ def scan_grid(seed):
 
 
 @pytest.mark.parametrize("digits", [16, 30, 50])
-@pytest.mark.parametrize("seed", [1, 2, 3, "random"])
+@pytest.mark.parametrize("seed", [1, 2, 3, "random", "large"])
 def test_weights_equal_the_reference(seed, digits):
     ctx = make_context(digits)
     if seed == "random":
         rng = random.Random(20261018)
         grid = [rng.uniform(0.001, 40) for _ in range(100)]
+    elif seed == "large":
+        # log-uniform on [1, 1e3], where the absolute errors of the fixed
+        # point would show first
+        rng = random.Random(20261019)
+        grid = [10 ** rng.uniform(0, 3) for _ in range(100)]
     else:
         grid = scan_grid(seed)
     for method, closed, reference in CASES:
@@ -310,6 +323,17 @@ def test_weights_keep_every_digit_next_to_a_pole(pole, k):
     v = near_pole(pole, 1, k, ctx)
     assert correct_digits(pldoubleprime_closed(v, ctx), v) >= 49
     assert ctx.mp.dps == ctx.digits
+
+
+@pytest.mark.parametrize("digits,pole,side,k", [(50, "2pi", 1, 13.1), (100, "2pi", -1, 14.3)])
+def test_weights_are_rounded_to_nearest_where_the_boost_runs_thin(digits, pole, side, k):
+    # the denominator loses about as many digits here as the boost holds; the
+    # weights must still be the 220-digit ones rounded to nearest
+    ctx = make_context(digits)
+    v = ctx.mpf(POLES[pole] * (1 + side * HIGH.mpf(10) ** -HIGH.mpf(k)))
+    ref = make_context(220)
+    want = pldoubleprime_closed(ref.mpf(v), ref).as_tuple()
+    assert pldoubleprime_closed(v, ctx).as_tuple() == tuple(map(ctx.mpf, want))
 
 
 @pytest.mark.parametrize("pole,k", [("2pi", 30), ("p", 120)])

@@ -81,6 +81,15 @@ def test_fitted_methods_reject_a_non_finite_v(ctx50, method, v):
         coefficients(method, ctx50.mpf(v), ctx50)
 
 
+@pytest.mark.parametrize("method", FITTED)
+@pytest.mark.parametrize("v", ["1e20000", "-1e20000"])
+def test_fitted_methods_reject_a_v_beyond_the_fixed_point_range(ctx50, method, v):
+    # the closed forms run on integers at a binary point, as the Taylor
+    # program does, and take its range; PL' used to return weights here
+    with pytest.raises(DomainError, match=r"fitting parameter v = .* is 2\^65536 or more"):
+        coefficients(method, ctx50.mpf(v), ctx50)
+
+
 # ----------------------------------------------------------- Taylor tables
 
 def test_table_constant_terms_are_classical():
@@ -194,6 +203,46 @@ def test_classical_weights_below_resolution(monkeypatch, method):
     monkeypatch.setattr(COEFFICIENTS_MODULE, name, counted)
     coefficients(method, ctx.mpf("1.1e-25"), ctx)
     assert calls == [ctx.mpf("1.1e-25")]
+
+
+@pytest.mark.parametrize("digits", [50, 100])
+@pytest.mark.parametrize("v", ["1e3", "1e6", "1e10", "1e20"])
+def test_pl2_keeps_every_digit_at_large_v(v, digits):
+    # beta30 and beta31 fall like v^-2, so they keep every digit only if the
+    # evaluation holds 2 log10 v more; the reference is the closed form at
+    # 250 digits
+    ctx = make_context(digits)
+    ref_ctx = make_context(250)
+    got = coefficients(MethodId.PL_DOUBLE_PRIME, ctx.mpf(v), ctx)
+    ref = pldoubleprime_closed(ref_ctx.mpf(v), ref_ctx)
+    for name, x, r in zip(COEFF_NAMES, got.as_tuple(), ref.as_tuple()):
+        assert abs(ref_ctx.mpf(x) - r) <= ref_ctx.mpf(10) ** (1 - digits) * abs(r), (v, name)
+
+
+@pytest.mark.parametrize("method", FITTED)
+@pytest.mark.parametrize("v", ["1e-330", "1e-345"])
+def test_full_precision_below_the_float_range(method, v):
+    # above 616 digits, v^2 >= 10^-digits reaches below 1e-308, where
+    # float(v) is 0; the v^12 series is exact to far below 10^-700 there
+    ctx = make_context(700)
+    got = coefficients(method, ctx.mpf(v), ctx)
+    ref = taylor_fallback(method, ctx.mpf(v), ctx)
+    for name, x, r in zip(COEFF_NAMES, got.as_tuple(), ref.as_tuple()):
+        assert abs(x - r) <= ctx.mpf(10) ** (3 - 700) * abs(r), (v, name)
+
+
+@pytest.mark.parametrize("closed", [plprime_closed, pldoubleprime_closed])
+def test_closed_forms_at_zero_are_singular(ctx50, closed):
+    # both are 0/0 at v = 0; coefficients() returns the classical set there
+    with pytest.raises(SingularParameterError):
+        closed(0, ctx50)
+
+
+def test_pl2_beyond_the_float_range_is_singular(ctx50):
+    # float(v) overflows from 2^1024 on, so the large-v boost reads log10 |v|
+    # off the mantissa and exponent; at 50 digits PL'' is singular long before
+    with pytest.raises(SingularParameterError):
+        coefficients(MethodId.PL_DOUBLE_PRIME, ctx50.mpf("1e400"), ctx50)
 
 
 # -------------------------------------------- series extraction oracle

@@ -21,13 +21,52 @@ from fractions import Fraction
 
 import pytest
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_mul,
-                          mpf_sub)
+                          mpf_sub, mpf_sum, normalize)
 
 from obrechkoff import DomainError, make_context, rational_problem
-from obrechkoff.jets import (GUARD_BITS, RND, Coefficients, TracedODE, _Div, _fdot, _Leaf, _Lin,
-                             _Mul, _Poly, _raw, _SinCos)
+from obrechkoff.jets import (GUARD_BITS, RND, Coefficients, TracedODE, _Div, _Leaf, _Lin, _Mul,
+                             _Poly, _raw, _SinCos)
 
 from test_jets import JACOBIAN_CASES
+
+#: exponent gap, in bits, up to which a dot product aligns its terms exactly
+ALIGN_LIMIT = 1 << 14
+
+
+def _fdot(xs, ys, prec=0):
+    """sum x_i y_i over raw numbers: exact products, summed exactly and
+    rounded once at prec (not at all for prec 0).  Non-finite terms, and
+    terms too far apart in exponent to align cheaply, go to ``mpf_sum``.
+    That is ``mp.fdot``'s rounding, except that a term more than 2 prec bits
+    below the running sum is kept, which ``mp.fdot`` drops, so the two can
+    differ when such a term decides a rounding tie."""
+    man, exp = 0, None
+    for (xsign, xman, xexp, _), (ysign, yman, yexp, _) in zip(xs, ys):
+        m = xman * yman
+        if not m:
+            if xexp and not xman or yexp and not yman:
+                break
+            continue
+        if xsign != ysign:
+            m = -m
+        e = xexp + yexp
+        if exp is None:
+            man, exp = m, e
+        elif e >= exp:
+            if e - exp > ALIGN_LIMIT:
+                break
+            man += m << (e - exp)
+        else:
+            if exp - e > ALIGN_LIMIT:
+                break
+            man, exp = (man << (exp - e)) + m, e
+    else:
+        if not (man and prec):
+            return from_man_exp(man, exp) if man else fzero
+        sign = man < 0
+        man = -man if sign else man
+        return normalize(sign, man, exp, man.bit_length(), prec, RND)
+    return mpf_sum([mpf_mul(x, y) for x, y in zip(xs, ys)], prec, RND)
 
 
 def _conv(a, b, lo, hi, k):
