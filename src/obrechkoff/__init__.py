@@ -15,7 +15,6 @@ from .coefficients import (
     coefficients,
     plprime_closed,
     pldoubleprime_closed,
-    taylor_fallback,
 )
 from .errors import (
     ConfigurationError,
@@ -50,7 +49,7 @@ from .stability import (
 __all__ = [
     "Context", "make_context",
     "CoefficientSet", "MethodId", "classical_coefficients", "coefficients",
-    "plprime_closed", "pldoubleprime_closed", "taylor_fallback",
+    "plprime_closed", "pldoubleprime_closed",
     "ObrechkoffError", "ConfigurationError", "DomainError", "FitError",
     "OutsidePeriodicityError", "SingularParameterError", "StepFailureError",
     "IntegrationResult", "StepperConfig", "StepState", "StepWeights", "integrate",

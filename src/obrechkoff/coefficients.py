@@ -10,10 +10,16 @@ Three methods are provided:
 
 All fitted coefficients depend on the dimensionless parameter v = w*h only
 through v^2 and cos(r v), so they are even functions of v and tend to the
-classical values as v -> 0.  There is one evaluation path: the closed forms,
-at every v with v^2 >= 10^-digits.  Their numerators cancel to orders
-v^12 .. v^24 at the origin, so they run at the caller's precision raised by
-the digits that cancellation costs (for PL'' above |v| = 1 also the
+classical values as v -> 0.  Every method of the family keeps the h^2, h^4
+and h^6 order conditions, which give beta11, beta21 and beta30 from the other
+three weights.  Each fitted method adds three conditions (PL': the h^8 and
+h^10 order conditions and the harmonic r = 1; PL'': the harmonics r = 1, 2,
+3), and Cramer's rule on them gives beta10, beta20 and beta31 as trig
+polynomials over one denominator den: for PL'' the determinant is det3 =
+9 v^12 den, for PL' -v^2 den / 29030400.  There is one evaluation path: these
+closed forms, at every v with v^2 >= 10^-digits.  Their numerators cancel to
+orders v^12 .. v^24 at the origin, so they run at the caller's precision
+raised by the digits that cancellation costs (for PL'' above |v| = 1 also the
 2 log10 |v| digits that its beta30 and beta31, falling like v^-2, lose to
 absolute errors), and round back once.  They run on Python integers at one
 binary point 2^-P, P = dps_to_prec(digits + boost), as the Taylor program in
@@ -22,13 +28,14 @@ come in and where the weights are rounded out to nearest.  Each trig
 polynomial is a table of integer weights, one row per power of v^2, over
 products of cos v, cos 2v and cos 3v: a row is one exact integer dot
 product, Horner's rule in v^2 combines the rows, and each product or
-quotient shifts or floor-divides once.  Next to a pole, where a denominator
-keeps fewer than 3 digits beyond the working precision, the boost is raised
-by the digits it lost and the weights evaluated again.  A denominator below 10^(5 - digits) of its
-scale raises SingularParameterError; that test is one exact integer
-comparison.  Below v^2 = 10^-digits the fitted weights equal the classical
-ones to working precision.  The rational Taylor tables are exact validation
-data for the closed forms; evaluation never uses them.
+quotient shifts or floor-divides once.  Next to a pole, where den keeps
+fewer than 3 digits beyond the working precision, the boost is raised by the
+digits it lost and the weights evaluated again.  A den below 10^(5 - digits)
+of its scale raises SingularParameterError; that test is one exact integer
+comparison.  Below v^2 = 10^-digits, decided exactly from the mantissa and
+exponent of v, the fitted weights equal the classical ones to working
+precision.  The rational Taylor tables are exact validation data for the
+closed forms; evaluation never uses them.
 """
 
 from __future__ import annotations
@@ -225,45 +232,43 @@ _GUARD_DIGITS = {MethodId.PL_PRIME: 15, MethodId.PL_DOUBLE_PRIME: 25}
 # The closed forms as integer weight tables.  Row k of a table holds the
 # weights of a basis of cosine products in the coefficient of v^(2k), so a
 # trig polynomial is sum_k v^(2k) (row_k . basis), evaluated by Horner's rule
-# in v^2 with one exact dot product per row.
+# in v^2 with one exact dot product per row.  _PL1_NUM and _PL2_NUM hold
+# the Cramer numerators of beta10, beta20 and beta31 over K v^(2m) den.
 #
-# PL': basis (1, cos v).  The numerators of beta10 .. beta31, in COEFF_NAMES
-# order, are scaled so that every weight is numerator / (10080 v^2 den).
+# PL': basis (1, cos v); K, m = 10080, 1; det3 = -v^2 den / 29030400.
 _PL1_DEN = ((-15120, 15120), (6900, 660), (-313, 13))
 _PL1_NUM = (
     ((152409600, -152409600), (-76204800, 0), (6219360, 131040), (-149520, 3360)),
-    ((-304819200, 304819200), (0, 152409600), (57113280, 6390720), (-2856000, 124320)),
     ((-6652800, 6652800), (3195360, 131040), (-211680, 0), (3814, -34)),
-    ((-139104000, 139104000), (57113280, 12438720), (0, 423360), (-121028, 7628)),
-    ((131040, -131040), (-62160, -3360), (3814, -34), (-59, 0)),
     ((-6310080, 6310080), (2856000, 299040), (-121028, 7628), (0, 118)),
 )
-# PL'' beta31 = num / (1080 v^6 den); basis (1, c1, c2, c3, c1 c2, c1 c3,
-# c2 c3, c1 c2 c3) with cr = cos(r v).
+# PL'': basis (1, c1, c2, c3, c1 c2, c1 c3, c2 c3, c1 c2 c3) with cr =
+# cos(r v), the cosines taken as independent; K, m = 2160, 3; det3 =
+# 9 v^12 den.
 _PL2_NUM = (
-    (-14400, 14400, 14400, 14400, -14400, -14400, -14400, 14400),
-    (0, 7200, 28800, 64800, -36000, -72000, -93600, 100800),
-    (0, 2875, 99200, -249075, -116475, 213800, 20275, 29400),
-    (0, 1830, -46848, 88938, -10332, 20832, 9660, 720),
-    (0, 0, 0, 0, -486, 1296, -810, 0),
+    ((0, 0, 0, 0, 0, 0, 0, 0),
+     (0, 0, 0, 0, 0, 0, 0, 0),
+     (705600, -705600, -705600, -705600, 705600, 705600, 705600, -705600),
+     (-259200, -89700, -2380800, 2988900, 2729700, -2640000, -348900, 0),
+     (0, -37800, 1330560, -1292760, 19440, -51840, 32400, 0),
+     (0, 15120, -96768, 81648, -5832, 6912, -1080, 0)),
+    ((0, 0, 0, 0, 0, 0, 0, 0),
+     (201600, -201600, -201600, -201600, 201600, 201600, 201600, -201600),
+     (-352800, 252300, -173280, 626580, 273780, -526080, -100500, 0),
+     (108000, 24575, 335200, -446175, -205335, 175360, 8375, 0),
+     (0, 5460, -107520, 102060, -7290, 7680, -390, 0),
+     (0, -810, 5184, -4374, 0, 0, 0, 0)),
+    ((-28800, 28800, 28800, 28800, -28800, -28800, -28800, 28800),
+     (0, 14400, 57600, 129600, -72000, -144000, -187200, 201600),
+     (0, 5750, 198400, -498150, -232950, 427600, 40550, 58800),
+     (0, 3660, -93696, 177876, -20664, 41664, 19320, 1440),
+     (0, 0, 0, 0, -972, 2592, -1620, 0)),
 )
 _PL2_DEN = (
     (-240, 240, 240, 240, -240, -240, -240, 240),
     (0, 115, 992, -1107, -1107, 992, 115, 0),
     (0, 75, -480, 405, -81, 96, -15, 0),
 )
-# The rest of PL'' solves p_r beta10 + q_r beta20 = r_r for the harmonics
-# r = 1, 2.  Rows give 24 p_r, 2 q_r and 720 r_r over the terms (v^2 c,
-# v^2, v^4, v^4 c, v^6 c, 1, c, beta31 v^6, beta31 v^6 c) with c = cos(r v).
-_PL2_PQR = (
-    ((24, -24, 12, 0, -1, 0, 0, 0, 0),
-     (0, 0, 2, -2, -1, 0, 0, 0, 0),
-     (0, -360, 30, 0, -1, 720, -720, -360, 360)),
-    ((96, -96, 192, 0, -64, 0, 0, 0, 0),
-     (0, 0, 32, -32, -64, 0, 0, 0, 0),
-     (0, -1440, 480, 0, -64, 720, -720, -23040, 23040)),
-)
-_PQR_DIVISORS = (24, 2, 720)
 # digits a denominator keeps beyond the working precision: with fewer, the
 # last bit of a weight next to a pole can come out wrong
 _SPARE_DIGITS = 3
@@ -309,49 +314,34 @@ def _cos(x, P):
     return _fixed(mpf_cos(from_man_exp(x, -P), P, RND), P)
 
 
-def _singular_check(ctx, method, v, value, scale, vanish_order, v2, P):
-    """Raise SingularParameterError when |value| <= floor * scale, where
-    floor = 10^(5 - digits) min(1, |v|)^vanish_order.
-
-    value and scale are integers at one binary point and v2 = v^2 at 2^-2P,
-    so the test is one exact comparison.  The denominators legitimately
-    vanish like v^k as v -> 0 (k = the cancellation depth), hence the factor
-    in |v|; at v = 0 both sides are 0, and the forms are 0/0.
-    """
-    k = vanish_order
-    if abs(value) * 10 ** (ctx.digits - 5) << P * k <= min(v2, 1 << 2 * P) ** (k // 2) * scale:
-        raise SingularParameterError(
-            f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
-            v=v,
-        )
-
-
 def _boosted(method, v, ctx, terms):
     """Run ``terms(V, P) -> (den, scale, rest)`` at the boosted binary point
     2^-P, V = |v| 2^P.
 
-    When the denominator keeps fewer than _SPARE_DIGITS digits beyond the
-    working precision, which only happens next to a pole, the boost is raised
-    by the digits it lost and the terms are evaluated again.  Returns (P,
-    den, rest).
+    Raises SingularParameterError when |den| <= floor * scale, where floor =
+    10^(5 - digits) min(1, |v|)^k, k = _VANISH_ORDER[method]: one exact
+    integer comparison.  The denominators legitimately vanish like v^k as
+    v -> 0 (k = the cancellation depth), hence the factor in |v|; at v = 0
+    both sides are 0, and the forms are 0/0.  When the denominator keeps
+    fewer than _SPARE_DIGITS digits beyond the working precision, which only
+    happens next to a pole, the boost is raised by the digits it lost and the
+    terms are evaluated again.  Returns (P, den, rest).
     """
     boost = _boost_digits(method, v)
+    k = _VANISH_ORDER[method]
     while True:
         P = dps_to_prec(ctx.mp.dps + boost)
         V = abs(_fixed(v._mpf_, P))
         den, scale, rest = terms(V, P)
-        _singular_check(ctx, method, v, den, scale, _VANISH_ORDER[method], V * V, P)
+        if abs(den) * 10 ** (ctx.digits - 5) << P * k <= min(V * V, 1 << 2 * P) ** (k // 2) * scale:
+            raise SingularParameterError(
+                f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
+                v=v,
+            )
         lost = math.log10(scale) - math.log10(abs(den))
         if lost <= boost - _SPARE_DIGITS:
             return P, den, rest
         boost += math.ceil(lost)
-
-
-def _rounded_set(v, ctx, P, vals):
-    """The weights ``vals``, integers at 2^-P, rounded to nearest at ctx."""
-    prec = ctx.mp.prec
-    return CoefficientSet(v=v, **{name: ctx.mp.make_mpf(from_man_exp(x, -P, prec, RND))
-                                  for name, x in zip(COEFF_NAMES, vals)})
 
 
 def _pl1_terms(V, P):
@@ -364,63 +354,66 @@ def _pl1_terms(V, P):
     return den, scale, (basis, v2)
 
 
-def plprime_closed(v, ctx: Context) -> CoefficientSet:
-    """Closed-form PL' coefficients at fitting parameter v (v != 0).
-
-    Each weight is a trig-polynomial numerator over the common denominator
-    10080 v^2 den; everything cancels to O(v^12)/O(v^10), so evaluation runs
-    at a boosted binary point and rounds back once.
-    """
-    v_in = ctx.mpf(v)
-    P, den, (basis, v2) = _boosted(MethodId.PL_PRIME, v_in, ctx, _pl1_terms)
-    d = 10080 * den * v2
-    return _rounded_set(v_in, ctx, P, ((_horner(rows, basis, v2, P) << 3 * P) // d
-                                       for rows in _PL1_NUM))
-
-
 def _pl2_terms(V, P):
     c1, c2, c3 = (_cos(r * V, P) for r in (1, 2, 3))
     basis = (1 << P, c1, c2, c3, c1 * c2 >> P, c1 * c3 >> P, c2 * c3 >> P,
              c1 * c2 * c3 >> 2 * P)
     v2 = V * V
-    num = _horner(_PL2_NUM, basis, v2, P)
     den = _horner(_PL2_DEN, basis, v2, P)
     scale = (240 * 8 << P) + (1000 * v2 * v2 >> 3 * P)
-    return den, scale, (num, c1, c2, v2)
+    return den, scale, (basis, v2)
+
+
+# method: (terms, K, m, numerator tables of beta10, beta20, beta31)
+_CLOSED_FORMS = {
+    MethodId.PL_PRIME: (_pl1_terms, 10080, 1, _PL1_NUM),
+    MethodId.PL_DOUBLE_PRIME: (_pl2_terms, 2160, 3, _PL2_NUM),
+}
+
+
+def _closed(method, v, ctx):
+    """The fitted weights of ``method`` at v, evaluated at a boosted binary
+    point and rounded back once.
+
+    beta10, beta20 and beta31 are their numerator tables over K v^(2m) den,
+    each one floor division; beta11, beta21 and beta30 follow from the h^2,
+    h^4 and h^6 order conditions, which every method of the family keeps.
+    """
+    terms, K, m, tables = _CLOSED_FORMS[method]
+    v_in = ctx.mpf(v)
+    P, den, (basis, v2) = _boosted(method, v_in, ctx, terms)
+    d = K * den * v2 ** m                 # at 2^-(2m + 1)P
+    b10, b20, b31 = ((_horner(rows, basis, v2, P) << (2 * m + 1) * P) // d for rows in tables)
+    one = 1 << P
+    # b11 = 1 - 2 b10, b21 = 1/12 - b10 - 2 b20 and
+    # b30 = (1/360 - b31 - b10/12 - b20) / 2
+    b21 = (one - 12 * b10 - 24 * b20) // 12
+    b30 = (one - 360 * (b31 + b20) - 30 * b10) // 720
+    return CoefficientSet(v=v_in, **{
+        name: ctx.mp.make_mpf(from_man_exp(x, -P, ctx.mp.prec, RND))
+        for name, x in zip(COEFF_NAMES, (b10, one - 2 * b10, b20, b21, b30, b31))})
+
+
+def plprime_closed(v, ctx: Context) -> CoefficientSet:
+    """Closed-form PL' coefficients at fitting parameter v (v != 0).
+
+    Each weight is a trig polynomial in v and cos v over 10080 v^2 den, or
+    follows from the order conditions; the numerators cancel to O(v^12) at
+    the origin, so evaluation runs at a boosted binary point.
+    """
+    return _closed(MethodId.PL_PRIME, v, ctx)
 
 
 def pldoubleprime_closed(v, ctx: Context) -> CoefficientSet:
     """Closed-form PL'' coefficients at fitting parameter v (v != 0).
 
-    beta31 comes from its trig-rational form; the remaining five weights
-    solve the defining exactness conditions: vanishing h^2/h^4/h^6 order
-    brackets plus characteristic-root fit at the first and second harmonic
-    (the third-harmonic condition is then satisfied identically).  Like
-    PL', everything runs at a boosted binary point and rounds back once.
+    Cramer's rule on the fits to the harmonics r = 1, 2, 3, whose determinant
+    is det3 = 9 v^12 den, gives beta10, beta20 and beta31 as trig polynomials
+    in v and cos(r v) over 2160 v^6 den; beta11, beta21 and beta30 follow from
+    the h^2, h^4 and h^6 order conditions.  The numerators cancel to O(v^24)
+    at the origin, so evaluation runs at a boosted binary point.
     """
-    v_in = ctx.mpf(v)
-    P, den, (num, c1, c2, v2) = _boosted(MethodId.PL_DOUBLE_PRIME, v_in, ctx, _pl2_terms)
-    one = 1 << P
-    v4 = v2 * v2                        # at 2^-4P
-    v6 = v4 * v2                        # at 2^-6P
-    d = 1080 * den
-    b31, b31v6 = (num << 7 * P) // (d * v6), (num << P) // d
-
-    def pqr(rows, c):
-        terms = (v2 * c >> 2 * P, v2 >> P, v4 >> 3 * P, v4 * c >> 4 * P, v6 * c >> 6 * P, one, c,
-                 b31v6, num * c // d)
-        return [sum(map(mul, row, terms)) // k for row, k in zip(rows, _PQR_DIVISORS)]
-
-    (p1, q1, r1), (p2, q2, r2) = pqr(_PL2_PQR[0], c1), pqr(_PL2_PQR[1], c2)
-    det = p1 * q2 - p2 * q1             # at 2^-2P, as are the numerators below
-    _singular_check(ctx, MethodId.PL_DOUBLE_PRIME, v_in, det,
-                    abs(p1 * q2) + abs(p2 * q1), 2, v2, P)
-    b10 = ((r1 * q2 - r2 * q1) << P) // det
-    b20 = ((p1 * r2 - p2 * r1) << P) // det
-    # b21 = 1/12 - b10 - 2 b20 and b30 = (1/360 - b31 - b10/12 - b20) / 2
-    b21 = (one - 12 * b10 - 24 * b20) // 12
-    b30 = (one - 360 * (b31 + b20) - 30 * b10) // 720
-    return _rounded_set(v_in, ctx, P, (b10, one - 2 * b10, b20, b21, b30, b31))
+    return _closed(MethodId.PL_DOUBLE_PRIME, v, ctx)
 
 
 def taylor_fallback(method: MethodId, v, ctx: Context) -> CoefficientSet:
@@ -461,7 +454,8 @@ def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     if not in_range(v_in._mpf_):        # inf and nan have a zero mantissa
         size = "not finite" if not v_in._mpf_[1] else f"2^{RANGE_BITS} or more in magnitude"
         raise DomainError(f"fitting parameter v = {v_in} is {size}")
-    if v_in * v_in < ctx.eps():
+    _, man, exp, _ = v_in._mpf_
+    if man * man * 10 ** ctx.digits < 1 << max(0, -2 * exp):   # v^2 < 10^-digits
         return replace(classical_coefficients(ctx), v=v_in)
     if method is MethodId.PL_PRIME:
         return plprime_closed(v_in, ctx)

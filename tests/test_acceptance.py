@@ -36,9 +36,8 @@ from obrechkoff import (
     plprime_closed,
     rational_problem,
     stability_pair,
-    taylor_fallback,
 )
-from obrechkoff.coefficients import CLASSICAL_FRACTIONS
+from obrechkoff.coefficients import CLASSICAL_FRACTIONS, taylor_fallback
 from obrechkoff.errors import FitError
 from obrechkoff.stability import CLASSICAL_PHASE_LAG_CONSTANT
 

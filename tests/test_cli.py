@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from obrechkoff import cli, make_context
+from obrechkoff import cli, make_context, stability
 from obrechkoff.cli import (
     ExperimentSpec,
     emit,
@@ -290,11 +290,18 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     get_problem = cli.get_problem
     tracer = tracing.Tracer()
     with tracer.run(0):
-        problem = cli.get_problem("duffing", make_context(30))
+        ctx = make_context(30)
+        problem = cli.get_problem("duffing", ctx)
         problem.f6(problem.x0, problem.y0, problem.yp0)
+        # coefficients.closed_calls counts these spans: coefficients() must
+        # reach the closed forms through the module's globals
+        for method in (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME):
+            stability.coefficients(method, ctx.mpf("0.5"), ctx)
     assert cli.get_problem is get_problem
     names = {span[0] for span in tracer.spans}
-    assert {"problems.get_problem", "problems.f6", "context.Context"} <= names
+    assert {"problems.get_problem", "problems.f6", "context.Context",
+            "coefficients.coefficients", "coefficients.plprime_closed",
+            "coefficients.pldoubleprime_closed"} <= names
 
 
 @pytest.mark.parametrize("grid, message", [

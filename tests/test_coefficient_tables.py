@@ -32,9 +32,8 @@ from obrechkoff.coefficients import (
     _PL1_NUM,
     _PL2_DEN,
     _PL2_NUM,
-    _PL2_PQR,
-    _PQR_DIVISORS,
     _boost_digits,
+    _horner,
     _pl2_terms,
 )
 from obrechkoff.jets import RND, _fixed
@@ -192,25 +191,30 @@ def test_plprime_tables_equal_the_expressions():
         den, nums = plprime_expressions(vv, c1)
         assert table_value(_PL1_DEN, v2, (1, c1)) == den
         weights = plprime_weights(v2 * den, nums)
-        for rows, weight in zip(_PL1_NUM, weights):
+        for rows, weight in zip(_PL1_NUM, (weights[0], weights[2], weights[5])):
             assert table_value(rows, v2, (1, c1)) / (10080 * v2 * den) == weight
 
 
 def test_pl2_tables_equal_the_expressions():
+    # beta10 and beta20 of the 2x2 harmonic-fit solve, and beta31, each equal
+    # its table over 2160 v^6 den
     rng = random.Random(2)
     for _ in range(20):
-        vv, c1, c2, c3, b31 = random_rationals(rng, 5)
+        vv, c1, c2, c3 = random_rationals(rng, 4)
+        if vv == 0:
+            continue
         v2 = vv * vv
         basis = (1, c1, c2, c3, c1 * c2, c1 * c3, c2 * c3, c1 * c2 * c3)
         num, den = pl2_expressions(vv, c1, c2, c3)
-        assert table_value(_PL2_NUM, v2, basis) == num
         assert table_value(_PL2_DEN, v2, basis) == den
-        v4, v6 = v2 * v2, v2 * v2 * v2
-        for rows, x, c in zip(_PL2_PQR, (vv, 2 * vv), (c1, c2)):
-            terms = (v2 * c, v2, v4, v4 * c, v6 * c, 1, c, b31 * v6, b31 * v6 * c)
-            got = [sum(w * t for w, t in zip(row, terms)) / k
-                   for row, k in zip(rows, _PQR_DIVISORS)]
-            assert got == list(pqr_expressions(x, c, b31, F(1)))
+        v6den = v2 * v2 * v2 * den
+        b31 = num / (1080 * v6den)
+        p1, q1, r1 = pqr_expressions(vv, c1, b31, F(1))
+        p2, q2, r2 = pqr_expressions(2 * vv, c2, b31, F(1))
+        det = p1 * q2 - p2 * q1
+        weights = ((r1 * q2 - r2 * q1) / det, (p1 * r2 - p2 * r1) / det, b31)
+        for rows, weight in zip(_PL2_NUM, weights):
+            assert table_value(rows, v2, basis) / (2160 * v6den) == weight
 
 
 def test_pl2_numden_matches_the_reference():
@@ -224,8 +228,10 @@ def test_pl2_numden_matches_the_reference():
 
     for text in ("0.7", "2.5", "3.85", "9.1"):
         vv = w.mpf(text)
-        den, _, (num, c1, c2, _) = _pl2_terms(_fixed(vv._mpf_, P), P)
-        num, den, cs = out(num), out(den), (out(c1), out(c2))
+        den, _, (basis, v2) = _pl2_terms(_fixed(vv._mpf_, P), P)
+        # the beta31 table holds twice the reference's numerator
+        num = _horner(_PL2_NUM[2], basis, v2, P) // 2
+        num, den, cs = out(num), out(den), (out(basis[1]), out(basis[2]))
         ref_num, ref_den, ref_cs = reference_pl2_numden(w, vv)
         assert cs == ref_cs
         assert abs(num - ref_num) < w.mpf(10) ** -50 * 10 ** 6
@@ -267,21 +273,36 @@ def test_weights_equal_the_reference(seed, digits):
 HIGH = make_context(120)
 
 
-def bisect_pl2_pole(lo, hi):
-    """The zero of the PL'' denominator in [lo, hi], to 115 digits."""
+def bisect_zero(f, lo, hi):
+    """The zero of f in [lo, hi], where f changes sign, to 115 digits."""
     lo, hi = HIGH.mpf(lo), HIGH.mpf(hi)
-    sign_lo = reference_pl2_numden(HIGH, lo)[1] > 0
+    sign_lo = f(lo) > 0
     while hi - lo > lo * HIGH.mpf(10) ** -115:
         mid = (lo + hi) / 2
-        if (reference_pl2_numden(HIGH, mid)[1] > 0) == sign_lo:
+        if (f(mid) > 0) == sign_lo:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
 
 
+def bisect_pl2_pole(lo, hi):
+    """The zero of the PL'' denominator in [lo, hi], to 115 digits."""
+    return bisect_zero(lambda v: reference_pl2_numden(HIGH, v)[1], lo, hi)
+
+
+def harmonic_fit_determinant(v):
+    """p1 q2 - p2 q1 of the reference's 2x2 solve; p and q do not read beta31."""
+    one = HIGH.mpf(1)
+    p1, q1, _ = pqr_expressions(v, HIGH.mp.cos(v), one, one)
+    p2, q2, _ = pqr_expressions(2 * v, HIGH.mp.cos(2 * v), one, one)
+    return p1 * q2 - p2 * q1
+
+
 #: the first sign change of the PL'' denominator, and its double zeros
 POLES = {"p": bisect_pl2_pole("3.8", "3.9"), "2pi": 2 * HIGH.pi, "4pi": 4 * HIGH.pi}
+#: the first zero of the 2x2 determinant, v ~ 4.0521: no weight has a pole there
+DETERMINANT_ZERO = bisect_zero(harmonic_fit_determinant, "4.0", "4.1")
 
 
 def near_pole(pole, side, k, ctx):
@@ -342,3 +363,16 @@ def test_poles_still_raise(pole, k):
     with pytest.raises(SingularParameterError):
         pldoubleprime_closed(near_pole(pole, 1, k, ctx), ctx)
     assert ctx.mp.dps == ctx.digits
+
+
+@pytest.mark.parametrize("digits,k", [(16, None), (50, 40)])
+def test_weights_keep_every_digit_next_to_a_determinant_zero(digits, k):
+    # the reference's 2x2 solve raises here at 16 digits and keeps about 38
+    # digits at 50; Cramer's rule on all three harmonics has no zero here
+    ctx = make_context(digits)
+    shift = 0 if k is None else HIGH.mpf(10) ** -k
+    v = ctx.mpf(DETERMINANT_ZERO * (1 + shift))
+    ref = make_context(250)
+    want = pldoubleprime_closed(ref.mpf(v), ref).as_tuple()
+    for name, x, y in zip(COEFF_NAMES, pldoubleprime_closed(v, ctx).as_tuple(), want):
+        assert abs(ref.mpf(x) - y) <= ref.mpf(10) ** (1 - digits) * abs(y), name

@@ -13,13 +13,13 @@ from obrechkoff import (
     make_context,
     pldoubleprime_closed,
     plprime_closed,
-    taylor_fallback,
 )
 from obrechkoff.coefficients import (
     CLASSICAL_FRACTIONS,
     COEFF_NAMES,
     PL_DOUBLE_PRIME_SERIES,
     PL_PRIME_SERIES,
+    taylor_fallback,
 )
 from obrechkoff.stability import stability_pair
 
@@ -205,16 +205,37 @@ def test_classical_weights_below_resolution(monkeypatch, method):
     assert calls == [ctx.mpf("1.1e-25")]
 
 
+@pytest.mark.parametrize("digits", [16, 50, 100])
+def test_classical_shortcut_is_taken_exactly_below_resolution(monkeypatch, digits):
+    # v^2 < 10^-digits is decided on v as stored, with no rounding, at
+    # v = 10^(-digits/2) (1 +- 10^-k)
+    ctx = make_context(digits)
+    high = make_context(digits + 40)
+    calls = []
+    monkeypatch.setattr(COEFFICIENTS_MODULE, "plprime_closed", lambda v, c: calls.append(v))
+    taken = set()
+    for k in range(1, digits + 5):
+        for side in (1, -1):
+            v = ctx.mpf(high.mpf(10) ** (-digits // 2) * (1 + side * high.mpf(10) ** -k))
+            calls.clear()
+            coefficients(MethodId.PL_PRIME, v, ctx)
+            _, man, exp, _ = v._mpf_
+            below = (F(man) * F(2) ** exp) ** 2 < F(1, 10 ** digits)
+            assert (not calls) == below, (k, side)
+            taken.add(below)
+    assert taken == {True, False}
+
+
 @pytest.mark.parametrize("digits", [50, 100])
-@pytest.mark.parametrize("v", ["1e3", "1e6", "1e10", "1e20"])
+@pytest.mark.parametrize("v", ["1e3", "1e6", "1e10", "1e20", "1e30", "1e100"])
 def test_pl2_keeps_every_digit_at_large_v(v, digits):
     # beta30 and beta31 fall like v^-2, so they keep every digit only if the
     # evaluation holds 2 log10 v more; the reference is the closed form at
-    # 250 digits
+    # 250 digits at the same binary v (1e100 is not exact at 50 digits)
     ctx = make_context(digits)
     ref_ctx = make_context(250)
     got = coefficients(MethodId.PL_DOUBLE_PRIME, ctx.mpf(v), ctx)
-    ref = pldoubleprime_closed(ref_ctx.mpf(v), ref_ctx)
+    ref = pldoubleprime_closed(ref_ctx.mpf(got.v), ref_ctx)
     for name, x, r in zip(COEFF_NAMES, got.as_tuple(), ref.as_tuple()):
         assert abs(ref_ctx.mpf(x) - r) <= ref_ctx.mpf(10) ** (1 - digits) * abs(r), (v, name)
 
@@ -238,11 +259,16 @@ def test_closed_forms_at_zero_are_singular(ctx50, closed):
         closed(0, ctx50)
 
 
-def test_pl2_beyond_the_float_range_is_singular(ctx50):
+def test_pl2_keeps_every_digit_beyond_the_float_range(ctx50):
     # float(v) overflows from 2^1024 on, so the large-v boost reads log10 |v|
-    # off the mantissa and exponent; at 50 digits PL'' is singular long before
-    with pytest.raises(SingularParameterError):
-        coefficients(MethodId.PL_DOUBLE_PRIME, ctx50.mpf("1e400"), ctx50)
+    # off the mantissa and exponent; the reference is the closed form at 250
+    # digits
+    ref_ctx = make_context(250)
+    v = ctx50.mpf("1e400")
+    got = coefficients(MethodId.PL_DOUBLE_PRIME, v, ctx50)
+    ref = pldoubleprime_closed(ref_ctx.mpf(v), ref_ctx)
+    for name, x, r in zip(COEFF_NAMES, got.as_tuple(), ref.as_tuple()):
+        assert abs(ref_ctx.mpf(x) - r) <= ref_ctx.mpf(10) ** (1 - 50) * abs(r), name
 
 
 # -------------------------------------------- series extraction oracle
