@@ -27,22 +27,22 @@ predictor is the degree-7 Taylor polynomial of the solution through
 (x_n, y_n, y'_n), read off the problem's traced f2 graph.  The corrector is
 a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
 A = I - DPhi, where dF/dz comes from the variational program of the traced
-f2 at the predictor; F itself always comes from the closures.
-z is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both components;
-the step keeps Phi(z) and evaluates F there once more for the next step.  A
-closure value that is not finite fails the step at once.
+f2 at the predictor, and F from ``problem.evaluate``.  z is accepted once
+|Phi(z) - z| <= tol (1 + |Phi(z)|) in both components; the step keeps
+Phi(z), rounded, and evaluates F there once more for the next step.  An F
+that is not finite fails the step at once.
 Node n sits at x0 + n*h, formed once by :func:`_node`.
 
 The solve runs on Python ints at the Taylor program's binary point 2^-P,
 P = prec + ``jets.GUARD_BITS``: c, the predictor (read off the program's
-integer coefficients), Phi(z), r = Phi(z) - z, the 2x2 chord inverse and the
-z update.  Each weighted sum is one exact integer sum under the integer
-weights of :class:`StepWeights`, shifted once, and the acceptance test is
-one exact integer comparison; each shift or division rounds down.  libmp is
-met only at the boundary: the incoming state and the closure values are
-converted in, and the closures' arguments and the accepted y_{n+1}, y'_{n+1}
-are rounded out to nearest at prec.  A closure value or an iterate of
-2^RANGE_BITS or more fails the step as a diverged solve.
+integer coefficients), F(z) and its partials, Phi(z), r = Phi(z) - z, the
+2x2 chord inverse and the z update.  Each weighted sum is one exact integer
+sum under the integer weights of :class:`StepWeights`, shifted once, and
+the acceptance test is one exact integer comparison; each shift or division
+rounds down.  libmp is met only at the boundary: the incoming state is
+converted in and the accepted y_{n+1}, y'_{n+1} are rounded out to nearest
+at prec, as z and F are on their way through a problem's own closures.  A
+state, iterate or F of 2^RANGE_BITS or more is a diverged solve.
 
 Bound.  From the same state, the step takes as many evaluations as the same
 step worked at 20 more digits, and its y_{n+1} and y'_{n+1} lie within
@@ -69,7 +69,7 @@ from mpmath.libmp import from_man_exp
 from .coefficients import CoefficientSet, MethodId, coefficients
 from .context import Context
 from .errors import ConfigurationError, DomainError, StepFailureError
-from .jets import GUARD_BITS, RND, _fixed, _integer_weights, _raw, in_range, ode_series
+from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _integer_weights, _raw, ode_series
 from .problems import ProblemDef
 
 #: weights of the degree-11-exact symmetric derivative quadrature
@@ -120,7 +120,7 @@ class StepState:
     yp_prev: object
     yp_curr: object
     iterations: int = 0
-    f_prev: Optional[tuple] = None
+    f_prev: Optional[tuple] = None      # F at node n - 1 as ints at 2^-P, as step keeps it
     f_curr: Optional[tuple] = None
 
 
@@ -128,19 +128,16 @@ class StepState:
 class StepWeights:
     """The update map Phi(z) = c + W F(z) of every step of one run.
 
-    ``end`` is W: its rows weight F = (f2, f4, f6) at the new node in y_{n+1}
-    and y'_{n+1}, so DPhi = W dF/dz; f at the oldest node takes the same
-    weights.  ``mid`` weights f at the middle node.  ``tol`` is the
-    acceptance tolerance 10^(8 - digits).  ``fixed`` holds the same numbers
-    as integer weights over 2^-s, each a pair (s, weights), for the step's
-    integer arithmetic: h, tol, each row of W, and each row of W followed
-    by the same row of ``mid``.
+    W, rows (h^2 b10, h^4 b20, h^6 b30) and (h qA, h^3 qC, h^5 qE), weights F
+    at the new node (and f at the oldest), so DPhi = W dF/dz; f at the middle
+    node takes b11, b21, b31 and qB, qD, qF in their place.  ``tol`` is the
+    acceptance tolerance 10^(8 - digits).  ``fixed`` holds these as integer
+    weights over 2^-s, pairs (s, weights), for the step: h, tol, each row of
+    W, and each row of W followed by the same row for the middle node.
     """
 
     h: object
     tol: object
-    end: tuple            # (h^2 b10, h^4 b20, h^6 b30), (h qA, h^3 qC, h^5 qE)
-    mid: tuple            # (h^2 b11, h^4 b21, h^6 b31), (h qB, h^3 qD, h^5 qF)
     fixed: tuple = field(repr=False)
 
     @classmethod
@@ -154,7 +151,7 @@ class StepWeights:
         mid = ((p[2] * b11, p[4] * b21, p[6] * b31), (p[1] * qB, p[3] * qD, p[5] * qF))
         rows = [[h], [tol], *end, *(e + m for e, m in zip(end, mid))]
         fixed = [_integer_weights([_raw(w) for w in row]) for row in rows]
-        return cls(h, tol, end, mid, fixed=(fixed[0], fixed[1], fixed[2:4], fixed[4:]))
+        return cls(h, tol, fixed=(fixed[0], fixed[1], fixed[2:4], fixed[4:]))
 
 
 @dataclass
@@ -179,16 +176,6 @@ class IntegrationResult:
 def _node(x0, h, n):
     """Abscissa of node n: x0 + n*h, never a sum of steps."""
     return x0 + n * h
-
-
-def _eval_f(problem, x, y, yp):
-    return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
-
-
-def _finite(v):
-    """Whether a raw libmp number is finite: inf and nan have a zero mantissa
-    and a nonzero exponent."""
-    return v[1] or not v[2]
 
 
 def _dot(row, values):
@@ -226,44 +213,48 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     """Advance (y_{n-1}, y_n) -> y_{n+1}; returns the shifted state.
 
     Raises StepFailureError when the chord-Newton solve has not converged
-    after MAX_ITERATIONS evaluations, when its matrix is singular, when a
-    closure value is not finite, or when an iterate or a closure value has
-    diverged beyond the range of the Taylor program (``jets.RANGE_BITS``).
+    after MAX_ITERATIONS evaluations, when its matrix is singular, when F is
+    not finite (``problem.evaluate`` raised a DomainError), or when the
+    state, an iterate or F lies beyond the Taylor program's range.
     """
     prec, make = ctx.mp.prec, ctx.mp.make_mpf
     P = prec + GUARD_BITS
-    one = 1 << P
-    n, x_n, y_curr, yp_curr, yp_prev = (
-        state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
+    one, limit = 1 << P, P + RANGE_BITS
+    n, x_n = state.index, state.x_n
     x_next = _node(state.x0, weights.h, n + 1)
 
     def failure(message, evals):
         return StepFailureError(f"implicit solve{message} at x = {ctx.mp.nstr(x_next, 8)}",
                                 step_index=n + 1, iterations=evals)
 
-    def fixed(values, evals):
-        """The closure values as ints at 2^-P; one that is not finite, or not
-        below 2^RANGE_BITS, fails the step."""
+    def in_range(values, evals, what="F"):
+        if any(v.bit_length() > limit for v in values):
+            raise failure(f" diverged: {what} beyond the Taylor program's range", evals)
+        return values
+
+    def evaluate(x, y, yp, evals):
         try:
-            return [_fixed(_raw(v), P) for v in values]
+            return in_range(problem.evaluate(x, y, yp, prec, make), evals)
         except DomainError:
-            if all(_finite(_raw(v)) for v in values):
-                raise failure(" diverged: closure value beyond the Taylor program's range",
-                              evals) from None
             raise failure(": non-finite iterate", evals) from None
 
-    f_prev = state.f_prev or _eval_f(
-        problem, _node(state.x0, weights.h, n - 1), state.y_prev, yp_prev)
-    f_curr = state.f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
-    (hs, (h,)), (ts, (tol,)), end, old = weights.fixed
+    def state_in(y, yp, evals=0):
+        try:
+            return _fixed(_raw(y), P), _fixed(_raw(yp), P)
+        except DomainError:
+            raise failure(" diverged: state beyond the Taylor program's range", evals) from None
+
     # the constant part c of Phi(z) = c + W F(z), fixed for the whole step; a
     # bad f at an old node spoils Phi(z) at the first evaluation
-    f_old = fixed(f_prev + f_curr, 1)
-    base = (2 * _fixed(_raw(y_curr), P) - _fixed(_raw(state.y_prev), P), _fixed(_raw(yp_prev), P))
-    c = [b + _dot(row, f_old) for b, row in zip(base, old)]
+    y_prev, yp_prev = state_in(state.y_prev, state.yp_prev)
+    f_prev = state.f_prev or evaluate(_node(state.x0, weights.h, n - 1), y_prev, yp_prev, 1)
+    y_curr, yp_curr = state_in(state.y_curr, state.yp_curr)
+    f_curr = state.f_curr or evaluate(x_n, y_curr, yp_curr, 1)
+    (hs, (h,)), (ts, (tol,)), end, old = weights.fixed
+    c = [b + _dot(row, (*f_prev, *f_curr)) for b, row in zip((2 * y_curr - y_prev, yp_prev), old)]
 
     graph = problem.graph
-    graph.at(x_n, y_curr, yp_curr)
+    graph.centre(x_n, y_curr, yp_curr, prec, make)
     # Horner's rule for the Taylor polynomial and its derivative at h
     taylor = graph.y.fixed
     y, dy = taylor(PREDICTOR_DEGREE), 0
@@ -273,25 +264,23 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     z = (y, dy)
     inverse = None           # A^-1 at the predictor, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
-        z_raw = [from_man_exp(zi, -P, prec, RND) for zi in z]
-        if not (in_range(z_raw[0]) and in_range(z_raw[1])):
-            raise failure(" diverged: iterate beyond the Taylor program's range", evals - 1)
-        z_mpf = make(z_raw[0]), make(z_raw[1])
-        f_z = fixed(_eval_f(problem, x_next, *z_mpf), evals)
+        in_range(z, evals - 1, "iterate")
+        f_z = evaluate(x_next, *z, evals)
         phi = [ci + _dot(row, f_z) for ci, row in zip(c, end)]
         r = [p - zi for p, zi in zip(phi, z)]
         # |r| <= tol (1 + |Phi(z)|) exactly, with tol as the int ``tol`` over 2^-ts
         if all(abs(ri) << ts <= tol * (one + abs(p)) for ri, p in zip(r, phi)):
-            # f at the accepted pair is kept, so the next step sees consistent data
+            # F at the rounded accepted pair is kept, so the next step sees consistent data
             y_next, yp_next = (make(from_man_exp(p, -P, prec, RND)) for p in phi)
             return StepState(
                 index=n + 1, x0=state.x0, x_n=x_next,
-                y_prev=y_curr, y_curr=y_next, yp_prev=yp_curr, yp_curr=yp_next,
+                y_prev=state.y_curr, y_curr=y_next, yp_prev=state.yp_curr, yp_curr=yp_next,
                 iterations=state.iterations + evals + 1,
-                f_prev=f_curr, f_curr=_eval_f(problem, x_next, y_next, yp_next))
+                f_prev=f_curr,
+                f_curr=evaluate(x_next, *state_in(y_next, yp_next, evals + 1), evals + 1))
         if inverse is None:
-            partials = fixed([d for pair in graph.jacobian(x_next, *z_mpf, (2, 4, 6))
-                              for d in pair], evals)
+            partials = [d for pair in graph.partials(x_next, *z, prec, make, (2, 4, 6))
+                        for d in pair]
             (j11, j12), (j21, j22) = [(_dot(row, partials[::2]), _dot(row, partials[1::2]))
                                       for row in end]
             a11, a22 = one - j11, one - j22

@@ -22,8 +22,8 @@ weights over their least exponent, one exact sum and one shift; a quotient
 divides one exact sum by b_0, and the solution by the integer (k+1)(k+2) or
 k+1.  Each shift or division rounds down, so each op adds less than one unit
 2^-P to the errors its inputs carry.  libmp is met only at the boundary:
-``at`` converts x, y and y' in, level 0 of a sin/cos pair calls
-``mpf_cos_sin`` at P bits, the x program converts the constants of
+``centre`` converts x in (``at`` y and y' too), level 0 of a sin/cos pair
+calls ``mpf_cos_sin`` at P bits, the x program converts the constants of
 polynomial nodes, and ``derivative``, ``jacobian`` and ``Coefficients.raw``
 round a result out to nearest at prec.  No op list is interpreted: the
 first time a level is asked for, each op emits its lines of Python source
@@ -69,7 +69,7 @@ import functools
 import linecache
 import math
 
-from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpf_cos_sin, round_nearest
+from mpmath.libmp import from_float, from_int, from_man_exp, mpf_cos_sin, round_nearest
 
 from .errors import DomainError
 
@@ -575,13 +575,13 @@ class TracedODE:
     """y'' = f2(x, y, y'), traced once and compiled into a Taylor program.
 
     f2 may use + - * /, positive integer powers, numbers and ``ops.sin`` /
-    ``ops.cos``; an f2 that returns a plain number is a constant.  The point
-    (x, y, y') is given as mpmath numbers, as the integrator passes it, and
-    the program runs at the binary point 2^-(prec + GUARD_BITS), prec being
-    the precision of y.  ``y`` and ``f`` give the Taylor
-    coefficients of the solution and of f2 there, and ``jacobian`` the
-    partials that the variational program computes over them.  ``name``
-    labels the generated code in tracebacks and profiles.
+    ``ops.cos``; an f2 that returns a plain number is a constant.  The
+    point (x, y, y') is given to ``centre`` with y, y' as ints at 2^-(prec +
+    GUARD_BITS), as the integrator passes it, or to ``at`` as mpmath
+    numbers.  ``y`` and ``f`` give the Taylor coefficients of the solution
+    and of f2 there, ``even`` y'', y^(4), y^(6) and ``partials`` their
+    partials from the variational program, as ints.  ``name`` labels the
+    generated code in tracebacks and profiles.
     """
 
     def __init__(self, f2, name="f2"):
@@ -625,6 +625,7 @@ class TracedODE:
         self.y = Coefficients(self, self._y, 2)
         self.f = Coefficients(self, self._f, 0)
         self._point, self._prec, self._P, self._make = (None, None, None), None, None, None
+        self._closures = {}
 
     def _reset(self, on_x):
         for c in self._y_lists + (self._x_lists if on_x else []):
@@ -633,33 +634,34 @@ class TracedODE:
             program.filled = 0
 
     def at(self, x, y, yp):
-        """Centre the program at (x, y, y'), keeping what that point leaves valid.
-
-        The same y and y' objects at an equal x keep every coefficient; ops
-        of x alone are reset only when x or the precision changes.  y' may be
-        None when f2 ignores it.  A non-finite x, y or y', one of
-        2^RANGE_BITS or more, or a missing y' that f2 reads, is a DomainError
-        and leaves the program as it was.
-        """
-        px, py, pyp = self._point
+        """``centre`` at mpmath numbers, prec being that of y; a non-finite y
+        or y', or one of 2^RANGE_BITS or more, is a DomainError."""
         try:
             ctx = y.context
         except AttributeError:
             raise DomainError("a traced f2 is evaluated at mpmath numbers") from None
-        new_x = x is not px and x != px or ctx.prec != self._prec
-        if not new_x and y is py and yp is pyp:
+        P = ctx.prec + GUARD_BITS
+        self.centre(x, _fixed(_raw(y), P), None if yp is None else _fixed(_raw(yp), P),
+                    ctx.prec, ctx.make_mpf)
+
+    def centre(self, x, y, yp, prec, make):
+        """Centre the program at x and the ints y, y' at 2^-P, P = prec +
+        GUARD_BITS, rounding reads out by ``make``.  Equal y, y' at an equal x
+        keep every coefficient, an equal x and prec the ops of x alone.  A bad
+        x, or y' None where f2 reads y', is a DomainError that changes nothing."""
+        px, py, pyp = self._point
+        new_x = x is not px and x != px or prec != self._prec
+        if not new_x and y == py and yp == pyp:
             return
         if yp is None and self._reads_yp:
             raise DomainError("this f2 reads y', so the point needs one")
-        P = ctx.prec + GUARD_BITS
-        y0 = _fixed(_raw(y), P)
-        yp0 = None if yp is None else _fixed(_raw(yp), P)
+        P = prec + GUARD_BITS
         if new_x:
             self._x.v[:] = [_fixed(_raw(x), P), 1 << P]
-            self._prec, self._P, self._make = ctx.prec, P, ctx.make_mpf
+            self._prec, self._P, self._make = prec, P, make
         self._reset(on_x=new_x)
         self._point = (x, y, yp)
-        seeds = [(y0, yp0)] + [(w0 << P, wp0 << P) for w0, wp0 in _SEEDS]
+        seeds = [(y, yp)] + [(w0 << P, wp0 << P) for w0, wp0 in _SEEDS]
         for (u, up), (u0, up0) in zip(self._pairs, seeds):
             u.v[:], up.v[:] = [u0, up0], [up0]
 
@@ -687,30 +689,40 @@ class TracedODE:
             raise
 
     def derivative(self, k: int):
-        """The closure (x, y, y') -> y^(k) of the solution through that point."""
-        n, at, fill, f = k - 2, self.at, self._fill, self._f
+        """The closure (x, y, y') -> y^(k) of the solution through that point,
+        the same object for the same k."""
+        if k in self._closures:
+            return self._closures[k]
+        n, at, fixed = k - 2, self.at, self.f.fixed
         scale = math.factorial(n)
 
         def fk(x, y, yp):
             at(x, y, yp)
-            if n > f.deg:
-                return self._make(fzero)
-            fill(n)
-            return self._make(from_man_exp(f.v[n] * scale, -self._P, self._prec, RND))
+            return self._make(from_man_exp(fixed(n) * scale, -self._P, self._prec, RND))
 
+        self._closures[k] = fk
         return fk
 
-    def jacobian(self, x, y, yp, orders):
-        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] of the solution
-        through (x, y, y'), read off the variational program.
-        """
-        self.at(x, y, yp)
+    def even(self, x, y, yp, prec, make):
+        """(y'', y^(4), y^(6)) = (f_0, 2 f_2, 24 f_4) at ``centre``'s point."""
+        self.centre(x, y, yp, prec, make)
+        f = self._f
+        self._fill(min(4, f.deg))
+        return [scale * f.v[k] if k <= f.deg else 0 for k, scale in ((0, 1), (2, 2), (4, 24))]
+
+    def partials(self, x, y, yp, prec, make, orders):
+        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] at ``centre``'s point."""
+        self.centre(x, y, yp, prec, make)
         if not self._df:
             return [(0, 0) for _ in orders]
         self._fill(max(orders) - 2, tangents=True)
-        make, P, prec = self._make, self._P, self._prec
-        return [tuple(make(from_man_exp(df.v[k - 2] * math.factorial(k - 2), -P, prec, RND))
-                      for df in self._df) for k in orders]
+        return [tuple(df.v[k - 2] * math.factorial(k - 2) for df in self._df) for k in orders]
+
+    def jacobian(self, x, y, yp, orders):
+        """``partials`` at mpmath numbers (see ``at``), rounded out at prec."""
+        self.at(x, y, yp)
+        return [tuple(self._make(from_man_exp(d, -self._P, self._prec, RND)) for d in pair)
+                for pair in self.partials(*self._point, self._prec, self._make, orders)]
 
 
 def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:

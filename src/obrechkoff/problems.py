@@ -4,8 +4,8 @@ Each problem supplies only f2, written with ``ops.sin``/``ops.cos``.
 :class:`ProblemDef` traces it once into a :class:`~obrechkoff.jets.TracedODE`
 Taylor program and serves every closure fk(x, y, yp), k = 2..7, the k-th
 derivative of the solution through (x, y, yp), from that program.  The
-integrator calls the even closures, and reads its step predictor, Newton
-partials and Taylor startup off the same program.
+integrator reads F = (f2, f4, f6), and its step predictor, Newton partials
+and Taylor startup, off the same program, as ints.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from mpmath.libmp import from_man_exp
+
 from .context import Context
-from .errors import ConfigurationError
-from .jets import TracedODE, ops
+from .errors import ConfigurationError, DomainError
+from .jets import GUARD_BITS, RANGE_BITS, RND, TracedODE, _fixed, _raw, in_range, ops
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,11 @@ class ProblemDef:
 
     Unless ``graph`` is given, f2 is traced into one; f2 itself and every
     closure f3..f7 left unset are then read off that graph.
+
+    ``evaluate(x, y, yp, prec, make)``, rebuilt by ``dataclasses.replace``,
+    is the graph's ``even`` when f2, f4 and f6 are its closures; else it
+    calls them at y, y' rounded out, and a value that is not finite is a
+    DomainError, one of 2^RANGE_BITS or more +-2^(P + RANGE_BITS).
     """
 
     name: str
@@ -41,6 +48,7 @@ class ProblemDef:
     reference_prime: Optional[Callable] = None
     default_omega: Optional[object] = None
     graph: Optional[TracedODE] = field(default=None, repr=False, compare=False)
+    evaluate: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.graph is None:
@@ -48,6 +56,17 @@ class ProblemDef:
             for k in range(2, 8):
                 if k == 2 or getattr(self, f"f{k}") is None:
                     object.__setattr__(self, f"f{k}", self.graph.derivative(k))
+        own = all(getattr(self, f"f{k}") is self.graph.derivative(k) for k in (2, 4, 6))
+        object.__setattr__(self, "evaluate", self.graph.even if own else self._from_closures)
+
+    def _from_closures(self, x, y, yp, prec, make):
+        P = prec + GUARD_BITS
+        z = [make(from_man_exp(v, -P, prec, RND)) for v in (y, yp)]
+        values = [_raw(f(x, *z)) for f in (self.f2, self.f4, self.f6)]
+        if not all(v[1] or not v[2] for v in values):      # inf and nan: man 0, exp not
+            raise DomainError("a closure value is not finite")
+        return [_fixed(v, P) if in_range(v) else (-1 if v[0] else 1) << P + RANGE_BITS
+                for v in values]
 
     def closure(self, order: int):
         if order not in range(2, 8):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import io
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from obrechkoff import cli, make_context, stability
+from obrechkoff import ProblemDef, cli, get_problem, make_context, stability
 from obrechkoff.cli import (
     ExperimentSpec,
     emit,
@@ -280,13 +281,19 @@ def test_trajectory_run_integrates_its_cell_once(tmp_path, monkeypatch):
     assert len(parse_csv((tmp_path / "table.csv").read_text())) == 1
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
-    # perfbench/tracing.py swaps package callables and problem closures by
-    # name; a name dropped from the package must fail here, not in the benchmark
+def load_tracing():
+    """The benchmark's tracer module, perfbench/tracing.py."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py swaps package callables and problem closures by
+    # name; a name dropped from the package must fail here, not in the benchmark
+    tracing = load_tracing()
     get_problem = cli.get_problem
     tracer = tracing.Tracer()
     with tracer.run(0):
@@ -302,6 +309,35 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert {"problems.get_problem", "problems.f6", "context.Context",
             "coefficients.coefficients", "coefficients.plprime_closed",
             "coefficients.pldoubleprime_closed"} <= names
+
+
+@pytest.mark.parametrize("problem", ["linear", "duffing"])
+def test_traced_cells_reconcile_through_the_closure_adapter(problem):
+    # the tracer wraps the closures of each problem the CLI builds, which sends
+    # the step through the closure adapter: f6 calls = iterations + 2 per cell
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    spec = ExperimentSpec(problem=problem, methods=["classical", "pldoubleprime"],
+                          step_divisors=[10, 20], digits=30, span=0.6283185307179586)
+    with tracer.run(0):
+        traced = cli.get_problem(problem, make_context(30))
+        table = cli.run_experiment(spec)
+    assert traced.evaluate.__func__ is ProblemDef._from_closures
+    assert not table.any_failed
+    cells = tracer.cells(tracer.run_spans(0))
+    assert len(cells) == 4
+    for result, calls in cells:
+        assert calls["problems.f6"] > 0
+        assert tracing.reconciles(result, calls)
+
+
+def test_problems_read_their_graph_unless_a_closure_is_replaced():
+    ctx = make_context(30)
+    p = get_problem("linear", ctx)
+    assert p.evaluate == p.graph.even
+    assert dataclasses.replace(p, reference=None).evaluate == p.graph.even
+    wrapped = dataclasses.replace(p, f6=lambda x, y, yp: p.f6(x, y, yp))
+    assert wrapped.evaluate.__func__ is ProblemDef._from_closures
 
 
 @pytest.mark.parametrize("grid, message", [

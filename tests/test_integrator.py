@@ -334,6 +334,21 @@ def test_a_closure_value_beyond_range_is_a_diverged_solve(ctx50, from_x, step_in
     assert info.value.iterations == 1
 
 
+@pytest.mark.parametrize("y0, iterations", [(2 ** 3000, 0), (2 ** 12000, 1)])
+def test_a_state_or_an_f_beyond_range_is_a_diverged_solve(y0, iterations):
+    # y'' = y^5 from y0 = 2^3000: the Taylor startup's y1, near 2^86915, lies
+    # beyond the Taylor program's range, 2^RANGE_BITS, before any evaluation;
+    # from 2^12000, y^(4) = 5 y0^9 at the first node already does
+    ctx = make_context(30)
+    p = ProblemDef(name="quintic", x0=ctx.mpf(0), x_end=ctx.mpf(1), y0=ctx.mpf(y0),
+                   yp0=ctx.mpf(0), f2=lambda x, y, yp: y ** 5)
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx.mpf(1) / 50, startup="taylor")
+    with pytest.raises(StepFailureError, match="implicit solve diverged") as info:
+        integrate(p, cfg, ctx)
+    assert info.value.step_index == 2
+    assert info.value.iterations == iterations
+
+
 @pytest.mark.parametrize("name, closure, triples", [
     ("f6", lambda x, y, yp: 0, 196),
     ("f4", lambda x, y, yp: float(10000 * y), 189)])

@@ -11,6 +11,7 @@ bound that the ``integrator`` docstring states.
 from types import SimpleNamespace
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from obrechkoff import (
     MethodId,
@@ -25,15 +26,41 @@ from obrechkoff import (
     step,
 )
 from obrechkoff.integrator import (
+    DERIVATIVE_QUADRATURE,
     MAX_ITERATIONS,
     PREDICTOR_DEGREE,
     StepState,
     StepWeights,
-    _eval_f,
     _node,
 )
+from obrechkoff.jets import GUARD_BITS
 
 STEPS = 30
+
+
+def _eval_f(problem, x, y, yp):
+    return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
+
+
+def kept(f, ctx):
+    """A triple that ``step`` kept, ints m at 2^-P, P = prec + GUARD_BITS, as
+    the numbers m 2^-P of ``ctx``, exactly; None stays None."""
+    P = ctx.mp.prec + GUARD_BITS
+    return f and tuple(ctx.mp.make_mpf(from_man_exp(m, -P)) for m in f)
+
+
+def mpf_weights(weights, coeffs, ctx):
+    """h, tol and, as rows of mpf, the weights ``end`` = W of f at the new
+    (and the oldest) node and ``mid`` of f at the middle node, formed from
+    the coefficients and DERIVATIVE_QUADRATURE as StepWeights forms them."""
+    h = weights.h
+    p = [h ** k for k in range(7)]
+    b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
+    qA, qB, qC, qD, qE, qF = (ctx.mpf(q) for q in DERIVATIVE_QUADRATURE.values())
+    return SimpleNamespace(
+        h=h, tol=weights.tol,
+        end=((p[2] * b10, p[4] * b20, p[6] * b30), (p[1] * qA, p[3] * qC, p[5] * qE)),
+        mid=((p[2] * b11, p[4] * b21, p[6] * b31), (p[1] * qB, p[3] * qD, p[5] * qF)))
 
 
 def reference_chord_inverse(partials, end, ctx):
@@ -52,9 +79,9 @@ def reference_step(state, weights, problem, ctx):
     n, x_n, y_curr, yp_curr, yp_prev = (
         state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
     x_next = _node(state.x0, weights.h, n + 1)
-    f_prev = state.f_prev or _eval_f(
+    f_prev = kept(state.f_prev, ctx) or _eval_f(
         problem, _node(state.x0, weights.h, n - 1), state.y_prev, yp_prev)
-    f_curr = state.f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
+    f_curr = kept(state.f_curr, ctx) or _eval_f(problem, x_n, y_curr, yp_curr)
     c = [base + fdot(end + mid, f_prev + f_curr) for base, end, mid in
          zip((2 * y_curr - state.y_prev, yp_prev), weights.end, weights.mid)]
 
@@ -84,13 +111,15 @@ def reference_step(state, weights, problem, ctx):
     raise StepFailureError("stalled", step_index=n + 1, iterations=MAX_ITERATIONS)
 
 
-def widened(state, weights, ctx):
+def widened(state, weights, ctx, prec):
     """The state and weights as numbers of ``ctx``: the same values, which
     the reference then works on at a wider precision.  It reads only h, tol,
-    end and mid of the weights."""
+    end and mid of the weights; the kept triples, ints at the binary point
+    of ``prec``, move exactly to that of ``ctx``."""
     wide = [ctx.mpf(v) for v in (state.x0, state.x_n, state.y_prev, state.y_curr,
                                  state.yp_prev, state.yp_curr)]
-    f_old = [f and tuple(ctx.mpf(v) for v in f) for f in (state.f_prev, state.f_curr)]
+    shift = ctx.mp.prec - prec
+    f_old = [f and tuple(m << shift for m in f) for f in (state.f_prev, state.f_curr)]
     rows = [tuple(tuple(ctx.mpf(w) for w in row) for row in rows)
             for rows in (weights.end, weights.mid)]
     return (StepState(state.index, *wide, iterations=state.iterations,
@@ -113,15 +142,17 @@ def test_step_rounds_as_the_mpf_reference(make, digits, method, startup_mode, di
     cfg = StepperConfig(method=method, h=(p.x_end - p.x0) / divisor, omega=omega,
                         startup=startup_mode)
     h = ctx.mpf(cfg.h)
-    weights = StepWeights.build(coefficients(method, abs(ctx.mpf(omega) * h), ctx), h, ctx)
+    coeffs = coefficients(method, abs(ctx.mpf(omega) * h), ctx)
+    weights = StepWeights.build(coeffs, h, ctx)
+    reference = mpf_weights(weights, coeffs, ctx)
     y0, y1, yp0, yp1 = startup(p, cfg, ctx)
     x0 = ctx.mpf(p.x0)
     state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
                       yp_prev=yp0, yp_curr=yp1)
     unit = wide.mpf(2) ** (3 - ctx.mp.prec)
     for _ in range(STEPS):
-        expected = reference_step(state, weights, p, ctx)
-        exact = reference_step(*widened(state, weights, wide), p, wide)
+        expected = reference_step(state, reference, p, ctx)
+        exact = reference_step(*widened(state, reference, wide, ctx.mp.prec), p, wide)
         state = step(state, weights, p, ctx)
         assert state.iterations == expected.iterations == exact.iterations, state.index
         for got, c in ((state.y_curr, exact.y_curr), (state.yp_curr, exact.yp_curr)):
