@@ -27,32 +27,33 @@ predictor is the degree-7 Taylor polynomial of the solution through
 (x_n, y_n, y'_n), read off the problem's traced f2 graph.  The corrector is
 a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
 A = I - DPhi, where dF/dz comes from the variational program of the traced
-f2 at the predictor, and F from ``problem.evaluate``.  z is accepted once
-|Phi(z) - z| <= tol (1 + |Phi(z)|) in both components; the step keeps
-Phi(z), rounded, and evaluates F there once more for the next step.  An F
-that is not finite fails the step at once.
-Node n sits at x0 + n*h, formed once by :func:`_node`.
+f2 at the predictor, and F from ``problem.evaluate``.  z itself is accepted
+once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both components, tol being
+10^(2 - digits), and F(z) is kept as f_{n+1} (Hairer & Wanner II, IV.8), so
+a step evaluates F only at its iterates.  An F that is not finite fails the
+step at once.  Node n sits at x0 + n*h, formed once by :func:`_node`.
 
-The solve runs on Python ints at the Taylor program's binary point 2^-P,
-P = prec + ``jets.GUARD_BITS``: c, the predictor (read off the program's
-integer coefficients), F(z) and its partials, Phi(z), r = Phi(z) - z, the
-2x2 chord inverse and the z update.  Each weighted sum is one exact integer
-sum under the integer weights of :class:`StepWeights`, shifted once, and
-the acceptance test is one exact integer comparison; each shift or division
-rounds down.  libmp is met only at the boundary: the incoming state is
-converted in and the accepted y_{n+1}, y'_{n+1} are rounded out to nearest
-at prec, as z and F are on their way through a problem's own closures.  A
-state, iterate or F of 2^RANGE_BITS or more is a diverged solve.
+The state and the solve are Python ints at the Taylor program's binary point
+2^-P, P = prec + ``jets.GUARD_BITS``: y and y' at the old nodes, the kept F,
+c, the predictor (read off the program's integer coefficients), F(z) and its
+partials, Phi(z), r = Phi(z) - z, the 2x2 chord inverse and the z update.
+Each weighted sum is one exact integer sum under the integer weights of
+:class:`StepWeights`, shifted once, and the acceptance test is one exact
+integer comparison; each shift or division rounds down.  :func:`integrate`
+crosses the binary point once each way: it converts the startup values in
+and rounds y_end, y'_end and each trajectory record out to nearest at prec.
+libmp is met elsewhere only in a problem's own closures.  A startup value,
+iterate or F of 2^RANGE_BITS or more is a diverged solve.
 
 Bound.  From the same state, the step takes as many evaluations as the same
 step worked at 20 more digits, and its y_{n+1} and y'_{n+1} lie within
 
     |v - c| <= 2^(3 - prec) max(|c|, 1)
 
-of that step's values c.  The rounding out gives up to 2^-prec max(|c|, 1);
-the integer arithmetic adds a few units 2^-P.  Measured at most 1.0 of
-these 8 units on the problems over 60 steps, against 3.4 for the same step
-in mpf operators, which rounds each operation at prec.
+of that step's values c.  F carries the Taylor program's bound (``jets``),
+scaled down by W, and the integer arithmetic adds a few units 2^-P.
+Measured at most 0.08 of the units 2^-prec max(|c|, 1) on the problems over
+60 steps, against 3.0 for the same step in mpf operators.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ class StepperConfig:
 
 @dataclass
 class StepState:
+    """Node n and its two-step state: x0 and x_n are mpmath numbers, y, y'
+    and the kept F (None: not yet evaluated) at nodes n - 1, n ints at 2^-P."""
     index: int
     x0: object
     x_n: object
@@ -120,7 +123,7 @@ class StepState:
     yp_prev: object
     yp_curr: object
     iterations: int = 0
-    f_prev: Optional[tuple] = None      # F at node n - 1 as ints at 2^-P, as step keeps it
+    f_prev: Optional[tuple] = None
     f_curr: Optional[tuple] = None
 
 
@@ -131,9 +134,10 @@ class StepWeights:
     W, rows (h^2 b10, h^4 b20, h^6 b30) and (h qA, h^3 qC, h^5 qE), weights F
     at the new node (and f at the oldest), so DPhi = W dF/dz; f at the middle
     node takes b11, b21, b31 and qB, qD, qF in their place.  ``tol`` is the
-    acceptance tolerance 10^(8 - digits).  ``fixed`` holds these as integer
-    weights over 2^-s, pairs (s, weights), for the step: h, tol, each row of
-    W, and each row of W followed by the same row for the middle node.
+    acceptance tolerance 10^(2 - digits), at which z itself is accepted.
+    ``fixed`` holds these as integer weights over 2^-s, pairs (s, weights),
+    for the step: h, tol, each row of W, and each row of W followed by the
+    same row for the middle node.
     """
 
     h: object
@@ -146,7 +150,7 @@ class StepWeights:
         p = [h ** k for k in range(7)]
         b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
         qA, qB, qC, qD, qE, qF = (ctx.mpf(q) for q in DERIVATIVE_QUADRATURE.values())
-        tol = ctx.mpf(10) ** (8 - ctx.digits)
+        tol = ctx.mpf(10) ** (2 - ctx.digits)
         end = ((p[2] * b10, p[4] * b20, p[6] * b30), (p[1] * qA, p[3] * qC, p[5] * qE))
         mid = ((p[2] * b11, p[4] * b21, p[6] * b31), (p[1] * qB, p[3] * qD, p[5] * qF))
         rows = [[h], [tol], *end, *(e + m for e, m in zip(end, mid))]
@@ -159,8 +163,8 @@ class IntegrationResult:
     """Outcome of one run.
 
     ``total_iterations`` counts the closure triples (f2, f4, f6) that the
-    steps' solves evaluated, the re-evaluation at each accepted pair
-    included; ``max_step_iterations`` is the largest such count of one step.
+    steps' solves evaluated, one per iteration (the accepted one's is kept);
+    ``max_step_iterations`` is the largest such count of one step.
     """
 
     y_end: object
@@ -214,8 +218,8 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
 
     Raises StepFailureError when the chord-Newton solve has not converged
     after MAX_ITERATIONS evaluations, when its matrix is singular, when F is
-    not finite (``problem.evaluate`` raised a DomainError), or when the
-    state, an iterate or F lies beyond the Taylor program's range.
+    not finite (``problem.evaluate`` raised a DomainError), or when an
+    iterate or F lies beyond the Taylor program's range.
     """
     prec, make = ctx.mp.prec, ctx.mp.make_mpf
     P = prec + GUARD_BITS
@@ -238,17 +242,10 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
         except DomainError:
             raise failure(": non-finite iterate", evals) from None
 
-    def state_in(y, yp, evals=0):
-        try:
-            return _fixed(_raw(y), P), _fixed(_raw(yp), P)
-        except DomainError:
-            raise failure(" diverged: state beyond the Taylor program's range", evals) from None
-
     # the constant part c of Phi(z) = c + W F(z), fixed for the whole step; a
     # bad f at an old node spoils Phi(z) at the first evaluation
-    y_prev, yp_prev = state_in(state.y_prev, state.yp_prev)
+    y_prev, y_curr, yp_prev, yp_curr = state.y_prev, state.y_curr, state.yp_prev, state.yp_curr
     f_prev = state.f_prev or evaluate(_node(state.x0, weights.h, n - 1), y_prev, yp_prev, 1)
-    y_curr, yp_curr = state_in(state.y_curr, state.yp_curr)
     f_curr = state.f_curr or evaluate(x_n, y_curr, yp_curr, 1)
     (hs, (h,)), (ts, (tol,)), end, old = weights.fixed
     c = [b + _dot(row, (*f_prev, *f_curr)) for b, row in zip((2 * y_curr - y_prev, yp_prev), old)]
@@ -270,14 +267,10 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
         r = [p - zi for p, zi in zip(phi, z)]
         # |r| <= tol (1 + |Phi(z)|) exactly, with tol as the int ``tol`` over 2^-ts
         if all(abs(ri) << ts <= tol * (one + abs(p)) for ri, p in zip(r, phi)):
-            # F at the rounded accepted pair is kept, so the next step sees consistent data
-            y_next, yp_next = (make(from_man_exp(p, -P, prec, RND)) for p in phi)
             return StepState(
                 index=n + 1, x0=state.x0, x_n=x_next,
-                y_prev=state.y_curr, y_curr=y_next, yp_prev=state.yp_curr, yp_curr=yp_next,
-                iterations=state.iterations + evals + 1,
-                f_prev=f_curr,
-                f_curr=evaluate(x_next, *state_in(y_next, yp_next, evals + 1), evals + 1))
+                y_prev=y_curr, y_curr=z[0], yp_prev=yp_curr, yp_curr=z[1],
+                iterations=state.iterations + evals, f_prev=f_curr, f_curr=f_z)
         if inverse is None:
             partials = [d for pair in graph.partials(x_next, *z, prec, make, (2, 4, 6))
                         for d in pair]
@@ -332,20 +325,27 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
         )
     weights = StepWeights.build(coefficients(config.method, v_user, ctx), h, ctx)
 
-    y0, y1, yp0, yp1 = startup(problem, config, ctx)
-    state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
-                      yp_prev=yp0, yp_curr=yp1)
+    prec = ctx.mp.prec
+    P = prec + GUARD_BITS
+    values = startup(problem, config, ctx)
+    try:          # the state's one entry to the binary point; ``out`` is its exit
+        state = StepState(1, x0, _node(x0, h, 1), *(_fixed(_raw(v), P) for v in values))
+    except DomainError:
+        raise StepFailureError(
+            "implicit solve diverged: state beyond the Taylor program's range at x = "
+            f"{ctx.mp.nstr(_node(x0, h, 2), 8)}", step_index=2, iterations=0) from None
+
+    def out(m):
+        return ctx.mp.make_mpf(from_man_exp(m, -P, prec, RND))
+
     trajectory = []
 
-    def record(xv, yv):
-        if problem.reference is not None:
-            ref = problem.reference(xv)
-            trajectory.append((xv, yv, ref, abs(yv - ref)))
-        else:
-            trajectory.append((xv, yv, None, None))
+    def record(xv, m):
+        yv, ref = out(m), problem.reference and problem.reference(xv)
+        trajectory.append((xv, yv, ref, None if ref is None else abs(yv - ref)))
 
     if trajectory_every:
-        record(x0, y0)
+        record(x0, state.y_prev)
         record(state.x_n, state.y_curr)
 
     max_iter_step = 0
@@ -357,16 +357,15 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
                                  or state.index == n_steps):
             record(state.x_n, state.y_curr)
 
-    err = None
-    if problem.reference is not None:
-        err = abs(state.y_curr - problem.reference(xe))
+    y_end = out(state.y_curr)
+    err = None if problem.reference is None else abs(y_end - problem.reference(xe))
     return IntegrationResult(
-        y_end=state.y_curr,
+        y_end=y_end,
         abs_end_error=err,
         steps=n_steps,
         total_iterations=state.iterations,
         wall_time=time.perf_counter() - t_start,
-        yp_end=state.yp_curr,
+        yp_end=out(state.yp_curr),
         max_step_iterations=max_iter_step,
         trajectory=trajectory,
     )

@@ -68,11 +68,6 @@ class ProblemDef:
         return [_fixed(v, P) if in_range(v) else (-1 if v[0] else 1) << P + RANGE_BITS
                 for v in values]
 
-    def closure(self, order: int):
-        if order not in range(2, 8):
-            raise ConfigurationError(f"{self.name}: no derivative closure of order {order}")
-        return getattr(self, f"f{order}")
-
 
 def duffing(ctx: Context) -> ProblemDef:
     """Undamped Duffing oscillator y'' = -y - y^3 + B cos(omega x), B = 0.002,

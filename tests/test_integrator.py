@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from obrechkoff import (
     CoefficientSet,
@@ -19,6 +20,17 @@ from obrechkoff import (
     step,
 )
 from obrechkoff.integrator import DERIVATIVE_QUADRATURE, MAX_ITERATIONS, StepState, StepWeights
+from obrechkoff.jets import GUARD_BITS, _fixed, _raw
+
+
+def fixed(ctx, v):
+    """v as ``step`` holds the state: an int at 2^-P, P = prec + GUARD_BITS."""
+    return _fixed(_raw(v), ctx.mp.prec + GUARD_BITS)
+
+
+def image(ctx, m):
+    """The int m at 2^-P as the number m 2^-P of ``ctx``, exactly."""
+    return ctx.mp.make_mpf(from_man_exp(m, -(ctx.mp.prec + GUARD_BITS)))
 
 
 def oscillator(ctx, omega=10):
@@ -112,10 +124,10 @@ def test_free_motion_step_is_exact(ctx50):
     cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx50.mpf("0.25"))
     cs = coefficients(MethodId.CLASSICAL, 0, ctx50)
     st = StepState(index=1, x0=ctx50.mpf(0), x_n=ctx50.mpf("0.25"),
-                   y_prev=ctx50.mpf(1), y_curr=ctx50.mpf("1.25"),
-                   yp_prev=ctx50.mpf(1), yp_curr=ctx50.mpf(1))
+                   y_prev=fixed(ctx50, 1), y_curr=fixed(ctx50, ctx50.mpf("1.25")),
+                   yp_prev=fixed(ctx50, 1), yp_curr=fixed(ctx50, 1))
     out = step(st, StepWeights.build(cs, cfg.h, ctx50), p, ctx50)
-    assert out.y_curr == 2 * ctx50.mpf("1.25") - 1
+    assert out.y_curr == fixed(ctx50, 2 * ctx50.mpf("1.25") - 1)
     assert out.iterations <= 3
 
 
@@ -222,43 +234,46 @@ def test_diverging_solve_raises_step_failure():
 
 @pytest.mark.parametrize("make, digits, divisor, startup_mode, most", [
     (duffing, 50, 500, "exact", 5),
-    (linear_forced, 100, 1000, "taylor", 3),
+    (linear_forced, 100, 1000, "taylor", 2),
 ])
 def test_chord_newton_closure_triples_per_step(make, digits, divisor, startup_mode, most):
-    # re-evaluation at the accepted pair included; every one of the divisor - 1
-    # solved steps takes `most` triples: 2495 in all on duffing, 2997 on linear
+    # the accepted iterate's F is kept, so a step takes only its iterations'
+    # triples, at most `most`: 2415 in all over the divisor - 1 solved steps on
+    # duffing, and 2 in every step on linear
     ctx = make_context(digits)
     p = make(ctx)
     cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=(p.x_end - p.x0) / divisor,
                         omega=p.default_omega, startup=startup_mode)
     res = integrate(p, cfg, ctx)
     assert res.max_step_iterations <= most
-    assert res.total_iterations == (divisor - 1) * most
+    assert res.total_iterations == {"duffing": 2415, "linear": 1998}[p.name]
 
 
 def test_step_weights_tolerance():
     for digits in (30, 50):
         ctx = make_context(digits)
         coeffs = coefficients(MethodId.CLASSICAL, 0, ctx)
-        assert StepWeights.build(coeffs, ctx.mpf("0.1"), ctx).tol == ctx.mpf(10) ** (8 - digits)
+        assert StepWeights.build(coeffs, ctx.mpf("0.1"), ctx).tol == ctx.mpf(10) ** (2 - digits)
 
 
 def closure_relation(ctx, problem, coeffs, h, before, after):
     """Residuals of the y and y' formulas between two states, with f from the
     problem's closures and the weights from the coefficients and
-    DERIVATIVE_QUADRATURE (not from StepWeights)."""
+    DERIVATIVE_QUADRATURE (not from StepWeights), at the states' exact images."""
     b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
     qA, qB, qC, qD, qE, qF = (ctx.mpf(q) for q in DERIVATIVE_QUADRATURE.values())
-    nodes = [(before.x_n - h, before.y_prev, before.yp_prev),
-             (before.x_n, before.y_curr, before.yp_curr),
-             (after.x_n, after.y_curr, after.yp_curr)]
+    nodes = [(x, image(ctx, y), image(ctx, yp)) for x, y, yp in (
+        (before.x_n - h, before.y_prev, before.yp_prev),
+        (before.x_n, before.y_curr, before.yp_curr),
+        (after.x_n, after.y_curr, after.yp_curr))]
+    (_, y_prev, yp_prev), (_, y_curr, _), (_, y_next, yp_next) = nodes
     (a2, a4, a6), (m2, m4, m6), (c2, c4, c6) = [
         (problem.f2(*node), problem.f4(*node), problem.f6(*node)) for node in nodes]
-    y = (2 * before.y_curr - before.y_prev + h ** 2 * (b10 * (a2 + c2) + b11 * m2)
+    y = (2 * y_curr - y_prev + h ** 2 * (b10 * (a2 + c2) + b11 * m2)
          + h ** 4 * (b20 * (a4 + c4) + b21 * m4) + h ** 6 * (b30 * (a6 + c6) + b31 * m6))
-    yp = (before.yp_prev + h * (qA * (a2 + c2) + qB * m2)
+    yp = (yp_prev + h * (qA * (a2 + c2) + qB * m2)
           + h ** 3 * (qC * (a4 + c4) + qD * m4) + h ** 5 * (qE * (a6 + c6) + qF * m6))
-    return abs(after.y_curr - y), abs(after.yp_curr - yp)
+    return abs(y_next - y), abs(yp_next - yp)
 
 
 def test_custom_closures_define_the_solved_relation(ctx50):
@@ -272,9 +287,9 @@ def test_custom_closures_define_the_solved_relation(ctx50):
     h = ctx50.mpf("0.05")
     coeffs = coefficients(MethodId.CLASSICAL, 0, ctx50)
     weights = StepWeights.build(coeffs, h, ctx50)
-    start = StepState(index=1, x0=ctx50.mpf(0), x_n=h, y_prev=ctx50.mpf(1),
-                      y_curr=ctx50.mp.cos(10 * h), yp_prev=ctx50.mpf(0),
-                      yp_curr=-10 * ctx50.mp.sin(10 * h))
+    start = StepState(index=1, x0=ctx50.mpf(0), x_n=h, y_prev=fixed(ctx50, 1),
+                      y_curr=fixed(ctx50, ctx50.mp.cos(10 * h)), yp_prev=fixed(ctx50, 0),
+                      yp_curr=fixed(ctx50, -10 * ctx50.mp.sin(10 * h)))
     tol = ctx50.mpf(10) ** -40
     out = step(start, weights, skewed, ctx50)
     assert max(closure_relation(ctx50, skewed, coeffs, h, start, out)) < tol
@@ -291,7 +306,8 @@ def test_singular_newton_matrix_raises_step_failure(ctx50):
                    f2=lambda x, y, yp: y)
     cs = CoefficientSet(one, zero, zero, zero, zero, zero, v=zero)
     e = ctx50.mp.e
-    start = StepState(index=1, x0=zero, x_n=one, y_prev=one, y_curr=e, yp_prev=one, yp_curr=e)
+    start = StepState(index=1, x0=zero, x_n=one, y_prev=fixed(ctx50, one),
+                      y_curr=fixed(ctx50, e), yp_prev=fixed(ctx50, one), yp_curr=fixed(ctx50, e))
     with pytest.raises(StepFailureError, match="singular Newton matrix") as info:
         step(start, StepWeights.build(cs, one, ctx50), p, ctx50)
     assert info.value.step_index == 2
@@ -334,16 +350,21 @@ def test_a_closure_value_beyond_range_is_a_diverged_solve(ctx50, from_x, step_in
     assert info.value.iterations == 1
 
 
-@pytest.mark.parametrize("y0, iterations", [(2 ** 3000, 0), (2 ** 12000, 1)])
-def test_a_state_or_an_f_beyond_range_is_a_diverged_solve(y0, iterations):
+@pytest.mark.parametrize("y0, startup_mode, what, iterations", [
+    (2 ** 3000, "taylor", "state", 0), (2 ** 12000, "taylor", "state", 0),
+    (2 ** 12000, "exact", "F", 1)])
+def test_a_state_or_an_f_beyond_range_is_a_diverged_solve(y0, startup_mode, what, iterations):
     # y'' = y^5 from y0 = 2^3000: the Taylor startup's y1, near 2^86915, lies
-    # beyond the Taylor program's range, 2^RANGE_BITS, before any evaluation;
-    # from 2^12000, y^(4) = 5 y0^9 at the first node already does
+    # beyond the Taylor program's range, 2^RANGE_BITS, so the state does not
+    # convert and no step evaluates; from 2^12000 the series' h^4 y^(4)/24 =
+    # 5 h^4 y0^9/24 already puts y1 there.  Exact startup keeps y1 = y0 =
+    # 2^12000, which converts, and y^(4) = 5 y0^9 at the oldest node is beyond
     ctx = make_context(30)
     p = ProblemDef(name="quintic", x0=ctx.mpf(0), x_end=ctx.mpf(1), y0=ctx.mpf(y0),
-                   yp0=ctx.mpf(0), f2=lambda x, y, yp: y ** 5)
-    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx.mpf(1) / 50, startup="taylor")
-    with pytest.raises(StepFailureError, match="implicit solve diverged") as info:
+                   yp0=ctx.mpf(0), f2=lambda x, y, yp: y ** 5,
+                   reference=lambda x: ctx.mpf(y0), reference_prime=lambda x: ctx.mpf(0))
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx.mpf(1) / 50, startup=startup_mode)
+    with pytest.raises(StepFailureError, match=f"implicit solve diverged: {what} beyond") as info:
         integrate(p, cfg, ctx)
     assert info.value.step_index == 2
     assert info.value.iterations == iterations
@@ -351,7 +372,7 @@ def test_a_state_or_an_f_beyond_range_is_a_diverged_solve(y0, iterations):
 
 @pytest.mark.parametrize("name, closure, triples", [
     ("f6", lambda x, y, yp: 0, 196),
-    ("f4", lambda x, y, yp: float(10000 * y), 189)])
+    ("f4", lambda x, y, yp: float(10000 * y), 182)])
 def test_closures_may_return_python_numbers(name, closure, triples):
     # a closure may return an int or a float, as a traced f2 may
     ctx = make_context(30)
@@ -426,3 +447,24 @@ def test_closure_calls_match_the_traced_benchmark_contract(make, divisor, steps)
     assert calls[6] == res.total_iterations + calls[7] + 2
     assert calls[3] == calls[5] == calls[7] == 0
     assert calls[2] == calls[4] == calls[6]
+
+
+@pytest.mark.parametrize("make, startup_mode", [(duffing, "exact"), (linear_forced, "taylor")])
+def test_evaluator_calls_match_the_iteration_count_on_the_graph_read(make, startup_mode):
+    # the same contract on the graph's integer read: one triple at each of the
+    # two startup nodes, then one per iteration, the accepted iterate's kept
+    ctx = make_context(50)
+    p = make(ctx)
+    evaluate, calls = p.evaluate, []
+    assert evaluate == p.graph.even
+
+    def counted(*args):
+        calls.append(args[0])
+        return evaluate(*args)
+
+    object.__setattr__(p, "evaluate", counted)
+    h = (p.x_end - p.x0) / 500
+    cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=h, omega=p.default_omega,
+                        startup=startup_mode)
+    res = integrate(p, cfg, ctx, x_end=p.x0 + 50 * h)
+    assert len(calls) == res.total_iterations + 2

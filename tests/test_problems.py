@@ -64,7 +64,7 @@ def test_linear_closures_exact(ctx50, k):
         x = ctx50.mpf(i) / 3 + ctx50.mpf("0.1")
         y = p.reference(x)
         yp = p.reference_prime(x)
-        got = p.closure(k)(x, y, yp)
+        got = p.graph.derivative(k)(x, y, yp)
         assert abs(got - _exact_linear_derivative(ctx50, x, k)) < ctx50.mpf(10) ** -42
 
 
@@ -86,7 +86,7 @@ def test_rational_closures_match_exact_derivatives(ctx50, k, xv):
     y = p.reference(x)
     yp = p.reference_prime(x)
     exact = ctx50.mpf((-2) ** k * math.factorial(k)) / (1 + 2 * x) ** (k + 1)
-    got = p.closure(k)(x, y, yp)
+    got = p.graph.derivative(k)(x, y, yp)
     assert abs(got - exact) < ctx50.mpf(10) ** -42 * max(1, abs(exact))
 
 
@@ -138,8 +138,8 @@ def test_duffing_higher_closures_by_finite_differences(ctx50, k):
     x = ctx50.mpf("2.3")
     d = ctx50.mpf("1e-3")
     lo, hi = x - d, x + d
-    fk = p.closure(k)
-    fk1 = p.closure(k - 1)
+    fk = p.graph.derivative(k)
+    fk1 = p.graph.derivative(k - 1)
     deriv = (fk1(hi, p.reference(hi), p.reference_prime(hi))
              - fk1(lo, p.reference(lo), p.reference_prime(lo))) / (2 * d)
     got = fk(x, p.reference(x), p.reference_prime(x))
@@ -272,12 +272,7 @@ def test_traced_closures_match_hand_oracles(name, digits):
         x, y, yp = ctx.mpf(xs), ctx.mpf(ys), ctx.mpf(yps)
         for k in range(2, 8):
             exact = oracle[k](x, y, yp)
-            assert abs(p.closure(k)(x, y, yp) - exact) <= tol * abs(exact), (xs, k)
-
-
-def test_closure_order_outside_two_to_seven_is_rejected(ctx50):
-    with pytest.raises(ConfigurationError):
-        linear_forced(ctx50).closure(8)
+            assert abs(p.graph.derivative(k)(x, y, yp) - exact) <= tol * abs(exact), (xs, k)
 
 
 # ----------------------------------------------------- reuse of the graph
@@ -289,7 +284,7 @@ def test_same_x_with_new_state_gives_fresh_values(ctx50):
         y, yp = ctx50.mpf(ys), ctx50.mpf(yps)
         for k in (2, 4, 6, 7):
             exact = oracle[k](x, y, yp)
-            assert abs(p.closure(k)(x, y, yp) - exact) <= TOL * abs(exact)
+            assert abs(p.graph.derivative(k)(x, y, yp) - exact) <= TOL * abs(exact)
 
 
 def test_new_x_recomputes_the_forcing(ctx50):
@@ -313,9 +308,9 @@ def test_repeat_call_reuses_the_series(ctx50):
 
     p = ProblemDef(name="count", x0=0, x_end=1, y0=0, yp0=0, f2=f2)
     x, y, yp = ctx50.mpf("0.4"), ctx50.mpf("0.3"), ctx50.mpf("0.2")
-    first = [p.closure(k)(x, y, yp) for k in range(2, 8)]
+    first = [p.graph.derivative(k)(x, y, yp) for k in range(2, 8)]
     series = p.graph.f.c
-    again = [p.closure(k)(x, y, yp) for k in range(2, 8)]
+    again = [p.graph.derivative(k)(x, y, yp) for k in range(2, 8)]
     assert calls == [1]
     assert first == again and p.graph.f.c is series
 
@@ -328,7 +323,7 @@ def test_problems_evaluated_alternately_do_not_disturb_each_other(ctx50):
         for p, oracle in ((pd, od), (pl, ol)):
             for k in (2, 5, 6):
                 exact = oracle[k](x, y, yp)
-                assert abs(p.closure(k)(x, y, yp) - exact) <= TOL * abs(exact)
+                assert abs(p.graph.derivative(k)(x, y, yp) - exact) <= TOL * abs(exact)
 
 
 def test_plain_number_right_hand_side(ctx50):
@@ -337,4 +332,4 @@ def test_plain_number_right_hand_side(ctx50):
                    yp0=ctx50.mpf(1), f2=lambda x, y, yp: ctx50.mpf(3))
     x, y, yp = ctx50.mpf(0), ctx50.mpf(1), ctx50.mpf(1)
     assert p.f2(x, y, yp) == 3
-    assert all(p.closure(k)(x, y, yp) == 0 for k in range(3, 8))
+    assert all(p.graph.derivative(k)(x, y, yp) == 0 for k in range(3, 8))

@@ -1,9 +1,10 @@
 """The step's integer arithmetic against the same step written with mpf operators.
 
 ``reference_step`` forms every weighted sum with ``mp.fdot``, the predictor
-with ``mp.polyval`` and everything else with the mpf operators.  From the same
-state, ``integrator.step`` must take as many evaluations as the reference at
-the working precision and as the reference at 20 more digits, and land within
+with ``mp.polyval`` and everything else with the mpf operators, from the exact
+images m 2^-P of the ints m that ``integrator.step`` keeps as its state.  From
+the same state, ``step`` must take as many evaluations as the reference at the
+working precision and as the reference at 20 more digits, and land within
 2^(3 - prec) max(|c|, 1) of the wider run's y_{n+1} and y'_{n+1} = c: the
 bound that the ``integrator`` docstring states.
 """
@@ -33,7 +34,7 @@ from obrechkoff.integrator import (
     StepWeights,
     _node,
 )
-from obrechkoff.jets import GUARD_BITS
+from obrechkoff.jets import GUARD_BITS, _fixed, _raw
 
 STEPS = 30
 
@@ -42,11 +43,10 @@ def _eval_f(problem, x, y, yp):
     return (problem.f2(x, y, yp), problem.f4(x, y, yp), problem.f6(x, y, yp))
 
 
-def kept(f, ctx):
-    """A triple that ``step`` kept, ints m at 2^-P, P = prec + GUARD_BITS, as
-    the numbers m 2^-P of ``ctx``, exactly; None stays None."""
-    P = ctx.mp.prec + GUARD_BITS
-    return f and tuple(ctx.mp.make_mpf(from_man_exp(m, -P)) for m in f)
+def image(m, ctx, prec):
+    """An int m that ``step`` kept at 2^-P, P = prec + GUARD_BITS, as the
+    number m 2^-P of ``ctx``, exactly."""
+    return ctx.mp.make_mpf(from_man_exp(m, -(prec + GUARD_BITS)))
 
 
 def mpf_weights(weights, coeffs, ctx):
@@ -73,17 +73,20 @@ def reference_chord_inverse(partials, end, ctx):
     return (a22 / det, j12 / det), (j21 / det, a11 / det)
 
 
-def reference_step(state, weights, problem, ctx):
-    """One step of the chord-Newton solve in mpf arithmetic."""
+def reference_step(state, weights, problem, ctx, prec):
+    """One step of the chord-Newton solve in mpf arithmetic, from the images of
+    the ints of ``state``, kept at the binary point of ``prec``."""
     fdot, isfinite, tol = ctx.mp.fdot, ctx.mp.isfinite, weights.tol
-    n, x_n, y_curr, yp_curr, yp_prev = (
-        state.index, state.x_n, state.y_curr, state.yp_curr, state.yp_prev)
-    x_next = _node(state.x0, weights.h, n + 1)
-    f_prev = kept(state.f_prev, ctx) or _eval_f(
-        problem, _node(state.x0, weights.h, n - 1), state.y_prev, yp_prev)
-    f_curr = kept(state.f_curr, ctx) or _eval_f(problem, x_n, y_curr, yp_curr)
+    n, x0, x_n = state.index, ctx.mpf(state.x0), ctx.mpf(state.x_n)
+    y_prev, y_curr, yp_prev, yp_curr = (image(m, ctx, prec) for m in (
+        state.y_prev, state.y_curr, state.yp_prev, state.yp_curr))
+    f_prev, f_curr = (f and tuple(image(m, ctx, prec) for m in f)
+                      for f in (state.f_prev, state.f_curr))
+    x_next = _node(x0, weights.h, n + 1)
+    f_prev = f_prev or _eval_f(problem, _node(x0, weights.h, n - 1), y_prev, yp_prev)
+    f_curr = f_curr or _eval_f(problem, x_n, y_curr, yp_curr)
     c = [base + fdot(end + mid, f_prev + f_curr) for base, end, mid in
-         zip((2 * y_curr - state.y_prev, yp_prev), weights.end, weights.mid)]
+         zip((2 * y_curr - y_prev, yp_prev), weights.end, weights.mid)]
 
     graph = problem.graph
     graph.at(x_n, y_curr, yp_curr)
@@ -96,10 +99,9 @@ def reference_step(state, weights, problem, ctx):
         r = [p - zi for p, zi in zip(phi, z)]
         if all(abs(ri) <= tol * (1 + abs(p)) for ri, p in zip(r, phi)):
             return StepState(
-                index=n + 1, x0=state.x0, x_n=x_next,
-                y_prev=y_curr, y_curr=phi[0], yp_prev=yp_curr, yp_curr=phi[1],
-                iterations=state.iterations + evals + 1,
-                f_prev=f_curr, f_curr=_eval_f(problem, x_next, *phi))
+                index=n + 1, x0=x0, x_n=x_next,
+                y_prev=y_curr, y_curr=z[0], yp_prev=yp_curr, yp_curr=z[1],
+                iterations=state.iterations + evals, f_prev=f_curr, f_curr=f_z)
         if inverse is None:
             inverse = reference_chord_inverse(
                 graph.jacobian(x_next, *z, (2, 4, 6)), weights.end, ctx)
@@ -111,21 +113,13 @@ def reference_step(state, weights, problem, ctx):
     raise StepFailureError("stalled", step_index=n + 1, iterations=MAX_ITERATIONS)
 
 
-def widened(state, weights, ctx, prec):
-    """The state and weights as numbers of ``ctx``: the same values, which
-    the reference then works on at a wider precision.  It reads only h, tol,
-    end and mid of the weights; the kept triples, ints at the binary point
-    of ``prec``, move exactly to that of ``ctx``."""
-    wide = [ctx.mpf(v) for v in (state.x0, state.x_n, state.y_prev, state.y_curr,
-                                 state.yp_prev, state.yp_curr)]
-    shift = ctx.mp.prec - prec
-    f_old = [f and tuple(m << shift for m in f) for f in (state.f_prev, state.f_curr)]
+def widened(weights, ctx):
+    """The weights h, tol, end and mid as numbers of ``ctx``: the same values,
+    which the reference then works on at a wider precision."""
     rows = [tuple(tuple(ctx.mpf(w) for w in row) for row in rows)
             for rows in (weights.end, weights.mid)]
-    return (StepState(state.index, *wide, iterations=state.iterations,
-                      f_prev=f_old[0], f_curr=f_old[1]),
-            SimpleNamespace(h=ctx.mpf(weights.h), tol=ctx.mpf(weights.tol),
-                            end=rows[0], mid=rows[1]))
+    return SimpleNamespace(h=ctx.mpf(weights.h), tol=ctx.mpf(weights.tol),
+                           end=rows[0], mid=rows[1])
 
 
 @pytest.mark.parametrize("make, digits, method, startup_mode, divisor", [
@@ -145,16 +139,16 @@ def test_step_rounds_as_the_mpf_reference(make, digits, method, startup_mode, di
     coeffs = coefficients(method, abs(ctx.mpf(omega) * h), ctx)
     weights = StepWeights.build(coeffs, h, ctx)
     reference = mpf_weights(weights, coeffs, ctx)
-    y0, y1, yp0, yp1 = startup(p, cfg, ctx)
-    x0 = ctx.mpf(p.x0)
-    state = StepState(index=1, x0=x0, x_n=_node(x0, h, 1), y_prev=y0, y_curr=y1,
-                      yp_prev=yp0, yp_curr=yp1)
-    unit = wide.mpf(2) ** (3 - ctx.mp.prec)
+    wide_reference = widened(reference, wide)
+    prec, x0 = ctx.mp.prec, ctx.mpf(p.x0)
+    state = StepState(1, x0, _node(x0, h, 1), *(_fixed(_raw(v), prec + GUARD_BITS)
+                                                for v in startup(p, cfg, ctx)))
+    unit = wide.mpf(2) ** (3 - prec)
     for _ in range(STEPS):
-        expected = reference_step(state, reference, p, ctx)
-        exact = reference_step(*widened(state, reference, wide, ctx.mp.prec), p, wide)
+        expected = reference_step(state, reference, p, ctx, prec)
+        exact = reference_step(state, wide_reference, p, wide, prec)
         state = step(state, weights, p, ctx)
         assert state.iterations == expected.iterations == exact.iterations, state.index
         for got, c in ((state.y_curr, exact.y_curr), (state.yp_curr, exact.yp_curr)):
-            assert abs(wide.mpf(got) - c) <= unit * max(abs(c), 1), state.index
+            assert abs(image(got, wide, prec) - c) <= unit * max(abs(c), 1), state.index
     assert state.index == STEPS + 1
