@@ -4,7 +4,8 @@ Subcommands
 -----------
 run                  method x step-size experiment matrix on a registered
                      problem; emits (h, method, abs_end_error, wall_time_s,
-                     observed_order) as CSV or markdown.
+                     observed_order) as CSV or markdown.  Every run, with or
+                     without a trajectory dump, goes through run_experiment.
 sweep-coefficients   coefficient values over a v grid (CSV).
 sweep-stability      characteristic pair, B/A and phase lag over a v grid.
 
@@ -37,6 +38,8 @@ MAX_GRID_POINTS = 10 ** 6
 
 @dataclass
 class ExperimentSpec:
+    """Every method at every step divisor.  A nonzero ``trajectory_every``
+    records every k-th node on the row of the run's one cell."""
     problem: str
     methods: list
     step_divisors: list
@@ -44,6 +47,10 @@ class ExperimentSpec:
     digits: int = 50
     startup: str = "exact"
     span: Optional[float] = None       # None: problem's own span
+    trajectory_every: int = 0
+
+    def cells(self):
+        return [(m, d) for m in self.methods for d in self.step_divisors]
 
     def validate(self):
         if not self.methods:
@@ -58,10 +65,17 @@ class ExperimentSpec:
         if self.digits < MIN_DIGITS:
             raise ObrechkoffError(
                 f"working precision must be at least {MIN_DIGITS} digits, got {self.digits}")
+        if self.trajectory_every < 0:
+            raise ObrechkoffError(
+                f"--trajectory-every takes a count >= 0, got {self.trajectory_every}")
+        if self.trajectory_every and len(self.cells()) != 1:
+            raise ObrechkoffError("--trajectory-every needs a single-cell run")
 
 
 @dataclass
 class ResultRow:
+    """One cell's outcome; ``trajectory`` holds its (x, y, y_reference,
+    abs_error) text rows when the spec asks for them."""
     method: str
     divisor: int
     h_text: str
@@ -70,6 +84,7 @@ class ResultRow:
     observed_order: Optional[float]
     failed: bool = False
     message: str = ""
+    trajectory: list = field(default_factory=list)
 
 
 @dataclass
@@ -88,30 +103,29 @@ def _sci(x, sig=6):
                 min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
-def _run_cell(problem_name, method_name, divisor, omega_opt, digits, startup_mode,
-              span_opt, trajectory_every=0):
-    """One (method, h) cell with a fresh context; picklable for worker pools."""
-    ctx = make_context(digits)
-    problem = get_problem(problem_name, ctx)
+def _run_cell(spec: ExperimentSpec, method_name, divisor):
+    """One (method, h) cell of `spec` with a fresh context; picklable for worker pools."""
+    ctx = make_context(spec.digits)
+    problem = get_problem(spec.problem, ctx)
     method = MethodId.parse(method_name)
-    x_end = ctx.mpf(str(span_opt)) + problem.x0 if span_opt is not None else problem.x_end
+    x_end = ctx.mpf(str(spec.span)) + problem.x0 if spec.span is not None else problem.x_end
     span = x_end - problem.x0
     h = span / divisor
-    if omega_opt == "default":
+    if spec.omega == "default":
         omega = problem.default_omega
-    elif omega_opt is None:
+    elif spec.omega is None:
         omega = None
     else:
-        omega = ctx.mpf(str(omega_opt))
+        omega = ctx.mpf(str(spec.omega))
     if omega is None:
         if method is not MethodId.CLASSICAL:
             raise ObrechkoffError(
-                f"problem {problem_name!r} has no default fitting frequency; pass --omega"
+                f"problem {spec.problem!r} has no default fitting frequency; pass --omega"
             )
         omega = 0
-    config = StepperConfig(method=method, h=h, omega=omega, startup=startup_mode)
+    config = StepperConfig(method=method, h=h, omega=omega, startup=spec.startup)
     result = integrate(problem, config, ctx, x_end=x_end,
-                       trajectory_every=trajectory_every)
+                       trajectory_every=spec.trajectory_every)
     err = result.abs_end_error
     return {
         "h_text": _sci(h),
@@ -136,11 +150,6 @@ def trajectory_csv(rows) -> str:
     return _csv(("x", "y", "y_reference", "abs_error"), rows)
 
 
-def _cell_args(spec: ExperimentSpec):
-    return [(spec.problem, m, d, spec.omega, spec.digits, spec.startup, spec.span)
-            for m in spec.methods for d in spec.step_divisors]
-
-
 def _outcome(call):
     """(cell output, None), or (None, message) when the cell raised."""
     try:
@@ -152,12 +161,12 @@ def _outcome(call):
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
     """All (method, divisor) cells; failures recorded in-row, run continues."""
     spec.validate()
-    args = _cell_args(spec)
+    cells = spec.cells()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         # every pool cell is submitted before the first result is awaited
-        calls = ([partial(_run_cell, *a) for a in args] if pool is None
-                 else [pool.submit(_run_cell, *a).result for a in args])
+        calls = ([partial(_run_cell, spec, m, d) for m, d in cells] if pool is None
+                 else [pool.submit(_run_cell, spec, m, d).result for m, d in cells])
         outcomes = [_outcome(call) for call in calls]
     return _tabulate(spec, outcomes)
 
@@ -165,9 +174,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
 def _tabulate(spec: ExperimentSpec, outcomes) -> ResultTable:
     """Rows for the cells of `spec`, in order, with observed orders per method."""
     table = ResultTable(spec=spec)
-    cells = [(m, d) for m in spec.methods for d in spec.step_divisors]
     by_method = {}
-    for (m, d), (out, err_msg) in zip(cells, outcomes):
+    for (m, d), (out, err_msg) in zip(spec.cells(), outcomes):
         if out is None:
             row = ResultRow(method=m, divisor=d, h_text="", abs_end_error=None,
                             wall_time_s=0.0, observed_order=None, failed=True,
@@ -182,37 +190,31 @@ def _tabulate(spec: ExperimentSpec, outcomes) -> ResultTable:
                              / math.log(d / d_prev))
             row = ResultRow(method=m, divisor=d, h_text=out["h_text"],
                             abs_end_error=out["err"], wall_time_s=out["wall"],
-                            observed_order=order)
+                            observed_order=order, trajectory=out["trajectory"])
             by_method[m] = (d, out["err_float"])
         table.rows.append(row)
     return table
 
 
 def emit(table: ResultTable, fmt: str = "csv") -> str:
-    """Render the table; CSV rows sorted by (method, h descending)."""
-    rows = sorted(table.rows, key=lambda r: (r.method, r.divisor))
+    """Render the table; rows sorted by (method, h descending)."""
+    failed = {"csv": "FAILED({})", "markdown": "FAILED: {}"}.get(fmt)
+    if failed is None:
+        raise ObrechkoffError(f"unknown format {fmt!r}")
+    cells = []
+    for r in sorted(table.rows, key=lambda r: (r.method, r.divisor)):
+        if r.failed:
+            cells.append(("", r.method, failed.format(r.message), "", ""))
+            continue
+        order = "" if r.observed_order is None else f"{r.observed_order:.2f}"
+        err = "" if r.abs_end_error is None else r.abs_end_error
+        cells.append((r.h_text, r.method, err, f"{r.wall_time_s:.3f}", order))
     if fmt == "csv":
-        cells = []
-        for r in rows:
-            if r.failed:
-                cells.append(("", r.method, f"FAILED({r.message})", "", ""))
-                continue
-            order = "" if r.observed_order is None else f"{r.observed_order:.2f}"
-            err = "" if r.abs_end_error is None else r.abs_end_error
-            cells.append((r.h_text, r.method, err, f"{r.wall_time_s:.3f}", order))
         return _csv(("h", "method", "abs_end_error", "wall_time_s", "observed_order"), cells)
-    if fmt == "markdown":
-        lines = ["| h | method | abs end error | wall time (s) | observed order |",
-                 "|---|--------|---------------|---------------|----------------|"]
-        for r in rows:
-            if r.failed:
-                lines.append(f"|  | {r.method} | FAILED: {r.message} |  |  |")
-                continue
-            order = "" if r.observed_order is None else f"{r.observed_order:.2f}"
-            err = "" if r.abs_end_error is None else r.abs_end_error
-            lines.append(f"| {r.h_text} | {r.method} | {err} | {r.wall_time_s:.3f} | {order} |")
-        return "\n".join(lines) + "\n"
-    raise ObrechkoffError(f"unknown format {fmt!r}")
+    lines = ["| h | method | abs end error | wall time (s) | observed order |",
+             "|---|--------|---------------|---------------|----------------|"]
+    lines += ["| " + " | ".join(c) + " |" for c in cells]
+    return "\n".join(lines) + "\n"
 
 
 def _number(option, text, kind=float):
@@ -292,8 +294,8 @@ def build_parser():
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--trajectory-every", type=int, default=0,
-                       help="dump every k-th node to --trajectory-out "
-                            "(single-cell runs only)")
+                       help="dump every k-th node to --trajectory-out, or to "
+                            "stdout when the table goes to --out (single-cell runs only)")
     run_p.add_argument("--trajectory-out", default=None)
 
     for name in ("sweep-coefficients", "sweep-stability"):
@@ -323,24 +325,18 @@ def main(argv=None) -> int:
                 digits=args.digits,
                 startup=args.startup,
                 span=args.span,
+                trajectory_every=args.trajectory_every,
             )
-            if args.trajectory_every < 0:
-                raise ObrechkoffError(
-                    f"--trajectory-every takes a count >= 0, got {args.trajectory_every}")
             if args.workers < 1:
                 raise ObrechkoffError(f"--workers takes a count >= 1, got {args.workers}")
-            if args.trajectory_every:
-                spec.validate()
-                if len(spec.methods) * len(spec.step_divisors) != 1:
-                    raise ObrechkoffError("--trajectory-every needs a single-cell run")
-                outcome = _outcome(partial(_run_cell, *_cell_args(spec)[0],
-                                           trajectory_every=args.trajectory_every))
-                if outcome[0] is not None:
-                    _write_out(trajectory_csv(outcome[0]["trajectory"]),
-                               args.trajectory_out)
-                table = _tabulate(spec, [outcome])
-            else:
-                table = run_experiment(spec, workers=args.workers)
+            if args.trajectory_out and not args.trajectory_every:
+                raise ObrechkoffError("--trajectory-out needs --trajectory-every")
+            if args.trajectory_every > 0 and not (args.trajectory_out or args.out):
+                # the trajectory and the table would share standard output
+                raise ObrechkoffError("--trajectory-every needs --trajectory-out or --out")
+            table = run_experiment(spec, workers=args.workers)
+            if spec.trajectory_every and not table.any_failed:
+                _write_out(trajectory_csv(table.rows[0].trajectory), args.trajectory_out)
             _write_out(emit(table, args.format), args.out)
             return 1 if table.any_failed else 0
         method = MethodId.parse(args.method)

@@ -95,17 +95,17 @@ def _lag_from_ratio(ratio, v, ctx: Context):
     return t if v >= 0 else -t
 
 
-def fit_leading_term(f, window, ctx: Context, samples: int = 9) -> LeadingTermFit:
+def fit_leading_term(f, window, ctx: Context) -> LeadingTermFit:
     """Fit f(v) ~ C v^q on a window by log-log regression.
 
-    Uses geometrically spaced samples; the exponent is the nearest integer
+    Uses 9 geometrically spaced samples; the exponent is the nearest integer
     to the slope and the constant the geometric mean of f(v)/v^q.  Sign
     changes or zeros inside the window reject the fit.
     """
     lo, hi = (ctx.mpf(window[0]), ctx.mpf(window[1]))
     if not (0 < lo < hi):
         raise DomainError("fit window must satisfy 0 < lo < hi")
-    samples = max(int(samples), 8)
+    samples = 9
     ratio = (hi / lo) ** (ctx.mpf(1) / (samples - 1))
     vs = [lo * ratio ** i for i in range(samples)]
     fs = [f(v) for v in vs]
@@ -152,22 +152,19 @@ def lte_brackets(coeffs: CoefficientSet, ctx: Context):
     return out
 
 
-def periodicity_interval(method: MethodId, ctx: Context, v_max,
-                         grid_step: float = 0.01) -> PeriodicityResult:
+def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityResult:
     """Largest v0^2 <= v_max^2 with |B/A| < 1 - 10^(5-digits) on (0, v0).
 
-    Grid scan in v (step <= 0.01) plus bisection of the first failing cell
+    Grid scan in v at step 0.01 plus bisection of the first failing cell
     to six significant digits.  Grid points where the fitted coefficients
     are singular are recorded and skipped: they are isolated poles at which
-    the ratio B/A stays finite in the limit.  A v_max or grid step that is
-    not finite and positive raises DomainError.
+    the ratio B/A stays finite in the limit.  A v_max that is not finite
+    and positive raises DomainError.
     """
-    v_max, grid_step = ctx.mpf(v_max), ctx.mpf(grid_step)
+    v_max = ctx.mpf(v_max)
     if not (ctx.mp.isfinite(v_max) and v_max > 0):
         raise DomainError("v_max must be finite and positive")
-    if not (ctx.mp.isfinite(grid_step) and grid_step > 0):
-        raise DomainError("grid_step must be finite and positive")
-    step = min(grid_step, ctx.mpf(0.01))
+    step = ctx.mpf(0.01)
     margin = ctx.mpf(10) ** (5 - ctx.digits)
     singular = []
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from obrechkoff import ProblemDef, cli, get_problem, make_context, stability
+from obrechkoff import ObrechkoffError, ProblemDef, cli, get_problem, make_context, stability
 from obrechkoff.cli import (
     ExperimentSpec,
     emit,
@@ -279,6 +279,92 @@ def test_trajectory_run_integrates_its_cell_once(tmp_path, monkeypatch):
     assert rc == 0
     assert calls == [10]
     assert len(parse_csv((tmp_path / "table.csv").read_text())) == 1
+
+
+def test_run_experiment_returns_the_trajectory_on_its_row():
+    spec = ExperimentSpec(problem="rational", methods=["classical"], step_divisors=[50],
+                          digits=30, trajectory_every=10)
+    (row,) = run_experiment(spec).rows
+    assert not row.failed
+    assert [r[0] for r in row.trajectory][:2] == ["0.0", "9.00000e-2"]
+    assert len(row.trajectory) >= 6
+    (plain,) = run_experiment(dataclasses.replace(spec, trajectory_every=0)).rows
+    assert plain.trajectory == []
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"trajectory_every": -1}, "--trajectory-every takes a count >= 0, got -1"),
+    ({"step_divisors": [10, 20]}, "--trajectory-every needs a single-cell run"),
+    ({"methods": ["classical", "plprime"]}, "--trajectory-every needs a single-cell run"),
+])
+def test_spec_validation_owns_the_trajectory_checks(change, message):
+    spec = ExperimentSpec(problem="linear", methods=["classical"], step_divisors=[10],
+                          digits=30, trajectory_every=5)
+    with pytest.raises(ObrechkoffError, match=message):
+        dataclasses.replace(spec, **change).validate()
+    with pytest.raises(ObrechkoffError, match=message):
+        run_experiment(dataclasses.replace(spec, **change))
+
+
+def test_trajectory_dump_honours_workers(tmp_path):
+    dumps = []
+    for workers in ("1", "2"):
+        traj = tmp_path / f"traj{workers}.csv"
+        rc = main(["run", "--problem", "rational", "--method", "classical",
+                   "--divisors", "50", "--digits", "30", "--workers", workers,
+                   "--trajectory-every", "10", "--trajectory-out", str(traj),
+                   "--out", str(tmp_path / "table.csv")])
+        assert rc == 0
+        dumps.append(traj.read_text())
+    assert dumps[0] == dumps[1]
+    assert len(parse_csv(dumps[0])) >= 6
+
+
+@pytest.mark.parametrize("options, named", [
+    (["--trajectory-every", "25"], "--trajectory-every needs --trajectory-out or --out"),
+    (["--trajectory-out", "traj.csv"], "--trajectory-out needs --trajectory-every"),
+])
+def test_trajectory_flags_that_would_share_or_lose_output_are_usage_errors(
+        options, named, tmp_path, monkeypatch, capsys):
+    # the trajectory and the table used to go to standard output back to back,
+    # and --trajectory-out alone was ignored
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "--problem", "rational", "--method", "classical",
+               "--divisors", "50", "--digits", "30"] + options)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_renders_each_format_byte_for_byte():
+    spec = ExperimentSpec(problem="linear", methods=["classical", "plprime"],
+                          step_divisors=[10, 20])
+    table = cli.ResultTable(spec=spec, rows=[
+        cli.ResultRow(method="plprime", divisor=10, h_text="", abs_end_error=None,
+                      wall_time_s=0.0, observed_order=None, failed=True,
+                      message="implicit solve stalled, at x = 1"),
+        cli.ResultRow(method="classical", divisor=20, h_text="1.57080e-2",
+                      abs_end_error="1.90443e-20", wall_time_s=0.0125,
+                      observed_order=12.0149),
+        cli.ResultRow(method="classical", divisor=10, h_text="3.14159e-2",
+                      abs_end_error="7.86770e-17", wall_time_s=0.25,
+                      observed_order=None),
+    ])
+    assert emit(table, "csv") == (
+        "h,method,abs_end_error,wall_time_s,observed_order\n"
+        "3.14159e-2,classical,7.86770e-17,0.250,\n"
+        "1.57080e-2,classical,1.90443e-20,0.013,12.01\n"
+        ',plprime,"FAILED(implicit solve stalled, at x = 1)",,\n')
+    assert emit(table, "markdown") == (
+        "| h | method | abs end error | wall time (s) | observed order |\n"
+        "|---|--------|---------------|---------------|----------------|\n"
+        "| 3.14159e-2 | classical | 7.86770e-17 | 0.250 |  |\n"
+        "| 1.57080e-2 | classical | 1.90443e-20 | 0.013 | 12.01 |\n"
+        "|  | plprime | FAILED: implicit solve stalled, at x = 1 |  |  |\n")
+    with pytest.raises(ObrechkoffError, match="unknown format 'html'"):
+        emit(table, "html")
 
 
 def load_tracing():

@@ -61,6 +61,23 @@ def test_phase_lag_tends_to_zero(ctx50):
         assert abs(t) < ctx50.mpf(10) ** -20
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "theta = acos(B/A) is taken while B/A is rounded next to 1, so the phase "
+    "lag's absolute error is about 10^-digits/|v|: at 50 digits classical gives "
+    "+2.4e-49 at v = 1e-3 (true -1.3e-50) and the fitted methods return v "
+    "itself at v = 1e-30"))
+def test_phase_lag_keeps_its_precision_at_small_v():
+    ctx, ref = make_context(50), make_context(300)
+    off = []
+    for method, v in [(MethodId.CLASSICAL, "1e-3"), (MethodId.CLASSICAL, "1e-4"),
+                      (MethodId.PL_PRIME, "1e-30"), (MethodId.PL_DOUBLE_PRIME, "1e-30")]:
+        t = ref.mpf(phase_lag(method, ctx.mpf(v), ctx))
+        t_ref = phase_lag(method, ref.mpf(v), ref)
+        if abs(t - t_ref) > ref.mpf(10) ** (2 - ctx.digits) * ref.mpf(v):
+            off.append((method.value, v))
+    assert off == []
+
+
 def test_phase_lag_classical_leading_behavior(ctx60):
     # t(v) = C v^13 (1 + O(v^2)) with C the tabulated constant
     C = ctx60.mpf(CLASSICAL_PHASE_LAG_CONSTANT)
@@ -230,13 +247,9 @@ def test_stability_sweep_and_phase_lag_reject_a_non_finite_v(ctx50, method):
             phase_lag(method, v, ctx50)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"grid_step": 0}, {"grid_step": math.nan}, {"grid_step": -0.01},
-    {"v_max": math.nan}, {"v_max": math.inf},
-])
-def test_periodicity_scan_rejects_bad_grid_step_and_v_max(ctx50, kwargs):
-    # a zero or nan step used to stop after one sample at v0^2 = 0, a negative
-    # one scanned negative v, and a nan or infinite v_max never ended for PL'
+@pytest.mark.parametrize("kwargs", [{"v_max": math.nan}, {"v_max": math.inf}])
+def test_periodicity_scan_rejects_a_bad_v_max(ctx50, kwargs):
+    # a nan or infinite v_max never ended for PL'
     args = {"v_max": 4, **kwargs}
     for method in MethodId:
         with pytest.raises(DomainError):
