@@ -60,10 +60,6 @@ class Context:
     def pi(self):
         return +self.mp.pi
 
-    def eps(self):
-        """One unit in the last decimal place of numbers of order one."""
-        return self.mp.mpf(10) ** (-self.digits)
-
     def __repr__(self):
         return f"Context(digits={self.digits})"
 

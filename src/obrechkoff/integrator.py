@@ -1,4 +1,4 @@
-"""Two-step implicit Obrechkoff integrator for y'' = f(x, y).
+"""Two-step implicit Obrechkoff integrator for y'' = f(x, y, y').
 
 Each step solves the implicit relation
 
@@ -39,9 +39,10 @@ c, the predictor (read off the program's integer coefficients), F(z) and its
 partials, Phi(z), r = Phi(z) - z, the 2x2 chord inverse and the z update.
 Each weighted sum is one exact integer sum under the integer weights of
 :class:`StepWeights`, shifted once, and the acceptance test is one exact
-integer comparison; each shift or division rounds down.  :func:`integrate`
-crosses the binary point once each way: it converts the startup values in
-and rounds y_end, y'_end and each trajectory record out to nearest at prec.
+integer comparison per component; each shift or division rounds down.
+:func:`integrate` crosses the binary point once each way: it converts the
+startup values in and rounds y_end, y'_end and each trajectory record out
+to nearest at prec.
 libmp is met elsewhere only in a problem's own closures.  A startup value,
 iterate or F of 2^RANGE_BITS or more is a diverged solve.
 
@@ -231,16 +232,14 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
         return StepFailureError(f"implicit solve{message} at x = {ctx.mp.nstr(x_next, 8)}",
                                 step_index=n + 1, iterations=evals)
 
-    def in_range(values, evals, what="F"):
-        if any(v.bit_length() > limit for v in values):
-            raise failure(f" diverged: {what} beyond the Taylor program's range", evals)
-        return values
-
     def evaluate(x, y, yp, evals):
         try:
-            return in_range(problem.evaluate(x, y, yp, prec, make), evals)
+            f2, f4, f6 = f = problem.evaluate(x, y, yp, prec, make)
         except DomainError:
             raise failure(": non-finite iterate", evals) from None
+        if f2.bit_length() > limit or f4.bit_length() > limit or f6.bit_length() > limit:
+            raise failure(" diverged: F beyond the Taylor program's range", evals)
+        return f
 
     # the constant part c of Phi(z) = c + W F(z), fixed for the whole step; a
     # bad f at an old node spoils Phi(z) at the first evaluation
@@ -248,41 +247,42 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     f_prev = state.f_prev or evaluate(_node(state.x0, weights.h, n - 1), y_prev, yp_prev, 1)
     f_curr = state.f_curr or evaluate(x_n, y_curr, yp_curr, 1)
     (hs, (h,)), (ts, (tol,)), end, old = weights.fixed
-    c = [b + _dot(row, (*f_prev, *f_curr)) for b, row in zip((2 * y_curr - y_prev, yp_prev), old)]
+    (s1, (w12, w14, w16)), (s2, (w22, w24, w26)) = end
+    c1 = 2 * y_curr - y_prev + _dot(old[0], (*f_prev, *f_curr))
+    c2 = yp_prev + _dot(old[1], (*f_prev, *f_curr))
 
     graph = problem.graph
     graph.centre(x_n, y_curr, yp_curr, prec, make)
     # Horner's rule for the Taylor polynomial and its derivative at h
-    taylor = graph.y.fixed
-    y, dy = taylor(PREDICTOR_DEGREE), 0
-    for k in range(PREDICTOR_DEGREE - 1, -1, -1):
-        dy = y + (h * dy >> hs)
-        y = taylor(k) + (h * y >> hs)
-    z = (y, dy)
+    taylor = graph.y.through(PREDICTOR_DEGREE)
+    y, yp = taylor[PREDICTOR_DEGREE], 0
+    for a in taylor[PREDICTOR_DEGREE - 1::-1]:
+        yp = y + (h * yp >> hs)
+        y = a + (h * y >> hs)
     inverse = None           # A^-1 at the predictor, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
-        in_range(z, evals - 1, "iterate")
-        f_z = evaluate(x_next, *z, evals)
-        phi = [ci + _dot(row, f_z) for ci, row in zip(c, end)]
-        r = [p - zi for p, zi in zip(phi, z)]
+        if y.bit_length() > limit or yp.bit_length() > limit:
+            raise failure(" diverged: iterate beyond the Taylor program's range", evals - 1)
+        f2, f4, f6 = f_z = evaluate(x_next, y, yp, evals)
+        phi1 = c1 + (w12 * f2 + w14 * f4 + w16 * f6 >> s1)
+        phi2 = c2 + (w22 * f2 + w24 * f4 + w26 * f6 >> s2)
+        r1, r2 = phi1 - y, phi2 - yp
         # |r| <= tol (1 + |Phi(z)|) exactly, with tol as the int ``tol`` over 2^-ts
-        if all(abs(ri) << ts <= tol * (one + abs(p)) for ri, p in zip(r, phi)):
+        if abs(r1) << ts <= tol * (one + abs(phi1)) and abs(r2) << ts <= tol * (one + abs(phi2)):
             return StepState(
                 index=n + 1, x0=state.x0, x_n=x_next,
-                y_prev=y_curr, y_curr=z[0], yp_prev=yp_curr, yp_curr=z[1],
+                y_prev=y_curr, y_curr=y, yp_prev=yp_curr, yp_curr=yp,
                 iterations=state.iterations + evals, f_prev=f_curr, f_curr=f_z)
         if inverse is None:
-            partials = [d for pair in graph.partials(x_next, *z, prec, make, (2, 4, 6))
-                        for d in pair]
-            (j11, j12), (j21, j22) = [(_dot(row, partials[::2]), _dot(row, partials[1::2]))
-                                      for row in end]
+            dy, dyp = zip(*graph.partials(x_next, y, yp, prec, make, (2, 4, 6)))
+            (j11, j12), (j21, j22) = [(_dot(row, dy), _dot(row, dyp)) for row in end]
             a11, a22 = one - j11, one - j22
             det = a11 * a22 - j12 * j21                 # at 2^-2P
             if not det:
                 raise failure(": singular Newton matrix", evals)
-            # the rows of A^-1 = (a22, j12; j21, a11) / det, at 2^-P
-            inverse = [[(a << 2 * P) // det for a in row] for row in ((a22, j12), (j21, a11))]
-        z = [zi + (i0 * r[0] + i1 * r[1] >> P) for zi, (i0, i1) in zip(z, inverse)]
+            # A^-1 = (a22, j12; j21, a11) / det, at 2^-P
+            inverse = i11, i12, i21, i22 = [(a << 2 * P) // det for a in (a22, j12, j21, a11)]
+        y, yp = y + (i11 * r1 + i12 * r2 >> P), yp + (i21 * r1 + i22 * r2 >> P)
     raise failure(f" stalled after {MAX_ITERATIONS} iterations", MAX_ITERATIONS)
 
 

@@ -11,9 +11,9 @@ follows from f2 alone.  These are the Taylor-method recurrences of Jorba &
 Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 *ACM TOMS* 39, 2012).
 
-The program runs one level at a time.  Level k appends coefficient k of
-every op, then those of the solution that f_k determines, y_{k+2} and (when
-f2 reads y') y'_{k+1}; ``at`` sets y_0, y_1 = y'_0 and y'_0.  It works in
+The program runs level by level.  Level k appends coefficient k of every
+op, then those of the solution that f_k determines, y_{k+2} and (when f2
+reads y') y'_{k+1}; ``at`` sets y_0, y_1 = y'_0 and y'_0.  It works in
 fixed point: a coefficient c is the Python int m with c = m 2^-P, at one
 binary point P = prec + GUARD_BITS set by the working precision prec of the
 point, not by the point.  A product is one exact integer sum of products,
@@ -25,13 +25,13 @@ k+1.  Each shift or division rounds down, so each op adds less than one unit
 ``centre`` converts x in (``at`` y and y' too), level 0 of a sin/cos pair
 calls ``mpf_cos_sin`` at P bits, the x program converts the constants of
 polynomial nodes, and ``derivative``, ``jacobian`` and ``Coefficients.raw``
-round a result out to nearest at prec.  No op list is interpreted: the
-first time a level is asked for, each op emits its lines of Python source
-for that k, with the convolution index ranges, the degree cuts and the
-integer weights fixed, and the level is compiled into one function, under a
-filename such as ``<obrechkoff program duffing y level 4>`` that tracebacks
-and profiles quote.  Ops of x alone form a program of their own, refilled
-only when x or the precision changes.
+round a result out to nearest at prec.  No op list is interpreted: a read
+fills a program from its first unfilled level through the depth it needs by
+one function per span of levels, whose Python source, the ops' lines for each
+k with the index ranges, degree cuts and integer weights fixed, is compiled
+when the span is first asked for, under a filename such as ``<obrechkoff
+program duffing y levels 0-4>`` that tracebacks and profiles quote.  Ops of
+x alone form a program of their own, refilled only when x or prec changes.
 
 Error bound.  A value v read off the program (a coefficient, a derivative
 y^(k) = (k-2)! f_{k-2} or one of its partials) lies within
@@ -321,7 +321,7 @@ class _Node:
 # their outputs, once every coefficient below k is in place; name(node) is
 # the identifier of a node's coefficient list, name(c) that of a raw constant.
 # A coefficient is an int m standing for m 2^-P, P the binary point of the
-# level function; the raw constants (``a``, ``c``, ``data``) are kept as
+# generated function; the raw constants (``a``, ``c``, ``data``) are kept as
 # given.
 
 class _Poly:
@@ -438,11 +438,11 @@ _HELPERS = {"_fixed": _fixed, "mpf_cos_sin": mpf_cos_sin, "from_man_exp": from_m
 class _Names(dict):
     """The globals of one graph's generated code: the helpers, then each
     coefficient list and raw constant the code reads, under the identifier
-    that calling the namespace with its node or value returns."""
+    that calling the namespace with its node or value returns, into ``used``."""
 
     def __init__(self, preferred):
         super().__init__(_HELPERS)
-        self._ids = {}
+        self._ids, self.used = {}, set()
         for node, ident in preferred:
             if node not in self._ids:
                 self._bind(node, ident)
@@ -456,6 +456,7 @@ class _Names(dict):
         if ident is None:
             ident = f"{'v' if isinstance(item, _Node) else 'c'}{len(self._ids)}"
             self._bind(item, ident)
+        self.used.add(ident)
         return ident
 
 
@@ -480,25 +481,30 @@ def _code(source, filename):
 
 
 class _Program:
-    """Ops filled one level at a time, ``filled`` levels so far.  The function
-    that fills level k is Python source, the ops' ``emit(k, ...)`` lines in
-    order, generated and compiled the first time it is asked for and kept."""
+    """Ops filling ``lists`` (and their leaves' lists), ``filled`` levels so
+    far.  The function that fills levels lo..hi, the ops' ``emit(k, ...)``
+    lines for each k in turn, is compiled when first asked for and kept; it
+    takes the lists and constants it reads as default arguments, as locals."""
 
-    __slots__ = ("ops", "names", "label", "levels", "filled")
+    __slots__ = ("ops", "lists", "names", "label", "spans", "filled")
 
-    def __init__(self, ops, names, label):
-        self.ops, self.names, self.label, self.levels, self.filled = ops, names, label, {}, 0
+    def __init__(self, ops, lists, names, label):
+        self.ops, self.lists, self.names, self.label = ops, lists, names, label
+        self.spans, self.filled = {}, 0
 
-    def level(self, k):
-        """The function P -> None that fills level k at the binary point 2^-P."""
-        fill = self.levels.get(k)
+    def span(self, lo, hi):
+        """The function P -> None that fills levels lo..hi at the binary point 2^-P."""
+        fill = self.spans.get((lo, hi))
         if fill is None:
-            lines = [line for op in self.ops if k <= op.deg for line in op.emit(k, self.names)]
-            source = "def level(P):\n" + "".join(f"    {line}\n" for line in lines or ["pass"])
+            self.names.used = set()
+            lines = [line for k in range(lo, hi + 1) for op in self.ops if k <= op.deg
+                     for line in op.emit(k, self.names)]
+            source = (f"def fill(P{''.join(f', {i}={i}' for i in sorted(self.names.used))}):\n"
+                      + "".join(f"    {line}\n" for line in lines or ["pass"]))
             scope = {}
-            exec(_compiled(source, f"<obrechkoff program {self.label} level {k}>"),
+            exec(_compiled(source, f"<obrechkoff program {self.label} levels {lo}-{hi}>"),
                  self.names, scope)
-            fill = self.levels[k] = scope["level"]
+            fill = self.spans[lo, hi] = scope["fill"]
         return fill
 
 
@@ -557,10 +563,15 @@ class Coefficients:
     def __init__(self, graph, node, lag):
         self.c, self._deg, self._lag, self._graph = node.v, node.deg, lag, graph
 
+    def through(self, n):
+        """The list of coefficients, ints at 2^-P, filled through n <= the degree."""
+        self._graph._fill(n - self._lag)
+        return self.c
+
     def fixed(self, k):
         """Coefficient k as an int at the program's binary point 2^-P."""
-        self._graph._fill(min(k, self._deg) - self._lag)
-        return self.c[k] if k <= self._deg else 0
+        c = self.through(min(k, self._deg))
+        return c[k] if k <= self._deg else 0
 
     def raw(self, k):
         """Coefficient k as a raw libmp number, rounded at the working precision."""
@@ -591,9 +602,9 @@ class TracedODE:
         self._x, self._y, self._yp = _Node(1), _Node(DENSE), _Node(DENSE)
         nodes = {sx: self._x, sy: self._y, syp: self._yp}
         self._x_ops, self._y_ops, self._d_ops = [], [], []
-        self._x_lists, self._y_lists = [], []      # every coefficient list the ops fill
+        lists = ([], [], [])        # the coefficient lists that the ops of each program fill
         order = _postorder(root)
-        _compile(order, nodes, (self._x_ops, self._y_ops), (self._x_lists, self._y_lists))
+        _compile(order, nodes, (self._x_ops, self._y_ops), lists[:2])
         self._f = nodes[root]
         # y' itself is filled only when f2 reads it
         self._reads_yp = reads_yp = syp in order
@@ -610,27 +621,27 @@ class TracedODE:
                 break
             nodes[w] = _Node(DENSE, [i for i, c in enumerate((w0, wp0)) if not c])
             nodes[wp] = _Node(DENSE, [0] if not wp0 else [])
-            _compile(_postorder(droot), nodes, (self._x_ops, self._d_ops),
-                     (self._x_lists, self._y_lists))
+            _compile(_postorder(droot), nodes, (self._x_ops, self._d_ops), lists[::2])
             df = nodes[droot]
             self._d_ops += [_Leaf(nodes[w], df, 2), _Leaf(nodes[wp], df, 1)][:1 + reads_yp]
             self._pairs.append((nodes[w], nodes[wp]))
             self._df.append(df)
             preferred += [(nodes[w], f"w{n}"), (nodes[wp], f"wp{n}"), (df, f"df{n}")]
-        # the code of each level is generated when the level is first filled
+        # the code of each span of levels is generated when it is first filled
         names = _Names(preferred)
-        self._programs = (_Program(self._x_ops, names, f"{name} x"),
-                          _Program(self._y_ops + leaves, names, f"{name} y"),
-                          _Program(self._d_ops, names, f"{name} tangent"))
+        self._programs = tuple(
+            _Program(ops, c, names, f"{name} {label}") for ops, c, label in
+            zip((self._x_ops, self._y_ops + leaves, self._d_ops), lists, ("x", "y", "tangent")))
         self.y = Coefficients(self, self._y, 2)
         self.f = Coefficients(self, self._f, 0)
         self._point, self._prec, self._P, self._make = (None, None, None), None, None, None
-        self._closures = {}
+        self._seeds, self._closures, self._given = [], {}, (None,) * 5
 
-    def _reset(self, on_x):
-        for c in self._y_lists + (self._x_lists if on_x else []):
-            c.clear()
-        for program in self._programs[not on_x:]:
+    def _reset(self, on_x, tangents=True):
+        """Clear the program of y, with ``on_x`` that of x, with ``tangents`` theirs."""
+        for program in self._programs[not on_x:2 + tangents]:
+            for c in program.lists:
+                c.clear()
             program.filled = 0
 
     def at(self, x, y, yp):
@@ -640,9 +651,13 @@ class TracedODE:
             ctx = y.context
         except AttributeError:
             raise DomainError("a traced f2 is evaluated at mpmath numbers") from None
-        P = ctx.prec + GUARD_BITS
+        prec, (gx, gy, gyp, gprec, point) = ctx.prec, self._given
+        if x is gx and y is gy and yp is gyp and prec == gprec and self._point is point:
+            return              # the closures of one evaluation pass the same objects
+        P = prec + GUARD_BITS
         self.centre(x, _fixed(_raw(y), P), None if yp is None else _fixed(_raw(yp), P),
-                    ctx.prec, ctx.make_mpf)
+                    prec, ctx.make_mpf)
+        self._given = (x, y, yp, prec, self._point)
 
     def centre(self, x, y, yp, prec, make):
         """Centre the program at x and the ints y, y' at 2^-P, P = prec +
@@ -655,13 +670,16 @@ class TracedODE:
             return
         if yp is None and self._reads_yp:
             raise DomainError("this f2 reads y', so the point needs one")
-        P = prec + GUARD_BITS
         if new_x:
+            P = prec + GUARD_BITS
             self._x.v[:] = [_fixed(_raw(x), P), 1 << P]
             self._prec, self._P, self._make = prec, P, make
-        self._reset(on_x=new_x)
+            self._seeds = [(w0 << P, wp0 << P) for w0, wp0 in _SEEDS]
+        # the tangent program holds coefficients beyond its seeds only once filled
+        tangents = new_x or self._programs[2].filled > 0
+        self._reset(new_x, tangents)
         self._point = (x, y, yp)
-        seeds = [(y, yp)] + [(w0 << P, wp0 << P) for w0, wp0 in _SEEDS]
+        seeds = [(y, yp)] + self._seeds if tangents else [(y, yp)]
         for (u, up), (u0, up0) in zip(self._pairs, seeds):
             u.v[:], up.v[:] = [u0, up0], [up0]
 
@@ -680,9 +698,9 @@ class TracedODE:
         P = self._P
         try:
             for program in self._programs[:2 + tangents]:
-                for k in range(program.filled, n + 1):
-                    program.level(k)(P)
-                    program.filled = k + 1
+                if program.filled <= n:
+                    program.span(program.filled, n)(P)
+                    program.filled = n + 1
         except BaseException:       # a fill that raised leaves no point and no coefficient
             self._point = (None, None, None)
             self._reset(on_x=True)
@@ -708,7 +726,8 @@ class TracedODE:
         self.centre(x, y, yp, prec, make)
         f = self._f
         self._fill(min(4, f.deg))
-        return [scale * f.v[k] if k <= f.deg else 0 for k, scale in ((0, 1), (2, 2), (4, 24))]
+        v = f.v if f.deg >= 4 else f.v + [0] * 4
+        return [v[0], 2 * v[2], 24 * v[4]]
 
     def partials(self, x, y, yp, prec, make, orders):
         """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] at ``centre``'s point."""
@@ -732,4 +751,5 @@ def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:
     """
     graph = f2 if isinstance(f2, TracedODE) else TracedODE(f2)
     graph.at(ctx.mpf(x0), ctx.mpf(y0), ctx.mpf(yp0))
+    graph.y.through(order)                      # one span of levels
     return [graph.y[k] for k in range(order + 1)]

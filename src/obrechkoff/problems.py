@@ -1,4 +1,4 @@
-"""Benchmark initial value problems y'' = f2(x, y) and their derivative closures.
+"""Benchmark initial value problems y'' = f2(x, y, y') and their derivative closures.
 
 Each problem supplies only f2, written with ``ops.sin``/``ops.cos``.
 :class:`ProblemDef` traces it once into a :class:`~obrechkoff.jets.TracedODE`
@@ -22,7 +22,7 @@ from .jets import GUARD_BITS, RANGE_BITS, RND, TracedODE, _fixed, _raw, in_range
 
 @dataclass(frozen=True)
 class ProblemDef:
-    """An initial value problem y'' = f2(x, y) with its derivative closures.
+    """An initial value problem y'' = f2(x, y, y') with its derivative closures.
 
     Unless ``graph`` is given, f2 is traced into one; f2 itself and every
     closure f3..f7 left unset are then read off that graph.

@@ -8,7 +8,10 @@ polynomial gives A(v) s^2 - 2 B(v) s + A(v) with
 
 Both roots sit on the unit circle exactly when |B/A| < 1, which defines the
 interval of periodicity.  For fitted methods the coefficient set is evaluated
-at the same v.
+at the same v.  Where B/A > 1/2 and |v| <= pi the root angle is theta =
+2 asin(sqrt((A - B) / 2A)), with A - B = v^2/2 - v^4/24 + v^6/720 + beta10
+(v^4/2 - v^6/24) - beta20 v^6/2 by the h^2, h^4 and h^6 order conditions,
+free of the cancellation in 1 - B/A at small v; elsewhere theta = acos(B/A).
 """
 
 from __future__ import annotations
@@ -70,12 +73,14 @@ def phase_lag(method: MethodId, v, ctx: Context):
     Raises OutsidePeriodicityError when |B/A| > 1 (no real root angle).
     """
     v = ctx.mpf(v)
-    pair = stability_pair(coefficients(method, v, ctx), abs(v))
-    return _lag_from_ratio(pair.B / pair.A, v, ctx)
+    coeffs = coefficients(method, v, ctx)
+    pair = stability_pair(coeffs, abs(v))
+    return _lag(coeffs, pair, pair.B / pair.A, v, ctx)
 
 
-def _lag_from_ratio(ratio, v, ctx: Context):
-    """Phase lag at v of a method whose characteristic ratio B/A is `ratio`."""
+def _lag(coeffs: CoefficientSet, pair: StabilityPair, ratio, v, ctx: Context):
+    """Phase lag at v of the weight set whose characteristic ratio B/A is
+    `ratio`; where B/A > 1/2 and |v| <= pi, from A - B (module docstring)."""
     _, man, exp, _ = v._mpf_
     if exp and not man:                 # inf and nan: a zero mantissa, a nonzero exponent
         raise DomainError(f"v = {v} is not finite")
@@ -83,15 +88,25 @@ def _lag_from_ratio(ratio, v, ctx: Context):
         raise OutsidePeriodicityError(
             f"|B/A| = {ctx.mp.nstr(abs(ratio), 8)} > 1 at v = {ctx.mp.nstr(v, 8)}"
         )
-    theta0 = ctx.mp.acos(ratio)
-    two_pi = 2 * ctx.pi
-    k = int(ctx.mp.floor(abs(v) / two_pi))
-    v_red = abs(v) - k * two_pi
-    if v_red <= ctx.pi:
-        theta = k * two_pi + theta0
+    a = abs(v)
+    if a <= ctx.pi:                     # k = 0: theta is the root angle itself
+        if ratio > 0.5:
+            v2, b10, b20 = a * a, coeffs.beta10, coeffs.beta20
+            v4 = v2 * v2
+            gap = v2 * (0.5 - v2 / 24 + v4 / 720 + b10 * (v2 / 2 - v4 / 24) - b20 * v4 / 2)
+            theta = 2 * ctx.mp.asin(ctx.mp.sqrt(max(gap / (2 * pair.A), 0)))
+        else:
+            theta = ctx.mp.acos(ratio)
     else:
-        theta = (k + 1) * two_pi - theta0
-    t = abs(v) - theta
+        theta0 = ctx.mp.acos(ratio)
+        two_pi = 2 * ctx.pi
+        k = int(ctx.mp.floor(a / two_pi))
+        v_red = a - k * two_pi
+        if v_red <= ctx.pi:
+            theta = k * two_pi + theta0
+        else:
+            theta = (k + 1) * two_pi - theta0
+    t = a - theta
     return t if v >= 0 else -t
 
 
@@ -229,10 +244,8 @@ def stability_sweep(method: MethodId, v_grid, ctx: Context):
         pair = stability_pair(cs, abs(v))
         ratio = pair.B / pair.A
         try:
-            pl = _lag_from_ratio(ratio, v, ctx)
-            status = "ok"
+            pl, status = _lag(cs, pair, ratio, v, ctx), "ok"
         except OutsidePeriodicityError:
-            pl = None
-            status = "outside-periodicity"
+            pl, status = None, "outside-periodicity"
         rows.append((v, pair.A, pair.B, ratio, pl, status))
     return rows

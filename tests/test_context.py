@@ -25,7 +25,7 @@ def test_low_precision_rejected(bad):
 def test_rational_value(ctx50):
     x = ctx50.rational(229, 7788)
     assert ctx50.mp.nstr(x, 13) == "0.02940421160761"[:15]
-    assert abs(x - ctx50.mpf(229) / 7788) <= ctx50.eps()
+    assert abs(x - ctx50.mpf(229) / 7788) <= ctx50.mpf(10) ** -ctx50.digits
 
 
 def test_rational_zero(ctx50):
@@ -41,7 +41,7 @@ def test_rational_zero_denominator(ctx50):
                                      (10 ** 17 + 1, 10 ** 17 - 3)])
 def test_rational_round_trip(ctx50, num, den):
     x = ctx50.rational(num, den)
-    assert abs(x * den - num) <= 2 * ctx50.eps() * abs(num)
+    assert abs(x * den - num) <= 2 * ctx50.mpf(10) ** -ctx50.digits * abs(num)
 
 
 def test_contexts_are_independent():
@@ -49,7 +49,7 @@ def test_contexts_are_independent():
     b = make_context(80)
     assert a.mp.nstr(a.pi, 25) != b.mp.nstr(b.pi, 25)
     # b keeps full precision even after a is used
-    assert abs(b.pi - b.mp.mpf(2) * b.mp.asin(1)) <= b.eps()
+    assert abs(b.pi - b.mp.mpf(2) * b.mp.asin(1)) <= b.mpf(10) ** -b.digits
 
 
 def test_exact_decimal_literal(ctx50):

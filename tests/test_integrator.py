@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from mpmath.libmp import from_man_exp
@@ -468,3 +469,47 @@ def test_evaluator_calls_match_the_iteration_count_on_the_graph_read(make, start
                         startup=startup_mode)
     res = integrate(p, cfg, ctx, x_end=p.x0 + 50 * h)
     assert len(calls) == res.total_iterations + 2
+
+
+#: 40-step runs and their y_end, y'_end, total and largest step iteration
+#: counts, recorded to every bit, and a digest of the ints of the last state
+RECORDED_RUNS = [
+    (duffing, MethodId.PL_DOUBLE_PRIME, 50, 500, "exact",
+     "-0.1457669038352586607481091964754550173011814641537949",
+     "0.13897823424906171919044857073452339039480514531888375",
+     187, 5, "0310e52facda3aa6"),
+    (linear_forced, MethodId.PL_PRIME, 100, 1000, "taylor",
+     "1.95105651629515357211643933340307395314709654212114521717373895"
+     "658029936748109405771990906564804929841",
+     "10.3090169943749474241022934154410000948800060071493500076271855"
+     "9464443411545408396384584794807943694076",
+     78, 2, "e480a6f6e52f2310"),
+    (rational_problem, MethodId.CLASSICAL, 50, 500, "exact",
+     "0.58139534883720930232570587411159281284522330921437089",
+     "-0.67604110329908058409865852758020514665069049814977627",
+     117, 3, "dd110b12fa6f5f72"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, method, digits, divisor, startup_mode, y_end, yp_end, total, most, state",
+    RECORDED_RUNS)
+def test_short_runs_are_bit_identical_to_their_recorded_values(
+        make, method, digits, divisor, startup_mode, y_end, yp_end, total, most, state):
+    # a change that moves any of these says so and records the new values
+    ctx = make_context(digits)
+    p = make(ctx)
+    h = (p.x_end - p.x0) / divisor
+    omega = 0 if method is MethodId.CLASSICAL else p.default_omega
+    cfg = StepperConfig(method=method, h=h, omega=omega, startup=startup_mode)
+    res = integrate(p, cfg, ctx, x_end=p.x0 + 40 * h)
+    assert res.y_end._mpf_ == ctx.mpf(y_end)._mpf_
+    assert res.yp_end._mpf_ == ctx.mpf(yp_end)._mpf_
+    assert (res.total_iterations, res.max_step_iterations) == (total, most)
+    # the guard bits too, which rounding y_end out hides: the same 39 steps
+    weights = StepWeights.build(coefficients(method, abs(ctx.mpf(omega) * h), ctx), h, ctx)
+    last = StepState(1, p.x0, p.x0 + h, *(fixed(ctx, v) for v in startup(p, cfg, ctx)))
+    for _ in range(39):
+        last = step(last, weights, p, ctx)
+    ints = (last.y_prev, last.y_curr, last.yp_prev, last.yp_curr, *last.f_prev, *last.f_curr)
+    assert hashlib.sha256(repr(ints).encode()).hexdigest()[:16] == state

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from obrechkoff import DomainError, duffing, linear_forced, make_context, rational_problem
-from obrechkoff.jets import RANGE_BITS, Series, TracedODE, ode_series, ops
+from obrechkoff import DomainError, duffing, jets, linear_forced, make_context, rational_problem
+from obrechkoff.jets import GUARD_BITS, RANGE_BITS, Series, TracedODE, ode_series, ops
 
 
 def taylor(ctx, expr, order):
@@ -230,25 +230,57 @@ def test_a_read_before_any_point_is_a_domain_error():
 def test_duffing_levels_are_integer_code(ctx50):
     # the y and tangent levels of duffing run on ints alone: no libmp call and
     # no term for a zero constant or a zero seed; only level 0 of x calls
-    # mpf_cos_sin
+    # mpf_cos_sin.  The reads fill levels 0, 1-4 and 5 of x and y in turn,
+    # the tangents 0-4, then x and y 0-4 at a new x, each span one function
     graph = duffing(ctx50).graph
-    point = (ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4"))
-    for k in (2, 4, 6):
-        graph.derivative(k)(*point)
-    graph.jacobian(*point, (2, 4, 6))
+    prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
+    P = prec + GUARD_BITS
+    y, yp = 3 << P - 4, -(1 << P - 1)
+    graph.centre(ctx50.mpf("0.7"), y, yp, prec, make)
+    graph.f.fixed(0)
+    graph.f.fixed(4)
+    graph.y.through(7)
+    graph.partials(ctx50.mpf("0.7"), y, yp, prec, make, (2, 4, 6))
+    graph.even(ctx50.mpf("2.1"), y, yp, prec, make)
+    spans = [(0, 0), (1, 4), (5, 5), (0, 4)]
 
-    def source(label, k):
-        lines = linecache.getlines(f"<obrechkoff program duffing {label} level {k}>")
-        assert lines, (label, k)
+    def source(label, lo, hi):
+        lines = linecache.getlines(f"<obrechkoff program duffing {label} levels {lo}-{hi}>")
+        assert lines, (label, lo, hi)
         return "".join(lines)
 
-    for k in range(5):
-        for label in ("y", "tangent"):
-            code = source(label, k)
-            assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), (label, k)
-            assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), (label, k)
-        # the seeds w1_1 = 0 and w2_0 = 0 that ``at`` sets are left out
-        assert not re.search(r"w1\[1\]|w2\[0\]", source("tangent", k)), k
-        assert all("if len(" not in source(label, k) for label in ("x", "y", "tangent"))
-    assert "mpf_cos_sin(" in source("x", 0)
-    assert all("mpf_" not in source("x", k) for k in range(1, 5))
+    for label, span in [("y", span) for span in spans] + [("tangent", (0, 4))]:
+        code = source(label, *span)
+        assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), (label, span)
+        assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), (label, span)
+        assert "if len(" not in code and "if len(" not in source("x", *span), (label, span)
+    # the seeds w1_1 = 0 and w2_0 = 0 that ``at`` sets are left out
+    assert not re.search(r"w1\[1\]|w2\[0\]", source("tangent", 0, 4))
+    assert "mpf_cos_sin(" in source("x", 0, 0)
+    assert source("x", 0, 4).count("mpf_cos_sin(") == 1
+    assert all("mpf_" not in source("x", *span) for span in ((1, 4), (5, 5)))
+
+
+def test_closures_at_one_point_convert_it_once(monkeypatch, ctx50):
+    # f2, f4 and f6 of one evaluation pass the same x, y and y': ``at``
+    # converts them at the first call only, and again after a fill that raised
+    calls, fixed = [], jets._fixed
+
+    def counted(v, P):
+        calls.append(v)
+        return fixed(v, P)
+
+    monkeypatch.setattr(jets, "_fixed", counted)
+    graph = rational_problem(ctx50).graph
+    closures = [graph.derivative(k) for k in (2, 4, 6)]
+    x, y, yp = ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4")
+    values = [f(x, y, yp) for f in closures]
+    assert len(calls) == 3                              # x, y and y'
+    other = +y                                          # an equal y, another object
+    assert [f(x, other, yp) for f in closures] == values
+    assert len(calls) == 5
+    bad = ctx50.mpf(-1) / 2
+    for n in (8, 11):
+        with pytest.raises(DomainError, match="zero constant term"):
+            closures[0](bad, y, yp)
+        assert len(calls) == n

@@ -318,7 +318,7 @@ def test_a_fill_that_raises_resets_the_program(which, through, digits):
         else:
             graph.jacobian(*bad, (2, 4, 6))
     assert graph._point == (None, None, None)
-    assert not any(graph._x_lists + graph._y_lists)
+    assert not any(c for program in graph._programs for c in program.lists)
     assert [program.filled for program in graph._programs] == [0, 0, 0]
     next_point = tuple(map(str, (good[0] + 1, good[1] / 3, good[2])))
     assert_within_bound(_raw_program(graph, ctx, next_point, True),
@@ -352,5 +352,5 @@ def test_the_zero_divisor_traceback_quotes_the_generated_line(ctx50):
         graph.derivative(2)(ctx50.mpf(-1) / 2, ctx50.mpf(1), ctx50.mpf(-2))
     text = "".join(traceback.format_exception(info.value))
     # 8 y^2 / (1 + 2x) is a quotient of y, so it sits in the program of y
-    assert 'File "<obrechkoff program rational y level 0>", line ' in text
+    assert 'File "<obrechkoff program rational y levels 0-0>", line ' in text
     assert "[0]: raise DomainError('series division by a series" in text

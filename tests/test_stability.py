@@ -35,7 +35,7 @@ def test_pair_is_one_one_at_zero(ctx50):
 def test_classical_ratio_leading_term(ctx50):
     # B/A = 1 - v^2/2 + O(v^4): beta10 + beta11/2 = 1/2 exactly
     b = classical_coefficients(ctx50)
-    assert abs(b.beta10 + b.beta11 / 2 - ctx50.mpf(F(1, 2))) < ctx50.eps()
+    assert abs(b.beta10 + b.beta11 / 2 - ctx50.mpf(F(1, 2))) < ctx50.mpf(10) ** -ctx50.digits
     v = ctx50.mpf("1e-5")
     pair = stability_pair(b, v)
     assert abs((pair.B / pair.A - 1 + v * v / 2)) < v ** 4
@@ -61,11 +61,6 @@ def test_phase_lag_tends_to_zero(ctx50):
         assert abs(t) < ctx50.mpf(10) ** -20
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "theta = acos(B/A) is taken while B/A is rounded next to 1, so the phase "
-    "lag's absolute error is about 10^-digits/|v|: at 50 digits classical gives "
-    "+2.4e-49 at v = 1e-3 (true -1.3e-50) and the fitted methods return v "
-    "itself at v = 1e-30"))
 def test_phase_lag_keeps_its_precision_at_small_v():
     ctx, ref = make_context(50), make_context(300)
     off = []
