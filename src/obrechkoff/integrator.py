@@ -27,11 +27,16 @@ predictor is the degree-7 Taylor polynomial of the solution through
 (x_n, y_n, y'_n), read off the problem's traced f2 graph.  The corrector is
 a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
 A = I - DPhi, where dF/dz comes from the variational program of the traced
-f2 at the predictor, and F from ``problem.evaluate``.  z itself is accepted
-once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both components, tol being
-10^(2 - digits), and F(z) is kept as f_{n+1} (Hairer & Wanner II, IV.8), so
-a step evaluates F only at its iterates.  An F that is not finite fails the
-step at once.  Node n sits at x0 + n*h, formed once by :func:`_node`.
+f2 at the predictor, and F from ``problem.evaluate``.  A^-1 is formed at
+most once per step, and once per run when the variational program reads
+neither x, y nor y' (``TracedODE.fixed_partials``, as for a linear f2),
+since dF/dz is then the same at every point: the step hands it on in its
+``StepState``.
+z itself is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both
+components, tol being 10^(2 - digits), and F(z) is kept as f_{n+1} (Hairer
+& Wanner II, IV.8), so a step evaluates F only at its iterates.  An F that
+is not finite fails the step at once.  Node n sits at x0 + n*h, formed once
+by :func:`_node`.
 
 The state and the solve are Python ints at the Taylor program's binary point
 2^-P, P = prec + ``jets.GUARD_BITS``: y and y' at the old nodes, the kept F,
@@ -115,7 +120,10 @@ class StepperConfig:
 @dataclass
 class StepState:
     """Node n and its two-step state: x0 and x_n are mpmath numbers, y, y'
-    and the kept F (None: not yet evaluated) at nodes n - 1, n ints at 2^-P."""
+    and the kept F (None: not yet evaluated) at nodes n - 1, n ints at 2^-P.
+    ``inverse`` is the chord inverse kept for the next step when the
+    graph's partials are fixed; ``iterations`` and ``jacobian_passes`` count
+    the evaluations and chord inverses of the run so far."""
     index: int
     x0: object
     x_n: object
@@ -126,6 +134,8 @@ class StepState:
     iterations: int = 0
     f_prev: Optional[tuple] = None
     f_curr: Optional[tuple] = None
+    inverse: Optional[list] = None
+    jacobian_passes: int = 0
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,8 @@ class IntegrationResult:
 
     ``total_iterations`` counts the closure triples (f2, f4, f6) that the
     steps' solves evaluated, one per iteration (the accepted one's is kept);
-    ``max_step_iterations`` is the largest such count of one step.
+    ``max_step_iterations`` is the largest such count of one step;
+    ``jacobian_passes`` counts the chord inverses formed.
     """
 
     y_end: object
@@ -176,6 +187,7 @@ class IntegrationResult:
     yp_end: Optional[object] = None
     max_step_iterations: int = 0
     trajectory: list = field(default_factory=list)
+    jacobian_passes: int = 0
 
 
 def _node(x0, h, n):
@@ -259,7 +271,7 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     for a in taylor[PREDICTOR_DEGREE - 1::-1]:
         yp = y + (h * yp >> hs)
         y = a + (h * y >> hs)
-    inverse = None           # A^-1 at the predictor, formed when first needed
+    inverse, passes = state.inverse, state.jacobian_passes    # A^-1, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
         if y.bit_length() > limit or yp.bit_length() > limit:
             raise failure(" diverged: iterate beyond the Taylor program's range", evals - 1)
@@ -272,7 +284,8 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
             return StepState(
                 index=n + 1, x0=state.x0, x_n=x_next,
                 y_prev=y_curr, y_curr=y, yp_prev=yp_curr, yp_curr=yp,
-                iterations=state.iterations + evals, f_prev=f_curr, f_curr=f_z)
+                iterations=state.iterations + evals, f_prev=f_curr, f_curr=f_z,
+                inverse=inverse if graph.fixed_partials else None, jacobian_passes=passes)
         if inverse is None:
             dy, dyp = zip(*graph.partials(x_next, y, yp, prec, make, (2, 4, 6)))
             (j11, j12), (j21, j22) = [(_dot(row, dy), _dot(row, dyp)) for row in end]
@@ -281,7 +294,9 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
             if not det:
                 raise failure(": singular Newton matrix", evals)
             # A^-1 = (a22, j12; j21, a11) / det, at 2^-P
-            inverse = i11, i12, i21, i22 = [(a << 2 * P) // det for a in (a22, j12, j21, a11)]
+            inverse = [(a << 2 * P) // det for a in (a22, j12, j21, a11)]
+            passes += 1
+        i11, i12, i21, i22 = inverse
         y, yp = y + (i11 * r1 + i12 * r2 >> P), yp + (i21 * r1 + i22 * r2 >> P)
     raise failure(f" stalled after {MAX_ITERATIONS} iterations", MAX_ITERATIONS)
 
@@ -368,4 +383,5 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
         yp_end=out(state.yp_curr),
         max_step_iterations=max_iter_step,
         trajectory=trajectory,
+        jacobian_passes=state.jacobian_passes,
     )

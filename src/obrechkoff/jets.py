@@ -21,17 +21,22 @@ shifted by P once; a linear combination takes its constants as integer
 weights over their least exponent, one exact sum and one shift; a quotient
 divides one exact sum by b_0, and the solution by the integer (k+1)(k+2) or
 k+1.  Each shift or division rounds down, so each op adds less than one unit
-2^-P to the errors its inputs carry.  libmp is met only at the boundary:
-``centre`` converts x in (``at`` y and y' too), level 0 of a sin/cos pair
-calls ``mpf_cos_sin`` at P bits, the x program converts the constants of
-polynomial nodes, and ``derivative``, ``jacobian`` and ``Coefficients.raw``
-round a result out to nearest at prec.  No op list is interpreted: a read
-fills a program from its first unfilled level through the depth it needs by
-one function per span of levels, whose Python source, the ops' lines for each
-k with the index ranges, degree cuts and integer weights fixed, is compiled
-when the span is first asked for, under a filename such as ``<obrechkoff
-program duffing y levels 0-4>`` that tracebacks and profiles quote.  Ops of
-x alone form a program of their own, refilled only when x or prec changes.
+2^-P to the errors its inputs carry.  Level 0 of a sin/cos pair takes sin
+and cos of u_0 from ``mpf_cos_sin`` at P bits, except where u depends on x
+alone and x walks a uniform grid: there the last pair is turned by the step
+in u with a few integer products (``_Turn``), and ``mpf_cos_sin`` is called
+only at an irregular step and after every TURNS turns.  libmp is met only
+at the boundary: ``centre`` converts x in (``at`` y and y' too), level 0 of
+a sin/cos pair calls ``mpf_cos_sin`` where it does not turn, the x program
+converts the constants of polynomial nodes, and ``derivative``,
+``jacobian`` and ``Coefficients.raw`` round a result out to nearest at
+prec.  No op list is interpreted: a read fills a program from its first
+unfilled level through the depth it needs by one function per span of
+levels, whose Python source, the ops' lines for each k with the index
+ranges, degree cuts and integer weights fixed, is compiled when the span is
+first asked for, under a filename such as ``<obrechkoff program duffing y
+levels 0-4>`` that tracebacks and profiles quote.  Ops of x alone form a
+program of their own, refilled only when x or prec changes.
 
 Error bound.  A value v read off the program (a coefficient, a derivative
 y^(k) = (k-2)! f_{k-2} or one of its partials) lies within
@@ -41,8 +46,11 @@ y^(k) = (k-2)! f_{k-2} or one of its partials) lies within
 of the exact value c of the traced program at the point, s being (k-2)!
 for y^(k) and its partials and 1 for a coefficient.  The first term is the
 rounding out; the second leaves 2^20 units 2^-P for the errors that the
-recurrences carry, measured at under 2^6 units of max(|c|, 1) on the
-problems and the test cases at 16, 50 and 100 digits.  Below 1 the error is
+recurrences carry, measured at under 2^11 units of max(|c|, s) on the
+problems and the test cases at 16, 50 and 100 digits, at every 100th node of
+x = n pi/1000, n < 3000.  With every sin/cos pair fresh that was 2^6.3; a
+turned pair lies within TURNS units of ``mpf_cos_sin``'s (measured under
+2^5), and linear's 99 sin x scales that by 99.  Below 1 the error is
 absolute: a coefficient of size 2^-m keeps about P - m bits, and one below
 2^-P reads 0, as y = 1e-30 does at 16 digits.  The bound covers that, as the
 step's acceptance test is absolute below |Phi| = 1 and the step weights
@@ -85,6 +93,11 @@ GUARD_BITS = 40
 #: the Taylor program takes numbers below 2^RANGE_BITS in magnitude: its
 #: integers are as long as the numbers are large
 RANGE_BITS = 1 << 16
+
+#: turns of a sin/cos pair between two ``mpf_cos_sin`` values (``_Turn``): each
+#: turn adds under one unit 2^-P to the errors of sin and cos, so a turned
+#: pair lies within TURNS units of ``mpf_cos_sin``'s
+TURNS = 1024
 
 #: the seeds (w_0, w'_0) of the variational program, in units of 2^P: the
 #: partials along y and along y'
@@ -394,15 +407,58 @@ class _Div:
         return lines
 
 
+class _Turn:
+    """(sin u, cos u) as ints at 2^-P for the argument u of one sin/cos pair of
+    x alone, called with u at each new x.  Where u steps from the last u by
+    the step d of the last miss, up to e with e^2 < 2^-P, the last pair is
+    turned by d + e, rounding to nearest: (cos d, sin d) is formed at the
+    first such turn and kept GUARD_BITS below the point, and (cos e, sin e)
+    is taken as (1 - e^2 / 2, e), so the turn's own rounding, under one
+    unit, is its error.  Elsewhere, and after TURNS turns, the pair is
+    ``mpf_cos_sin``'s at P bits rounded down, as at every miss."""
+
+    __slots__ = ("P", "u", "s", "c", "d", "cs", "turns")
+
+    def __init__(self):
+        self.P, self.u, self.d = None, 0, 0
+
+    def __call__(self, u, P):
+        d = u - self.u
+        e = d - self.d
+        if P != self.P or e * e >> P:       # a new step: its pair is formed when it recurs
+            self.P, self.d, self.cs, self.turns = P, d, None, TURNS
+        if self.turns < TURNS:
+            Q = P + GUARD_BITS
+            if self.cs is None:
+                cv, sv = mpf_cos_sin(from_man_exp(self.d, -P), Q, RND)
+                self.cs = _fixed(cv, Q), _fixed(sv, Q)
+            (cd, sd), s, c = self.cs, self.s, self.c
+            if e:
+                e <<= GUARD_BITS
+                e2 = e * e >> Q + 1
+                cd, sd = cd - (cd * e2 + sd * e >> Q), sd + (cd * e - sd * e2 >> Q)
+            half = 1 << Q - 1
+            s, c = s * cd + c * sd + half >> Q, c * cd - s * sd + half >> Q
+            self.turns += 1
+        else:
+            cv, sv = mpf_cos_sin(from_man_exp(u, -P), P, RND)
+            s, c, self.turns = _fixed(sv, P), _fixed(cv, P), 0
+        self.u, self.s, self.c = u, s, c
+        return s, c
+
+
 class _SinCos:
     """s_k = sum_{j=1..k} j u_j c_{k-j} / k and c_k = -sum_{j=1..k} j u_j s_{k-j} / k;
-    s_0 and c_0 come from ``mpf_cos_sin`` at P bits."""
+    s_0 and c_0 come from ``mpf_cos_sin`` at P bits, through a :class:`_Turn`
+    (``turn``) where u depends on x alone."""
 
-    def __init__(self, out, cos, u):
-        self.out, self.cos, self.u, self.deg = out, cos, u, out.deg
+    def __init__(self, out, cos, u, turn):
+        self.out, self.cos, self.u, self.deg, self.turn = out, cos, u, out.deg, turn
 
     def emit(self, k, name):
         u, s, c = name(self.u), name(self.out), name(self.cos)
+        if k == 0 and self.turn:
+            return [f"sv, cv = {name(self.turn)}({u}[0], P)", f"{s}.append(sv)", f"{c}.append(cv)"]
         if k == 0:
             return [f"cv, sv = mpf_cos_sin(from_man_exp({u}[0], -P), P, RND)",
                     f"{s}.append(_fixed(sv, P))", f"{c}.append(_fixed(cv, P))"]
@@ -454,7 +510,8 @@ class _Names(dict):
     def __call__(self, item):
         ident = self._ids.get(item)
         if ident is None:
-            ident = f"{'v' if isinstance(item, _Node) else 'c'}{len(self._ids)}"
+            kind = "v" if isinstance(item, _Node) else "turn" if isinstance(item, _Turn) else "c"
+            ident = f"{kind}{len(self._ids)}"
             self._bind(item, ident)
         self.used.add(ident)
         return ident
@@ -542,7 +599,7 @@ def _compile(order, nodes, ops, lists):
             op = _Lin(*outs, *s.data, args)
         elif s.kind == "sincos":
             outs += (_Node(s.deg),)
-            op = _SinCos(*outs, *args)
+            op = _SinCos(*outs, *args, None if s.on_y else _Turn())
         elif s.kind == "mul":
             op = _Mul(*outs, args)
         else:
@@ -591,8 +648,10 @@ class TracedODE:
     GUARD_BITS), as the integrator passes it, or to ``at`` as mpmath
     numbers.  ``y`` and ``f`` give the Taylor coefficients of the solution
     and of f2 there, ``even`` y'', y^(4), y^(6) and ``partials`` their
-    partials from the variational program, as ints.  ``name`` labels the
-    generated code in tracebacks and profiles.
+    partials from the variational program, as ints.  ``fixed_partials``
+    tells whether the tangent program reads neither x, y nor y', so that the
+    partials are the same at every point of one precision.  ``name`` labels
+    the generated code in tracebacks and profiles.
     """
 
     def __init__(self, f2, name="f2"):
@@ -613,6 +672,7 @@ class TracedODE:
         # then the leaves w and w' (when f2 reads y'); ``at`` sets the first
         # coefficients of each solution and its slope in ``_pairs``
         self._pairs, self._df = [(self._y, self._yp)], []
+        self.fixed_partials = True
         preferred = [(self._x, "x"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
         for n, (w0, wp0) in enumerate(_SEEDS, 1):
             w, wp = Series("var"), Series("var")
@@ -621,7 +681,9 @@ class TracedODE:
                 break
             nodes[w] = _Node(DENSE, [i for i, c in enumerate((w0, wp0)) if not c])
             nodes[wp] = _Node(DENSE, [0] if not wp0 else [])
-            _compile(_postorder(droot), nodes, (self._x_ops, self._d_ops), lists[::2])
+            dorder = _postorder(droot)
+            self.fixed_partials &= not {sx, sy, syp}.intersection(dorder)
+            _compile(dorder, nodes, (self._x_ops, self._d_ops), lists[::2])
             df = nodes[droot]
             self._d_ops += [_Leaf(nodes[w], df, 2), _Leaf(nodes[wp], df, 1)][:1 + reads_yp]
             self._pairs.append((nodes[w], nodes[wp]))

@@ -240,7 +240,8 @@ def test_diverging_solve_raises_step_failure():
 def test_chord_newton_closure_triples_per_step(make, digits, divisor, startup_mode, most):
     # the accepted iterate's F is kept, so a step takes only its iterations'
     # triples, at most `most`: 2415 in all over the divisor - 1 solved steps on
-    # duffing, and 2 in every step on linear
+    # duffing, and 2 in every step on linear.  Duffing forms a chord inverse
+    # in every solved step; linear's partials are fixed, so it forms one
     ctx = make_context(digits)
     p = make(ctx)
     cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=(p.x_end - p.x0) / divisor,
@@ -248,6 +249,23 @@ def test_chord_newton_closure_triples_per_step(make, digits, divisor, startup_mo
     res = integrate(p, cfg, ctx)
     assert res.max_step_iterations <= most
     assert res.total_iterations == {"duffing": 2415, "linear": 1998}[p.name]
+    assert res.jacobian_passes == {"duffing": 499, "linear": 1}[p.name]
+
+
+def test_a_chord_inverse_kept_for_the_run_changes_no_bit():
+    # linear's partials are the same at every point, so the inverse formed in
+    # the first step is the one every later step would form
+    ctx = make_context(100)
+    p = linear_forced(ctx)
+    cfg = StepperConfig(method=MethodId.PL_DOUBLE_PRIME, h=(p.x_end - p.x0) / 500,
+                        omega=p.default_omega, startup="taylor")
+    kept = integrate(p, cfg, ctx)
+    p.graph.fixed_partials = False
+    formed = integrate(p, cfg, ctx)
+    assert (kept.jacobian_passes, formed.jacobian_passes) == (1, 499)
+    assert (kept.y_end._mpf_, kept.yp_end._mpf_) == (formed.y_end._mpf_, formed.yp_end._mpf_)
+    assert ((kept.total_iterations, kept.max_step_iterations)
+            == (formed.total_iterations, formed.max_step_iterations))
 
 
 def test_step_weights_tolerance():
@@ -483,7 +501,7 @@ RECORDED_RUNS = [
      "658029936748109405771990906564804929841",
      "10.3090169943749474241022934154410000948800060071493500076271855"
      "9464443411545408396384584794807943694076",
-     78, 2, "e480a6f6e52f2310"),
+     78, 2, "9f018e571927b3ef"),
     (rational_problem, MethodId.CLASSICAL, 50, 500, "exact",
      "0.58139534883720930232570587411159281284522330921437089",
      "-0.67604110329908058409865852758020514665069049814977627",

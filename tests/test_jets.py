@@ -3,9 +3,10 @@ import math
 import re
 
 import pytest
+from mpmath.libmp import from_man_exp, mpf_cos_sin
 
 from obrechkoff import DomainError, duffing, jets, linear_forced, make_context, rational_problem
-from obrechkoff.jets import GUARD_BITS, RANGE_BITS, Series, TracedODE, ode_series, ops
+from obrechkoff.jets import GUARD_BITS, RANGE_BITS, RND, Series, TracedODE, ode_series, ops
 
 
 def taylor(ctx, expr, order):
@@ -229,9 +230,10 @@ def test_a_read_before_any_point_is_a_domain_error():
 
 def test_duffing_levels_are_integer_code(ctx50):
     # the y and tangent levels of duffing run on ints alone: no libmp call and
-    # no term for a zero constant or a zero seed; only level 0 of x calls
-    # mpf_cos_sin.  The reads fill levels 0, 1-4 and 5 of x and y in turn,
-    # the tangents 0-4, then x and y 0-4 at a new x, each span one function
+    # no term for a zero constant or a zero seed; only level 0 of x calls the
+    # helper that turns its sin/cos pair.  The reads fill levels 0, 1-4 and 5
+    # of x and y in turn, the tangents 0-4, then x and y 0-4 at a new x, each
+    # span one function
     graph = duffing(ctx50).graph
     prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
     P = prec + GUARD_BITS
@@ -256,8 +258,11 @@ def test_duffing_levels_are_integer_code(ctx50):
         assert "if len(" not in code and "if len(" not in source("x", *span), (label, span)
     # the seeds w1_1 = 0 and w2_0 = 0 that ``at`` sets are left out
     assert not re.search(r"w1\[1\]|w2\[0\]", source("tangent", 0, 4))
-    assert "mpf_cos_sin(" in source("x", 0, 0)
-    assert source("x", 0, 4).count("mpf_cos_sin(") == 1
+    turn = re.compile(r"\bturn\d+\(")
+    assert len(turn.findall(source("x", 0, 0))) == 1
+    assert len(turn.findall(source("x", 0, 4))) == 1
+    others = [("x", (1, 4)), ("x", (5, 5)), ("tangent", (0, 4))] + [("y", span) for span in spans]
+    assert not any(turn.search(source(label, *span)) for label, span in others)
     assert all("mpf_" not in source("x", *span) for span in ((1, 4), (5, 5)))
 
 
@@ -284,3 +289,58 @@ def test_closures_at_one_point_convert_it_once(monkeypatch, ctx50):
         with pytest.raises(DomainError, match="zero constant term"):
             closures[0](bad, y, yp)
         assert len(calls) == n
+
+
+def _fresh(u, P):
+    """(sin u, cos u) of the int u at 2^-P as a miss forms them."""
+    cv, sv = mpf_cos_sin(from_man_exp(u, -P), P, RND)
+    return jets._fixed(sv, P), jets._fixed(cv, P)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 100])
+@pytest.mark.parametrize("step", ["pi/1000", "0.0123"])
+def test_turned_pairs_stay_within_their_bound_along_a_grid(monkeypatch, digits, step):
+    # x_n = n h rounded at prec, as the integrator forms its nodes: the pair is
+    # turned at all but a few of 5000 nodes and stays within TURNS units 2^-P
+    # of mpf_cos_sin's
+    calls = []
+    monkeypatch.setattr(jets, "mpf_cos_sin", lambda *a: calls.append(a) or mpf_cos_sin(*a))
+    ctx = make_context(digits)
+    P = ctx.mp.prec + GUARD_BITS
+    h = ctx.mp.pi / 1000 if step == "pi/1000" else ctx.mpf(step)
+    turn, worst = jets._Turn(), 0
+    for n in range(5000):
+        u = jets._fixed(jets._raw(n * h), P)
+        s, c = turn(u, P)
+        fs, fc = _fresh(u, P)
+        worst = max(worst, abs(s - fs), abs(c - fc))
+    assert worst <= jets.TURNS
+    assert len(calls) <= 3 + 5000 // jets.TURNS
+
+
+def test_irregular_x_reads_mpf_cos_sin_once_per_new_x(monkeypatch, ctx50):
+    calls = []
+    monkeypatch.setattr(jets, "mpf_cos_sin", lambda *a: calls.append(a) or mpf_cos_sin(*a))
+    graph = linear_forced(ctx50).graph
+    prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
+    P = prec + GUARD_BITS
+    pair, = [op for op in graph._x_ops if isinstance(op, jets._SinCos)]
+    xs = ["0.7", "2.1", "0.3", "5", "1.1", "1.9", "0.2", "3.3", "0.7"]
+    for n, x in enumerate(xs, 1):
+        graph.centre(ctx50.mpf(x), 1 << P, 0, prec, make)
+        graph.f.fixed(4)
+        graph.partials(ctx50.mpf(x), 1 << P, 0, prec, make, (2, 4, 6))
+        assert (pair.out.v[0], pair.cos.v[0]) == _fresh(pair.u.v[0], P)
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize("f2, fixed", [
+    (lambda x, y, yp: -100 * y + 99 * ops.sin(x), True),
+    (lambda x, y, yp: -y - yp / 10, True),
+    (lambda x, y, yp: ops.sin(x), True),
+    (lambda x, y, yp: -y - y ** 3 + ops.cos(x) / 500, False),
+    (lambda x, y, yp: -x * y, False),
+    (lambda x, y, yp: -yp * yp, False),
+], ids=["linear", "damped", "free-of-y", "duffing", "x-times-y", "slope-squared"])
+def test_partials_are_fixed_when_the_tangents_read_no_point(f2, fixed):
+    assert TracedODE(f2).fixed_partials is fixed
