@@ -450,7 +450,9 @@ class _Turn:
 class _SinCos:
     """s_k = sum_{j=1..k} j u_j c_{k-j} / k and c_k = -sum_{j=1..k} j u_j s_{k-j} / k;
     s_0 and c_0 come from ``mpf_cos_sin`` at P bits, through a :class:`_Turn`
-    (``turn``) where u depends on x alone."""
+    (``turn``) where u depends on x alone.  A pair of y is not turned: the
+    iterates of a step do not step uniformly, so its turn would miss at every
+    call (as on y'' = -sin y) and cost the call and the miss's bookkeeping."""
 
     def __init__(self, out, cos, u, turn):
         self.out, self.cos, self.u, self.deg, self.turn = out, cos, u, out.deg, turn

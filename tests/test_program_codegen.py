@@ -23,9 +23,9 @@ import pytest
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_mul,
                           mpf_sub, mpf_sum, normalize)
 
-from obrechkoff import DomainError, make_context, rational_problem
-from obrechkoff.jets import (GUARD_BITS, RND, Coefficients, TracedODE, _Div, _Leaf, _Lin, _Mul,
-                             _Poly, _raw, _SinCos)
+from obrechkoff import DomainError, jets, make_context, rational_problem
+from obrechkoff.jets import (GUARD_BITS, RND, TURNS, Coefficients, TracedODE, _Div, _Leaf, _Lin,
+                             _Mul, _Poly, _raw, _SinCos)
 
 from test_jets import JACOBIAN_CASES
 
@@ -293,6 +293,35 @@ def test_closures_and_predictor_match_the_interpreted_program(case, digits):
     ctx = make_context(digits)
     graph, oracle = JACOBIAN_CASES[case](ctx), exact(lambda: JACOBIAN_CASES[case](ctx), digits)
     assert_within_bound(_pattern(graph, ctx), _pattern(oracle, ctx), ctx.mp.prec)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 100])
+@pytest.mark.parametrize("case", ["duffing", "linear"])
+def test_a_pair_turned_along_a_grid_keeps_the_bound(monkeypatch, case, digits):
+    # x_n = n pi/1000, rounded at prec as the integrator forms its nodes: the
+    # sin/cos pair of x is turned at all but a few nodes, and at the nodes
+    # TURNS turns after an mpf_cos_sin the pair lies within TURNS units 2^-P
+    # of mpf_cos_sin's and the program still meets the bound
+    calls = []
+    monkeypatch.setattr(jets, "mpf_cos_sin", lambda *a: calls.append(a) or mpf_cos_sin(*a))
+    ctx = make_context(digits)
+    graph, oracle = JACOBIAN_CASES[case](ctx), exact(lambda: JACOBIAN_CASES[case](ctx), digits)
+    pair, = [op for op in graph._x_ops if isinstance(op, _SinCos)]
+    P = ctx.mp.prec + GUARD_BITS
+    h, y, yp = ctx.mp.pi / 1000, ctx.real("0.3"), ctx.real("-0.4")
+    checks = [m * (TURNS + 1) for m in (1, 2, 3)]
+    for n in range(checks[-1] + 1):
+        point = (n * h, y, yp)
+        if n in checks:
+            assert_within_bound(_raw_program(graph, ctx, point, n % 2),
+                                _raw_program(oracle, ctx, point, n % 2), ctx.mp.prec)
+            cv, sv = mpf_cos_sin(from_man_exp(pair.u.v[0], -P), P, RND)
+            assert abs(pair.out.v[0] - jets._fixed(sv, P)) <= TURNS
+            assert abs(pair.cos.v[0] - jets._fixed(cv, P)) <= TURNS
+        else:
+            graph.at(*point)
+            graph.f.raw(0)
+    assert len(calls) <= 3 + checks[-1] // TURNS
 
 
 def _zero_divisor_cases(ctx):
