@@ -81,10 +81,11 @@ class ResultRow:
     h_text: str
     abs_end_error: Optional[str]   # 6-significant-digit scientific text
     wall_time_s: float
-    observed_order: Optional[float]
+    observed_order: Optional[float] = None
     failed: bool = False
     message: str = ""
     trajectory: list = field(default_factory=list)
+    end_error: Optional[float] = None   # the end error the observed order is taken from
 
 
 @dataclass
@@ -103,7 +104,7 @@ def _sci(x, sig=6):
                 min_fixed=1, max_fixed=0, strip_zeros=False)
 
 
-def _run_cell(spec: ExperimentSpec, method_name, divisor):
+def _run_cell(spec: ExperimentSpec, method_name, divisor) -> ResultRow:
     """One (method, h) cell of `spec` with a fresh context; picklable for worker pools."""
     ctx = make_context(spec.digits)
     problem = get_problem(spec.problem, ctx)
@@ -127,14 +128,12 @@ def _run_cell(spec: ExperimentSpec, method_name, divisor):
     result = integrate(problem, config, ctx, x_end=x_end,
                        trajectory_every=spec.trajectory_every)
     err = result.abs_end_error
-    return {
-        "h_text": _sci(h),
-        "err": None if err is None else _sci(err),
-        "err_float": None if err is None else float(err),
-        "wall": result.wall_time,
-        "trajectory": [tuple("" if x is None else _sci(x) for x in row)
-                       for row in result.trajectory],
-    }
+    return ResultRow(method=method_name, divisor=divisor, h_text=_sci(h),
+                     abs_end_error=None if err is None else _sci(err),
+                     wall_time_s=result.wall_time,
+                     end_error=None if err is None else float(err),
+                     trajectory=[tuple("" if x is None else _sci(x) for x in row)
+                                 for row in result.trajectory])
 
 
 def _csv(header, rows) -> str:
@@ -150,16 +149,19 @@ def trajectory_csv(rows) -> str:
     return _csv(("x", "y", "y_reference", "abs_error"), rows)
 
 
-def _outcome(call):
-    """(cell output, None), or (None, message) when the cell raised."""
+def _outcome(call, method, divisor) -> ResultRow:
+    """The cell's row, or a failed row with the message when the cell raised."""
     try:
-        return call(), None
+        return call()
     except Exception as exc:  # cell failures stay in-row, in serial and pool runs
-        return None, str(exc)
+        return ResultRow(method=method, divisor=divisor, h_text="", abs_end_error=None,
+                         wall_time_s=0.0, failed=True, message=str(exc))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
-    """All (method, divisor) cells; failures recorded in-row, run continues."""
+    """All (method, divisor) cells, in order; failures recorded in-row, run
+    continues.  A row's observed order is taken against the last earlier
+    successful row of its method."""
     spec.validate()
     cells = spec.cells()
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -167,33 +169,18 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ResultTable:
         # every pool cell is submitted before the first result is awaited
         calls = ([partial(_run_cell, spec, m, d) for m, d in cells] if pool is None
                  else [pool.submit(_run_cell, spec, m, d).result for m, d in cells])
-        outcomes = [_outcome(call) for call in calls]
-    return _tabulate(spec, outcomes)
-
-
-def _tabulate(spec: ExperimentSpec, outcomes) -> ResultTable:
-    """Rows for the cells of `spec`, in order, with observed orders per method."""
-    table = ResultTable(spec=spec)
-    by_method = {}
-    for (m, d), (out, err_msg) in zip(spec.cells(), outcomes):
-        if out is None:
-            row = ResultRow(method=m, divisor=d, h_text="", abs_end_error=None,
-                            wall_time_s=0.0, observed_order=None, failed=True,
-                            message=err_msg)
-        else:
-            order = None
-            prev = by_method.get(m)
-            if prev is not None and prev[1] is not None and out["err_float"]:
-                d_prev, e_prev = prev
-                if e_prev > 0 and out["err_float"] > 0:
-                    order = (math.log(e_prev / out["err_float"])
-                             / math.log(d / d_prev))
-            row = ResultRow(method=m, divisor=d, h_text=out["h_text"],
-                            abs_end_error=out["err"], wall_time_s=out["wall"],
-                            observed_order=order, trajectory=out["trajectory"])
-            by_method[m] = (d, out["err_float"])
-        table.rows.append(row)
-    return table
+        rows = [_outcome(call, m, d) for call, (m, d) in zip(calls, cells)]
+    last = {}
+    for row in rows:
+        if row.failed:
+            continue
+        prev = last.get(row.method)
+        last[row.method] = row
+        if prev is not None and all(e is not None and e > 0
+                                    for e in (prev.end_error, row.end_error)):
+            row.observed_order = (math.log(prev.end_error / row.end_error)
+                                  / math.log(row.divisor / prev.divisor))
+    return ResultTable(spec=spec, rows=rows)
 
 
 def emit(table: ResultTable, fmt: str = "csv") -> str:
@@ -327,6 +314,11 @@ def main(argv=None) -> int:
                 span=args.span,
                 trajectory_every=args.trajectory_every,
             )
+            # library callers get these as failed rows, from StepperConfig.validate
+            if args.span is not None and not (math.isfinite(args.span) and args.span):
+                raise ObrechkoffError(f"--span takes a finite nonzero number, got {args.span}")
+            if omega != "default" and not 0 <= omega < math.inf:
+                raise ObrechkoffError(f"--omega takes a finite number >= 0, got {omega}")
             if args.workers < 1:
                 raise ObrechkoffError(f"--workers takes a count >= 1, got {args.workers}")
             if args.trajectory_out and not args.trajectory_every:

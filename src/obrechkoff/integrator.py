@@ -58,8 +58,10 @@ step worked at 20 more digits, and its y_{n+1} and y'_{n+1} lie within
 
 of that step's values c.  F carries the Taylor program's bound (``jets``),
 scaled down by W, and the integer arithmetic adds a few units 2^-P.
-Measured at most 0.08 of the units 2^-prec max(|c|, 1) on the problems over
-60 steps, against 3.0 for the same step in mpf operators.
+Over 60 steps of each case of ``tests/test_step_rounding.py`` (duffing and
+rational at 50 digits, h = span/500; linear PL'' at 100 digits, h = span/1000)
+measured at most 0.08 of the units 2^-prec max(|c|, 1), on linear (0.001 on
+the others), against 3.0 for the same step in mpf operators.
 """
 
 from __future__ import annotations

@@ -171,10 +171,11 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityRe
     """Largest v0^2 <= v_max^2 with |B/A| < 1 - 10^(5-digits) on (0, v0).
 
     Grid scan in v at step 0.01 plus bisection of the first failing cell
-    to six significant digits.  Grid points where the fitted coefficients
-    are singular are recorded and skipped: they are isolated poles at which
-    the ratio B/A stays finite in the limit.  A v_max that is not finite
-    and positive raises DomainError.
+    to six significant digits.  Points where the fitted coefficients are
+    singular are recorded: they are isolated poles at which the ratio B/A
+    stays finite in the limit, so the grid skips them and the bisection
+    stops at one.  A v_max that is not finite and positive raises
+    DomainError.
     """
     v_max = ctx.mpf(v_max)
     if not (ctx.mp.isfinite(v_max) and v_max > 0):
@@ -184,49 +185,38 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityRe
     singular = []
 
     def inside(v):
-        cs = coefficients(method, v, ctx)
+        """Whether |B/A| < 1 - margin at v; None, with v recorded, at a pole."""
+        try:
+            cs = coefficients(method, v, ctx)
+        except SingularParameterError:
+            singular.append(v)
+            return None
         pair = stability_pair(cs, v)
         return abs(pair.B / pair.A) < 1 - margin
 
-    n = 1
     samples = 0
-    last_good = ctx.mpf(0)
-    first_bad = None
-    while True:
-        v = n * step
-        if v > v_max:
-            break
+    lo = ctx.mpf(0)
+    while (v := (samples + 1) * step) <= v_max:
         samples += 1
-        try:
-            if inside(v):
-                last_good = v
-            else:
-                first_bad = v
-                break
-        except SingularParameterError:
-            singular.append(v)
-        n += 1
-
-    if first_bad is None:
+        found = inside(v)
+        if found is False:
+            break
+        if found:
+            lo = v
+    else:                               # no grid point fails up to v_max
         return PeriodicityResult(v0_squared=v_max * v_max, v_max=v_max,
                                  hit_v_max=True, singular_points=singular,
                                  samples=samples)
-
-    lo, hi = last_good, first_bad
+    hi = v
     # bisect to ~6 significant digits in v0
     target = hi * ctx.mpf(10) ** -7
     while hi - lo > target:
         mid = (lo + hi) / 2
-        try:
-            if inside(mid):
-                lo = mid
-            else:
-                hi = mid
-        except SingularParameterError:
-            singular.append(mid)
+        found = inside(mid)
+        if found is None:
             break
-    v0 = lo
-    return PeriodicityResult(v0_squared=v0 * v0, v_max=v_max, hit_v_max=False,
+        lo, hi = (mid, hi) if found else (lo, mid)
+    return PeriodicityResult(v0_squared=lo * lo, v_max=v_max, hit_v_max=False,
                              first_violation=hi, singular_points=singular,
                              samples=samples)
 

@@ -116,6 +116,19 @@ def test_stalled_step_fails_in_row():
     assert row["abs_end_error"].startswith("FAILED(implicit solve stalled")
 
 
+def test_observed_order_is_taken_across_a_failed_cell():
+    # divisor 3 stalls; 50 has no earlier successful row, so no order; 100
+    # takes its order against 50, the last successful row of its method
+    spec = ExperimentSpec(problem="rational", methods=["classical"],
+                          step_divisors=[3, 50, 100], digits=30)
+    stalled, first, second = run_experiment(spec).rows
+    assert stalled.failed and stalled.observed_order is None
+    assert not first.failed and first.observed_order is None
+    expected = math.log(float(first.abs_end_error) / float(second.abs_end_error)) / math.log(2)
+    assert second.observed_order == pytest.approx(expected, abs=1e-4)
+    assert round(second.observed_order, 4) == 10.8908
+
+
 def test_cli_exit_codes(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["run", "--problem", "linear", "--method", "classical",
@@ -457,10 +470,17 @@ def test_malformed_number_is_a_usage_error(command, option, value, capsys):
     ("--trajectory-every", "-3", "--trajectory-every takes a count >= 0"),
     ("--divisors", ",", "at least one step divisor"),
     ("--workers", "0", "--workers takes a count >= 1"),
-    ("--workers", "-4", "--workers takes a count >= 1")])
+    ("--workers", "-4", "--workers takes a count >= 1"),
+    ("--span", "0", "--span takes a finite nonzero number"),
+    ("--span", "nan", "--span takes a finite nonzero number"),
+    ("--span", "inf", "--span takes a finite nonzero number"),
+    ("--omega", "-1", "--omega takes a finite number >= 0"),
+    ("--omega", "nan", "--omega takes a finite number >= 0"),
+    ("--omega", "inf", "--omega takes a finite number >= 0")])
 def test_bad_run_settings_exit_2_before_any_cell(option, value, message, tmp_path, capsys):
-    # equal or no divisors, too few digits, a negative dump interval or fewer
-    # than one worker are usage errors: no cell runs and no table is written
+    # equal or no divisors, too few digits, a negative dump interval, fewer
+    # than one worker, a span no cell can step over or an omega no cell can
+    # fit are usage errors: no cell runs and no table is written
     out = tmp_path / "t.csv"
     args = {"--problem": "linear", "--method": "classical", "--divisors": "10",
             "--digits": "30", "--span": "0.6283185307179586", "--out": out}

@@ -18,6 +18,8 @@ from obrechkoff import (
     phase_lag,
     stability_pair,
 )
+from obrechkoff import stability
+from obrechkoff.errors import SingularParameterError
 from obrechkoff.stability import (
     CLASSICAL_H14_BRACKET,
     CLASSICAL_PHASE_LAG_CONSTANT,
@@ -192,6 +194,52 @@ def test_fitted_methods_scan_clean_to_vmax(ctx50, method):
     res = periodicity_interval(method, ctx50, v_max=5)
     assert res.hit_v_max
     assert res.v0_squared == ctx50.mpf(5) ** 2
+
+
+def test_periodicity_scan_counts(ctx50):
+    # samples feeds the benchmark's points_per_s: 313 grid points up to the
+    # first violation at 3.13, and 399 below v_max = 4 (400 x 0.01 > 4 in binary)
+    res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
+    assert res.samples == 313 and res.singular_points == []
+    assert ctx50.mp.nstr(res.v0_squared, 12) == "9.79540421359"
+    assert ctx50.mp.nstr(res.first_violation, 12) == "3.12976135254"
+    for method in (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME):
+        res = periodicity_interval(method, ctx50, v_max=4)
+        assert res.samples == 399 and res.hit_v_max
+
+
+def _pole_at(monkeypatch, at):
+    """Make stability.coefficients singular at the scanned v nearest `at`."""
+    real = stability.coefficients
+
+    def patched(method, v, ctx):
+        if abs(v - at) < 1e-9:
+            raise SingularParameterError(f"pole at v = {v}")
+        return real(method, v, ctx)
+
+    monkeypatch.setattr(stability, "coefficients", patched)
+
+
+def test_periodicity_scan_skips_a_pole_on_the_grid(ctx50, monkeypatch):
+    clean = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
+    _pole_at(monkeypatch, 1.0)
+    res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
+    assert len(res.singular_points) == 1
+    assert abs(res.singular_points[0] - 1) < 1e-15
+    assert res.samples == 313
+    assert res.v0_squared == clean.v0_squared
+    assert res.first_violation == clean.first_violation
+
+
+def test_periodicity_bisection_stops_at_a_pole(ctx50, monkeypatch):
+    # the first midpoint of the failing cell (3.12, 3.13] is 3.125
+    _pole_at(monkeypatch, 3.125)
+    res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
+    assert len(res.singular_points) == 1
+    assert abs(res.singular_points[0] - ctx50.mpf("3.125")) < 1e-15
+    assert res.samples == 313 and not res.hit_v_max
+    assert ctx50.mp.nstr(res.v0_squared, 12) == "9.7344"
+    assert ctx50.mp.nstr(res.first_violation, 12) == "3.13"
 
 
 def test_unit_modulus_roots_inside_interval(ctx50):
