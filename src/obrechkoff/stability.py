@@ -198,10 +198,10 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityRe
     lo = ctx.mpf(0)
     while (v := (samples + 1) * step) <= v_max:
         samples += 1
-        found = inside(v)
-        if found is False:
+        ok = inside(v)
+        if ok is False:
             break
-        if found:
+        if ok:
             lo = v
     else:                               # no grid point fails up to v_max
         return PeriodicityResult(v0_squared=v_max * v_max, v_max=v_max,
@@ -212,10 +212,10 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityRe
     target = hi * ctx.mpf(10) ** -7
     while hi - lo > target:
         mid = (lo + hi) / 2
-        found = inside(mid)
-        if found is None:
+        ok = inside(mid)
+        if ok is None:
             break
-        lo, hi = (mid, hi) if found else (lo, mid)
+        lo, hi = (mid, hi) if ok else (lo, mid)
     return PeriodicityResult(v0_squared=lo * lo, v_max=v_max, hit_v_max=False,
                              first_violation=hi, singular_points=singular,
                              samples=samples)
