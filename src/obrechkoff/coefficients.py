@@ -23,8 +23,10 @@ raised by the digits that cancellation costs (for PL'' above |v| = 1 also the
 2 log10 |v| digits that its beta30 and beta31, falling like v^-2, lose to
 absolute errors), and round back once.  They run on Python integers at one
 binary point 2^-P, P = dps_to_prec(digits + boost), as the Taylor program in
-``jets`` does; libmp is met only where |v| and each cosine (``mpf_cos``)
-come in and where the weights are rounded out to nearest.  Each trig
+``jets`` does; libmp is met only where |v| and cos v (one ``mpf_cos`` per
+set; PL'' takes cos 2v = 2 cos^2 v - 1 and cos 3v = 2 cos v cos 2v - cos v
+on the integers) come in and where the weights are rounded out to nearest,
+each once; the integers stay on the set as ``fixed``.  Each trig
 polynomial is a table of integer weights, one row per power of v^2, over
 products of cos v, cos 2v and cos 3v: a row is one exact integer dot
 product, Horner's rule in v^2 combines the rows, and each product or
@@ -42,15 +44,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
+from functools import lru_cache
 from operator import mul
 
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_cos
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, mpf_cos
 
 from .context import Context
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .jets import RANGE_BITS, RND, _fixed, _raw, in_range
+from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _raw, in_range
 
 
 class MethodId(enum.Enum):
@@ -80,7 +83,10 @@ COEFF_NAMES = ("beta10", "beta11", "beta20", "beta21", "beta30", "beta31")
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The six weights of the two-step sixth-derivative Obrechkoff formula."""
+    """The six weights of the two-step sixth-derivative Obrechkoff formula;
+    ``fixed`` = (P, ints) holds them, in ``COEFF_NAMES`` order, as the integers
+    at 2^-P they were rounded from (None on sets built by hand), for
+    ``stability`` to start from."""
 
     beta10: object
     beta11: object
@@ -89,6 +95,7 @@ class CoefficientSet:
     beta30: object
     beta31: object
     v: object
+    fixed: object = field(default=None, compare=False, repr=False)
 
     def as_tuple(self):
         return (self.beta10, self.beta11, self.beta20,
@@ -276,10 +283,21 @@ _SPARE_DIGITS = 3
 _VANISH_ORDER = {MethodId.PL_PRIME: 10, MethodId.PL_DOUBLE_PRIME: 18}
 
 
+@lru_cache(maxsize=None)
+def _classical_raw(prec):
+    """The classical weights rounded to nearest at prec bits, and (P, ints) at
+    P = prec + GUARD_BITS, rounded down: both formed once per precision."""
+    fracs = [CLASSICAL_FRACTIONS[name] for name in COEFF_NAMES]
+    P = prec + GUARD_BITS
+    return (tuple(from_rational(f.numerator, f.denominator, prec, RND) for f in fracs),
+            (P, tuple((f.numerator << P) // f.denominator for f in fracs)))
+
+
 def classical_coefficients(ctx: Context) -> CoefficientSet:
-    """The constant order-12 weight set, converted once at ctx precision."""
-    vals = {k: ctx.mpf(f) for k, f in CLASSICAL_FRACTIONS.items()}
-    return CoefficientSet(v=ctx.mpf(0), **vals)
+    """The constant order-12 weight set, each weight rounded once at ctx precision."""
+    raw, fixed = _classical_raw(ctx.mp.prec)
+    make = ctx.mp.make_mpf
+    return CoefficientSet(*map(make, raw), v=make(fzero), fixed=fixed)
 
 
 def _boost_digits(method: MethodId, v) -> int:
@@ -355,7 +373,9 @@ def _pl1_terms(V, P):
 
 
 def _pl2_terms(V, P):
-    c1, c2, c3 = (_cos(r * V, P) for r in (1, 2, 3))
+    c1 = _cos(V, P)
+    c2 = (c1 * c1 >> P - 1) - (1 << P)      # cos 2v = 2 c1^2 - 1
+    c3 = (c1 * c2 >> P - 1) - c1            # cos 3v = 2 c1 c2 - c1
     basis = (1 << P, c1, c2, c3, c1 * c2 >> P, c1 * c3 >> P, c2 * c3 >> P,
              c1 * c2 * c3 >> 2 * P)
     v2 = V * V
@@ -389,9 +409,10 @@ def _closed(method, v, ctx):
     # b30 = (1/360 - b31 - b10/12 - b20) / 2
     b21 = (one - 12 * b10 - 24 * b20) // 12
     b30 = (one - 360 * (b31 + b20) - 30 * b10) // 720
-    return CoefficientSet(v=v_in, **{
-        name: ctx.mp.make_mpf(from_man_exp(x, -P, ctx.mp.prec, RND))
-        for name, x in zip(COEFF_NAMES, (b10, one - 2 * b10, b20, b21, b30, b31))})
+    ints = (b10, one - 2 * b10, b20, b21, b30, b31)
+    make, prec = ctx.mp.make_mpf, ctx.mp.prec
+    return CoefficientSet(*(make(from_man_exp(x, -P, prec, RND)) for x in ints),
+                          v=v_in, fixed=(P, ints))
 
 
 def plprime_closed(v, ctx: Context) -> CoefficientSet:
@@ -438,10 +459,19 @@ def taylor_fallback(method: MethodId, v, ctx: Context) -> CoefficientSet:
     return CoefficientSet(v=v_in, **vals)
 
 
+def check_v(v_in):
+    """v_in; a v not finite or not below 2^RANGE_BITS in magnitude raises DomainError."""
+    if not in_range(v_in._mpf_):        # inf and nan have a zero mantissa
+        size = "not finite" if not v_in._mpf_[1] else f"2^{RANGE_BITS} or more in magnitude"
+        raise DomainError(f"fitting parameter v = {v_in} is {size}")
+    return v_in
+
+
 def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     """Coefficient set for (method, v), accurate to working precision.
 
-    The classical method ignores v (recorded as 0).  Fitted methods evaluate
+    The classical method ignores v (recorded as 0); its weights are formed
+    once per precision, as mpfs and as ``fixed``.  Fitted methods evaluate
     their closed forms whenever v^2 >= 10^-digits; below that they differ
     from the classical weights by less than one unit in the last place, so
     the classical set is returned with v recorded.  Both are even in v.
@@ -450,10 +480,7 @@ def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     """
     if method is MethodId.CLASSICAL:
         return classical_coefficients(ctx)
-    v_in = ctx.mpf(v)
-    if not in_range(v_in._mpf_):        # inf and nan have a zero mantissa
-        size = "not finite" if not v_in._mpf_[1] else f"2^{RANGE_BITS} or more in magnitude"
-        raise DomainError(f"fitting parameter v = {v_in} is {size}")
+    v_in = check_v(ctx.mpf(v))
     _, man, exp, _ = v_in._mpf_
     if man * man * 10 ** ctx.digits < 1 << max(0, -2 * exp):   # v^2 < 10^-digits
         return replace(classical_coefficients(ctx), v=v_in)

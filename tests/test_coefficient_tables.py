@@ -15,17 +15,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_cos
 
 from obrechkoff import (
     CoefficientSet,
     MethodId,
     SingularParameterError,
+    coefficients,
     make_context,
     pldoubleprime_closed,
     plprime_closed,
 )
 from obrechkoff.coefficients import (
+    _CLOSED_FORMS,
     COEFF_NAMES,
     _GUARD_DIGITS,
     _PL1_DEN,
@@ -376,3 +378,42 @@ def test_weights_keep_every_digit_next_to_a_determinant_zero(digits, k):
     want = pldoubleprime_closed(ref.mpf(v), ref).as_tuple()
     for name, x, y in zip(COEFF_NAMES, pldoubleprime_closed(v, ctx).as_tuple(), want):
         assert abs(ref.mpf(x) - y) <= ref.mpf(10) ** (1 - digits) * abs(y), name
+
+
+# ------------------------------------------------- the one-cosine basis
+
+
+def three_cosine_pl2_terms(V, P):
+    """``_pl2_terms`` with cos 2v and cos 3v each from its own ``mpf_cos``, as
+    they were taken before the basis came from cos v alone: the oracle."""
+    c1, c2, c3 = (_fixed(mpf_cos(from_man_exp(r * V, -P), P, RND), P) for r in (1, 2, 3))
+    basis = (1 << P, c1, c2, c3, c1 * c2 >> P, c1 * c3 >> P, c2 * c3 >> P,
+             c1 * c2 * c3 >> 2 * P)
+    v2 = V * V
+    den = _horner(_PL2_DEN, basis, v2, P)
+    scale = (240 * 8 << P) + (1000 * v2 * v2 >> 3 * P)
+    return den, scale, (basis, v2)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 100])
+def test_one_cosine_basis_gives_the_three_cosine_weights(digits, monkeypatch):
+    # cos 2v = 2 c1^2 - 1 and cos 3v = 2 c1 cos 2v - c1 on the integers: the
+    # same rounded weights and the same singular decisions as three mpf_cos
+    ctx = make_context(digits)
+    rng = random.Random(20261020)
+    grid = ([near_pole(pole, side, k, ctx) for pole in sorted(POLES) for side in (1, -1)
+             for k in range(1, digits, 1 + digits // 50)]
+            + [ctx.mpf(x) for x in scan_grid(1)[::3]]
+            + [ctx.mpf(10 ** rng.uniform(-6, 3)) for _ in range(60)])
+
+    def through_coefficients(v, ctx):
+        return coefficients(MethodId.PL_DOUBLE_PRIME, v, ctx)
+
+    one = [outcome(through_coefficients, v, ctx) for v in grid]
+    _, K, m, tables = _CLOSED_FORMS[MethodId.PL_DOUBLE_PRIME]
+    monkeypatch.setitem(_CLOSED_FORMS, MethodId.PL_DOUBLE_PRIME,
+                        (three_cosine_pl2_terms, K, m, tables))
+    three = [outcome(through_coefficients, v, ctx) for v in grid]
+    assert "singular" in three
+    for v, a, b in zip(grid, one, three):
+        assert a == b, ctx.mp.nstr(v, 20)

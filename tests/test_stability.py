@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from obrechkoff import (
+    CoefficientSet,
     DomainError,
     FitError,
     MethodId,
@@ -19,6 +20,7 @@ from obrechkoff import (
     stability_pair,
 )
 from obrechkoff import stability
+from obrechkoff.coefficients import taylor_fallback
 from obrechkoff.errors import SingularParameterError
 from obrechkoff.stability import (
     CLASSICAL_H14_BRACKET,
@@ -198,22 +200,23 @@ def test_fitted_methods_scan_clean_to_vmax(ctx50, method):
 
 def test_periodicity_scan_counts(ctx50):
     # samples feeds the benchmark's points_per_s: 313 grid points up to the
-    # first violation at 3.13, and 399 below v_max = 4 (400 x 0.01 > 4 in binary)
+    # first violation at 3.13, and 399 below v_max = 4 (400 x 0.01 > 4 in
+    # binary) plus v_max itself
     res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
     assert res.samples == 313 and res.singular_points == []
     assert ctx50.mp.nstr(res.v0_squared, 12) == "9.79540421359"
     assert ctx50.mp.nstr(res.first_violation, 12) == "3.12976135254"
     for method in (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME):
         res = periodicity_interval(method, ctx50, v_max=4)
-        assert res.samples == 399 and res.hit_v_max
+        assert res.samples == 400 and res.hit_v_max
 
 
-def _pole_at(monkeypatch, at):
-    """Make stability.coefficients singular at the scanned v nearest `at`."""
+def _pole_at(monkeypatch, *at):
+    """Make stability.coefficients singular at the scanned v nearest each of `at`."""
     real = stability.coefficients
 
     def patched(method, v, ctx):
-        if abs(v - at) < 1e-9:
+        if any(abs(v - x) < 1e-9 for x in at):
             raise SingularParameterError(f"pole at v = {v}")
         return real(method, v, ctx)
 
@@ -231,13 +234,24 @@ def test_periodicity_scan_skips_a_pole_on_the_grid(ctx50, monkeypatch):
     assert res.first_violation == clean.first_violation
 
 
-def test_periodicity_bisection_stops_at_a_pole(ctx50, monkeypatch):
-    # the first midpoint of the failing cell (3.12, 3.13] is 3.125
+def test_periodicity_bisection_steps_off_a_pole(ctx50, monkeypatch):
+    # the first midpoint of the failing cell (3.12, 3.13] is 3.125: the
+    # bisection probes next to it and keeps going
+    clean = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
     _pole_at(monkeypatch, 3.125)
     res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
     assert len(res.singular_points) == 1
     assert abs(res.singular_points[0] - ctx50.mpf("3.125")) < 1e-15
     assert res.samples == 313 and not res.hit_v_max
+    assert ctx50.mp.nstr(res.v0_squared, 6) == ctx50.mp.nstr(clean.v0_squared, 6) == "9.7954"
+    assert ctx50.mp.nstr(res.first_violation, 6) == ctx50.mp.nstr(clean.first_violation, 6)
+
+
+def test_periodicity_bisection_stops_at_a_second_pole_in_its_cell(ctx50, monkeypatch):
+    # poles at the first midpoint 3.125 and at the probe next to it
+    _pole_at(monkeypatch, 3.125, 3.125 + 0.01 / 64)
+    res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
+    assert len(res.singular_points) == 2
     assert ctx50.mp.nstr(res.v0_squared, 12) == "9.7344"
     assert ctx50.mp.nstr(res.first_violation, 12) == "3.13"
 
@@ -280,6 +294,34 @@ def test_stability_sweep_rows(ctx50):
     assert outside[0][4] is None
 
 
+def benchmark_grid(seed):
+    """Every fourth v of the stability-scan benchmark's two grids for one seed."""
+    u = random.Random(seed).random()
+    return ([(k + 1 - u) * 0.005 for k in range(0, 1000, 4)]
+            + [10 ** (-4 + (k + u) * 3 / 200) for k in range(0, 200, 4)])
+
+
+@pytest.mark.parametrize("method", [MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME])
+def test_sweep_rounds_each_output_once(method):
+    # A, B and B/A rounded once from integers at 2^-P, and the phase lag from
+    # a root angle at a few guard bits, against a 300-digit sweep; a unit is
+    # 2^-166 |x|, 4 to 8 units in the last place at 50 digits (169 bits)
+    ctx, ref = make_context(50), make_context(300)
+    unit = ref.mpf(2) ** (3 - ctx.mp.prec)
+    grid = [ctx.mpf(x) for x in benchmark_grid(1)]
+    worst = dict.fromkeys(("A", "B", "B/A", "phase lag"), 0)
+    for row, want in zip(stability_sweep(method, grid, ctx),
+                         stability_sweep(method, [ref.mpf(v) for v in grid], ref)):
+        v, *got, status = row
+        assert status == want[5] == "ok", (float(v), status)
+        for name, x, y in zip(("A", "B", "B/A"), got, want[1:4]):
+            worst[name] = max(worst[name], abs(ref.mpf(x) - y) / (unit * abs(y)))
+        bound = ref.mpf(10) ** (2 - ctx.digits) * abs(ref.mpf(v))
+        worst["phase lag"] = max(worst["phase lag"], abs(ref.mpf(got[3]) - want[4]) / bound)
+    assert worst["B/A"] <= 0.5 and worst["A"] <= 1 and worst["B"] <= 1, worst
+    assert worst["phase lag"] <= 0.05, worst
+
+
 @pytest.mark.parametrize("method", list(MethodId))
 def test_stability_sweep_and_phase_lag_reject_a_non_finite_v(ctx50, method):
     # a sweep used to die in the phase lag with an untyped ValueError
@@ -288,6 +330,54 @@ def test_stability_sweep_and_phase_lag_reject_a_non_finite_v(ctx50, method):
             stability_sweep(method, ["0.5", v], ctx50)
         with pytest.raises(DomainError, match="not finite"):
             phase_lag(method, v, ctx50)
+
+
+@pytest.mark.parametrize("method", list(MethodId))
+def test_stability_rejects_a_v_beyond_the_fixed_point_range(ctx50, method):
+    # A and B are formed on integers at a binary point, so the classical
+    # method takes the fitted methods' range too
+    v = ctx50.mpf("1e20000")
+    with pytest.raises(DomainError, match=r"is 2\^65536 or more"):
+        phase_lag(method, v, ctx50)
+    with pytest.raises(DomainError, match=r"is 2\^65536 or more"):
+        stability_sweep(method, [v], ctx50)
+
+
+def test_sets_without_integers_are_converted_in_exactly(ctx50):
+    # a set built by hand from the classical weights gives the pair of the
+    # classical set, and a Taylor-series set, which carries no integers,
+    # gives A rounded once from its own weights and B by the order
+    # conditions, which its rounded weights keep to a unit
+    ref = make_context(300)
+    ulp = ref.mpf(2) ** (1 - ctx50.mp.prec)
+    classical = classical_coefficients(ctx50)
+    by_hand = CoefficientSet(*classical.as_tuple(), v=classical.v)
+    assert by_hand.fixed is None and by_hand == classical
+    for v in map(ctx50.mpf, ("0.01", "0.7", "2.5")):
+        got, want = stability_pair(by_hand, v), stability_pair(classical, v)
+        assert abs(got.A - want.A) <= ulp * abs(want.A)
+        assert abs(got.B - want.B) <= ulp * abs(want.B)
+    for method in (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME):
+        series = taylor_fallback(method, ctx50.mpf("0.3"), ctx50)
+        b10, b11, b20, b21, b30, b31 = map(ref.mpf, series.as_tuple())
+        for v in map(ctx50.mpf, ("0.01", "0.3", "0.7", "2.5")):
+            v2 = ref.mpf(v) ** 2
+            A = 1 + b10 * v2 - b20 * v2 ** 2 + b30 * v2 ** 3
+            B = 1 - b11 / 2 * v2 + b21 / 2 * v2 ** 2 - b31 / 2 * v2 ** 3
+            pair = stability_pair(series, v)
+            assert abs(pair.A - A) <= ulp * abs(A) / 2, (method, v)
+            assert abs(pair.B - B) <= 2 * ulp * abs(B), (method, v)
+
+
+def test_periodicity_scan_probes_v_max_between_grid_points(ctx50):
+    # the last grid point 3.12 is inside and the first violation, 3.12976,
+    # lies below v_max: the scan finds it at v_max itself and bisects to it
+    clean = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max=4)
+    res = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max="3.1299")
+    assert res.samples == 313 and not res.hit_v_max
+    assert ctx50.mp.nstr(res.v0_squared, 6) == ctx50.mp.nstr(clean.v0_squared, 6)
+    inside = periodicity_interval(MethodId.CLASSICAL, ctx50, v_max="3.1295")
+    assert inside.samples == 313 and inside.hit_v_max
 
 
 @pytest.mark.parametrize("kwargs", [{"v_max": math.nan}, {"v_max": math.inf}])
