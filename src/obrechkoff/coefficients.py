@@ -26,18 +26,18 @@ binary point 2^-P, P = dps_to_prec(digits + boost), as the Taylor program in
 ``jets`` does; libmp is met only where |v| and cos v (one ``mpf_cos`` per
 set; PL'' takes cos 2v = 2 cos^2 v - 1 and cos 3v = 2 cos v cos 2v - cos v
 on the integers) come in and where the weights are rounded out to nearest,
-each once; the integers stay on the set as ``fixed``.  Each trig
-polynomial is a table of integer weights, one row per power of v^2, over
+each once when first read; the integers stay on the set as ``fixed``.  Each
+trig polynomial is a table of integer weights, one row per power of v^2, over
 products of cos v, cos 2v and cos 3v: a row is one exact integer dot
 product, Horner's rule in v^2 combines the rows, and each product or
 quotient shifts or floor-divides once.  Next to a pole, where den keeps
 fewer than 3 digits beyond the working precision, the boost is raised by the
 digits it lost and the weights evaluated again.  A den below 10^(5 - digits)
-of its scale raises SingularParameterError; that test is one exact integer
-comparison.  Below v^2 = 10^-digits, decided exactly from the mantissa and
-exponent of v, the fitted weights equal the classical ones to working
-precision.  The rational Taylor tables are exact validation data for the
-closed forms; evaluation never uses them.
+of its scale raises SingularParameterError, decided in floats or, at the
+edge, by one exact integer comparison.  Below v^2 = 10^-digits, decided
+exactly from the mantissa and exponent of v, the fitted weights equal the
+classical ones to working precision.  The rational Taylor tables are exact
+validation data for the closed forms; evaluation never uses them.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ COEFF_NAMES = ("beta10", "beta11", "beta20", "beta21", "beta30", "beta31")
 class CoefficientSet:
     """The six weights of the two-step sixth-derivative Obrechkoff formula;
     ``fixed`` = (P, ints) holds them, in ``COEFF_NAMES`` order, as the integers
-    at 2^-P they were rounded from (None on sets built by hand), for
-    ``stability`` to start from."""
+    at 2^-P they are rounded from (None on sets built by hand), for
+    ``stability`` to start from.  A set from ``from_fixed`` rounds its weights
+    when one is first read (an attribute, ``as_tuple``, ``==``, ``replace``)."""
 
     beta10: object
     beta11: object
@@ -96,6 +97,22 @@ class CoefficientSet:
     beta31: object
     v: object
     fixed: object = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def from_fixed(cls, P, ints, v, prec):
+        """The set of ``ints`` at 2^-P, rounded to nearest at prec bits when read."""
+        cs = object.__new__(cls)
+        cs.__dict__.update(v=v, fixed=(P, ints), _prec=prec)
+        return cs
+
+    def __getattr__(self, name):
+        # reached for an attribute not set: the six weights of a from_fixed set
+        if name not in COEFF_NAMES or "_prec" not in self.__dict__:
+            raise AttributeError(name)
+        (P, ints), make = self.fixed, self.v.context.make_mpf
+        self.__dict__.update(zip(COEFF_NAMES, (make(from_man_exp(x, -P, self._prec, RND))
+                                               for x in ints)))
+        return self.__dict__[name]
 
     def as_tuple(self):
         return (self.beta10, self.beta11, self.beta20,
@@ -337,13 +354,15 @@ def _boosted(method, v, ctx, terms):
     2^-P, V = |v| 2^P.
 
     Raises SingularParameterError when |den| <= floor * scale, where floor =
-    10^(5 - digits) min(1, |v|)^k, k = _VANISH_ORDER[method]: one exact
-    integer comparison.  The denominators legitimately vanish like v^k as
-    v -> 0 (k = the cancellation depth), hence the factor in |v|; at v = 0
-    both sides are 0, and the forms are 0/0.  When the denominator keeps
-    fewer than _SPARE_DIGITS digits beyond the working precision, which only
-    happens next to a pole, the boost is raised by the digits it lost and the
-    terms are evaluated again.  Returns (P, den, rest).
+    10^(5 - digits) min(1, |v|)^k, k = _VANISH_ORDER[method]: when lost =
+    log10(scale / |den|) >= digits - 5 - k min(0, log10 |v|), in floats (off by
+    some 1e-11) unless within 1e-6, then by one exact integer comparison.
+    The denominators legitimately vanish like v^k as v -> 0 (k = the
+    cancellation depth), hence the factor in |v|; at v = 0 both sides are 0,
+    and the forms are 0/0.  When the denominator keeps fewer than _SPARE_DIGITS
+    digits beyond the working precision, which only happens next to a pole,
+    the boost is raised by the digits it lost and the terms are evaluated
+    again.  Returns (P, den, rest).
     """
     boost = _boost_digits(method, v)
     k = _VANISH_ORDER[method]
@@ -351,12 +370,14 @@ def _boosted(method, v, ctx, terms):
         P = dps_to_prec(ctx.mp.dps + boost)
         V = abs(_fixed(v._mpf_, P))
         den, scale, rest = terms(V, P)
-        if abs(den) * 10 ** (ctx.digits - 5) << P * k <= min(V * V, 1 << 2 * P) ** (k // 2) * scale:
+        lost = math.log10(scale) - math.log10(abs(den)) if den else math.inf
+        edge = ctx.digits - 5 - k * min(0.0, math.log10(V) - P * math.log10(2)) if den else 0
+        if (lost > edge if abs(lost - edge) > 1e-6
+                else abs(den) * 10 ** (ctx.digits - 5) << P * k <= min(V, 1 << P) ** k * scale):
             raise SingularParameterError(
                 f"{method.value} coefficients are singular near v = {ctx.mp.nstr(v, 8)}",
                 v=v,
             )
-        lost = math.log10(scale) - math.log10(abs(den))
         if lost <= boost - _SPARE_DIGITS:
             return P, den, rest
         boost += math.ceil(lost)
@@ -409,10 +430,8 @@ def _closed(method, v, ctx):
     # b30 = (1/360 - b31 - b10/12 - b20) / 2
     b21 = (one - 12 * b10 - 24 * b20) // 12
     b30 = (one - 360 * (b31 + b20) - 30 * b10) // 720
-    ints = (b10, one - 2 * b10, b20, b21, b30, b31)
-    make, prec = ctx.mp.make_mpf, ctx.mp.prec
-    return CoefficientSet(*(make(from_man_exp(x, -P, prec, RND)) for x in ints),
-                          v=v_in, fixed=(P, ints))
+    return CoefficientSet.from_fixed(P, (b10, one - 2 * b10, b20, b21, b30, b31), v_in,
+                                     ctx.mp.prec)
 
 
 def plprime_closed(v, ctx: Context) -> CoefficientSet:

@@ -39,7 +39,9 @@ class Context:
     # -- constructors -------------------------------------------------
 
     def mpf(self, x):
-        """Convert int/str/Fraction/mpf to this context's precision."""
+        """Convert int/str/Fraction/mpf to this context's precision (one of its own as is)."""
+        if type(x) is self.mp.mpf and x._mpf_[3] <= self.mp.prec:
+            return x
         if isinstance(x, Fraction):
             return self.rational(x.numerator, x.denominator)
         return self.mp.mpf(x)

@@ -466,9 +466,10 @@ class _SinCos:
                     f"{s}.append(_fixed(sv, P))", f"{c}.append(_fixed(cv, P))"]
         js = range(1, min(k, self.u.deg) + 1)
         ju = [_times(j, f"{u}[{j}]") for j in js]
-        scale = ">> P" if k == 1 else f"// ({k} << P)"
-        return [f"{s}.append(({_sum([f'{x} * {c}[{k - j}]' for x, j in zip(ju, js)])}) {scale})",
-                f"{c}.append(-({_sum([f'{x} * {s}[{k - j}]' for x, j in zip(ju, js)])}) {scale})"]
+        sin = _sum([f"{x} * {c}[{k - j}]" for x, j in zip(ju, js)])
+        cos = _sum([f"{x} * {s}[{k - j}]" for x, j in zip(ju, js)])
+        div = "" if k == 1 else f" // {k}"  # floor(floor(a / 2^P) / k) = floor(a / (k 2^P))
+        return [f"{s}.append((({sin}) >> P){div})", f"{c}.append((-({cos}) >> P){div})"]
 
 
 class _Leaf:

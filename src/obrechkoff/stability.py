@@ -11,13 +11,14 @@ interval of periodicity.  For fitted methods the coefficient set is evaluated
 at the same v.  By the h^2, h^4 and h^6 order conditions A - B = v^2 G, G =
 1/2 - v^2/24 + v^4/720 + beta10 (v^2/2 - v^4/24) - beta20 v^4/2, free of the
 cancellation in 1 - B/A at small v.  A and G are formed on integers at the
-binary point 2^-P of the set's weights (``CoefficientSet.fixed``) and B = A -
-v^2 G, so A, B and B/A are each rounded once and periodicity is one exact
-integer test.  Where B/A > 1/2 and |v| <= pi the root angle is theta =
-2 asin(|v| sqrt(G / 2A)), elsewhere acos(B/A), at a few guard bits, and v -
-theta is rounded once.  On the stability-scan grids at 50 digits B/A keeps
-within 0.11 units of 2^-166 |B/A|, A and B within 0.13, the phase lag within
-1e-4 of 10^(2 - digits) |v|.
+binary point 2^-P of the set's weights (``CoefficientSet.fixed``, never the
+mpf weights) and B = A - v^2 G, so A, B and B/A are each rounded once and
+periodicity is one exact integer test.  The root angle is theta = 2 atan(|v|
+sqrt(G / (A + B))), as tan^2(theta/2) = (A - B) / (A + B), from one integer
+square root and one atan at a few guard bits, and v - theta is rounded once.
+On the stability-scan grids at 50 digits B/A keeps within 0.11 units of
+2^-166 |B/A|, A and B within 0.13, the phase lag within 3e-6 of 10^(2 -
+digits) |v| (1.3e-5 next to pi and 2 pi, 1e-4 for the classical method).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
-from mpmath.libmp import (from_int, from_man_exp, isqrt, mpf_abs, mpf_acos, mpf_add, mpf_asin,
-                          mpf_div, mpf_le, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sub,
-                          to_int)
+from mpmath.libmp import (finf, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan, mpf_div, mpf_le,
+                          mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sub, to_int)
 
 from .coefficients import CoefficientSet, MethodId, check_v, coefficients
 from .context import Context
@@ -120,7 +120,7 @@ def phase_lag(method: MethodId, v, ctx: Context):
 
 def _lag(P, A, B, H, v, ctx: Context):
     """Phase lag at the mpf v from ``_characteristic``; past pi, theta = 2 pi n
-    +- acos(B/A) with n the nearest integer to |v| / 2 pi."""
+    +- the root angle in [0, pi], n the nearest integer to |v| / 2 pi."""
     prec = ctx.mp.prec
     if abs(B) > abs(A):
         raise OutsidePeriodicityError(
@@ -129,18 +129,15 @@ def _lag(P, A, B, H, v, ctx: Context):
         )
     wp = prec + _ANGLE_GUARD_BITS
     a = mpf_abs(v._mpf_)
-    pi = mpf_pi(wp)
-    if mpf_le(a, pi) and (2 * B > A if A > 0 else 2 * B < A):
-        s = isqrt(max(0, (H << 2 * P) // (1440 * A)))       # sqrt(G / 2A) at 2^-P
-        _, man, exp, _ = a
-        theta = mpf_shift(mpf_asin(from_man_exp(man * s, exp - P), wp, RND), 1)
-    else:
-        theta = mpf_acos(_ratio(P, A, B, wp), wp, RND)
-        two_pi = mpf_shift(pi, 1)
-        n = to_int(mpf_div(a, two_pi, wp), RND)
-        if n:
-            turns = mpf_mul(from_int(n), two_pi, wp)
-            theta = (mpf_add if mpf_le(turns, a) else mpf_sub)(turns, theta, wp)
+    _, man, exp, _ = a
+    half = finf                 # tan(theta/2): infinite at A + B = 0, where theta = pi,
+    if A + B:                   # else |v| sqrt(H / 720 (A + B)), the root taken at 2^-P
+        half = from_man_exp(man * math.isqrt(max(0, (H << 2 * P) // (720 * (A + B)))), exp - P)
+    theta, two_pi = mpf_shift(mpf_atan(half, wp, RND), 1), mpf_shift(mpf_pi(wp), 1)
+    n = to_int(mpf_div(a, two_pi, wp), RND)
+    if n:
+        turns = mpf_mul(from_int(n), two_pi, wp)
+        theta = (mpf_add if mpf_le(turns, a) else mpf_sub)(turns, theta, wp)
     t = mpf_sub(a, theta, prec, RND)
     return ctx.mp.make_mpf(mpf_neg(t) if v._mpf_[0] else t)
 

@@ -3,6 +3,9 @@ import dataclasses
 import importlib.util
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,18 @@ def test_csv_round_trip():
     for r in rows:
         float(r["h"])
         float(r["abs_end_error"])
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # the pool is imported where workers > 1 asks for one; the workers=2
+    # tests run that path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, obrechkoff, obrechkoff.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_parallel_workers_match_sequential():

@@ -11,11 +11,13 @@ evaluation raises its precision to keep every digit (the reference loses up
 to all of its guard digits there).
 """
 
+import importlib
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import from_man_exp, mpf_cos
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_cos
 
 from obrechkoff import (
     CoefficientSet,
@@ -34,7 +36,10 @@ from obrechkoff.coefficients import (
     _PL1_NUM,
     _PL2_DEN,
     _PL2_NUM,
+    _SPARE_DIGITS,
+    _VANISH_ORDER,
     _boost_digits,
+    _boosted,
     _horner,
     _pl2_terms,
 )
@@ -417,3 +422,75 @@ def test_one_cosine_basis_gives_the_three_cosine_weights(digits, monkeypatch):
     assert "singular" in three
     for v, a, b in zip(grid, one, three):
         assert a == b, ctx.mp.nstr(v, 20)
+
+
+# ------------------------------------------------ the pole test in floats
+
+
+def exact_boosted(method, v, ctx, terms):
+    """``_boosted`` deciding the pole test by its exact integer comparison
+    alone, as it did before the floats screened it: the oracle."""
+    boost = _boost_digits(method, v)
+    k = _VANISH_ORDER[method]
+    while True:
+        P = dps_to_prec(ctx.mp.dps + boost)
+        V = abs(_fixed(v._mpf_, P))
+        den, scale, rest = terms(V, P)
+        if abs(den) * 10 ** (ctx.digits - 5) << P * k <= min(V * V, 1 << 2 * P) ** (k // 2) * scale:
+            raise SingularParameterError("singular", v=v)
+        lost = math.log10(scale) - math.log10(abs(den))
+        if lost <= boost - _SPARE_DIGITS:
+            return P, den, rest
+        boost += math.ceil(lost)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 100])
+def test_the_float_screen_decides_as_the_exact_pole_test(digits, monkeypatch):
+    # the same singular decisions, and the same integers, as the exact test;
+    # den loses about k digits at 10^-k from the simple pole and 2k from the
+    # double ones, and the steps of 0.02 in k cross the pole floor's edge
+    ctx = make_context(digits)
+    rng = random.Random(20261021)
+    grid = ([near_pole(pole, side, k, ctx) for pole in sorted(POLES) for side in (1, -1)
+             for k in range(1, digits)]
+            + [near_pole(pole, side, (digits - 5 + d / 50) / (1 if pole == "p" else 2), ctx)
+               for pole in sorted(POLES) for side in (1, -1) for d in range(-100, 100)]
+            + [ctx.mpf(10 ** rng.uniform(-6, 3)) for _ in range(2000)])
+
+    def decisions():
+        out = []
+        for method in (MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME):
+            for v in grid:
+                try:
+                    out.append(coefficients(method, v, ctx).fixed)
+                except SingularParameterError:
+                    out.append("singular")
+        return out
+
+    screened = decisions()
+    monkeypatch.setattr(importlib.import_module("obrechkoff.coefficients"), "_boosted",
+                        exact_boosted)
+    exact = decisions()
+    assert "singular" in exact
+    assert screened == exact
+
+
+@pytest.mark.parametrize("digits", [16, 50, 100])
+def test_the_pole_test_is_exact_at_its_edge(digits):
+    # |den| = 10^(5 - digits) min(1, |v|)^k scale is a pole and one unit more
+    # is not: there the floats cannot tell the sides apart and the integers do
+    ctx = make_context(digits)
+    method = MethodId.PL_DOUBLE_PRIME
+    k = _VANISH_ORDER[method]
+
+    def at_the_edge(shift, sign):
+        def terms(V, P):
+            return sign * (min(V, 1 << P) ** k + shift), 10 ** (digits - 5) << P * k, None
+        return terms
+
+    for v in map(ctx.mpf, ("1", "3", "0.125")):
+        for sign in (1, -1):
+            with pytest.raises(SingularParameterError):
+                _boosted(method, v, ctx, at_the_edge(0, sign))
+            P, den, _ = _boosted(method, v, ctx, at_the_edge(1, sign))
+            assert den == sign * (min(abs(_fixed(v._mpf_, P)), 1 << P) ** k + 1)

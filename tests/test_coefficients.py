@@ -1,10 +1,13 @@
+import dataclasses
 import importlib
 import math
 from fractions import Fraction as F
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from obrechkoff import (
+    CoefficientSet,
     DomainError,
     MethodId,
     SingularParameterError,
@@ -21,6 +24,7 @@ from obrechkoff.coefficients import (
     PL_PRIME_SERIES,
     taylor_fallback,
 )
+from obrechkoff.jets import RND
 from obrechkoff.stability import stability_pair
 
 from test_coefficient_tables import reference_pl2_numden
@@ -365,6 +369,42 @@ def test_pl2_singular_parameter_detected():
     with pytest.raises(SingularParameterError):
         pldoubleprime_closed((lo + hi) / 2, ctx)
     assert ctx.mp.dps == ctx.digits
+
+
+# ------------------------------------------------------- rounding on read
+
+READS = {
+    "attribute": lambda cs: cs.beta30,
+    "as_tuple": lambda cs: cs.as_tuple(),
+    "==": lambda cs: cs == CoefficientSet(*cs.as_tuple(), v=cs.v),
+    "repr": repr,
+    "replace": lambda cs: dataclasses.replace(cs, v=cs.v),
+    "hash": hash,
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("digits", [16, 50])
+def test_closed_form_weights_are_rounded_from_fixed_on_first_read(read, digits):
+    # a closed-form set holds only its integers until a weight is read; then
+    # all six are those integers rounded to nearest at the working precision
+    ctx = make_context(digits)
+    for method in FITTED:
+        for x in ("1e-4", "0.3", "2.5", "37.8"):
+            cs = coefficients(method, ctx.mpf(x), ctx)
+            assert not set(COEFF_NAMES) & vars(cs).keys(), (method, x)
+            READS[read](cs)
+            P, ints = cs.fixed
+            want = [ctx.mp.make_mpf(from_man_exp(n, -P, ctx.mp.prec, RND)) for n in ints]
+            assert [vars(cs)[name] for name in COEFF_NAMES] == want, (method, x)
+            assert [getattr(cs, name) for name in COEFF_NAMES] == want
+            assert all(w._mpf_[3] <= ctx.mp.prec for w in want)
+            by_hand = CoefficientSet(*want, v=cs.v)
+            assert by_hand == cs and hash(by_hand) == hash(cs) and repr(by_hand) == repr(cs)
+            moved = dataclasses.replace(cs, v=ctx.mpf(1))
+            assert moved.as_tuple() == cs.as_tuple() and moved.fixed == cs.fixed
+    with pytest.raises(AttributeError):
+        cs.beta40
 
 
 # ------------------------------------------------------ precision monotony

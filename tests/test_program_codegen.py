@@ -16,6 +16,7 @@ The comparisons are exact, on rationals.
 """
 
 import math
+import random
 import traceback
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import pytest
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_mul,
                           mpf_sub, mpf_sum, normalize)
 
-from obrechkoff import DomainError, jets, make_context, rational_problem
+from obrechkoff import DomainError, duffing, jets, make_context, rational_problem
 from obrechkoff.jets import (GUARD_BITS, RND, TURNS, Coefficients, TracedODE, _Div, _Leaf, _Lin,
                              _Mul, _Poly, _raw, _SinCos)
 
@@ -322,6 +323,23 @@ def test_a_pair_turned_along_a_grid_keeps_the_bound(monkeypatch, case, digits):
             graph.at(*point)
             graph.f.raw(0)
     assert len(calls) <= 3 + checks[-1] // TURNS
+
+
+def test_a_sin_cos_level_shifts_before_it_divides(ctx50):
+    # level k >= 2 of a sin/cos pair is floor(a / (k 2^P)); the generated code
+    # takes floor(floor(a / 2^P) / k), the same integer for every a, negative
+    # ones included, at the cost of a shift and a short division
+    rng = random.Random(20261022)
+    for P in (64, 372):
+        for k in range(2, 40):
+            edges = [-(k << P) + d for d in (-1, 0, 1)] + [-(1 << P), -1, 0, 1]
+            for a in edges + [rng.randrange(-(1 << 2 * P + 20), 1 << 2 * P + 20)
+                              for _ in range(50)]:
+                assert (a >> P) // k == a // (k << P), (P, k, a)
+    pair, = [op for op in duffing(ctx50).graph._x_ops if isinstance(op, _SinCos)]
+    for k in (2, 3, 7):
+        lines = pair.emit(k, lambda node: f"v{id(node)}")
+        assert all(line.endswith(f" >> P) // {k})") and "<< P" not in line for line in lines)
 
 
 def _zero_divisor_cases(ctx):

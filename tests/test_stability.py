@@ -20,7 +20,7 @@ from obrechkoff import (
     stability_pair,
 )
 from obrechkoff import stability
-from obrechkoff.coefficients import taylor_fallback
+from obrechkoff.coefficients import COEFF_NAMES, taylor_fallback
 from obrechkoff.errors import SingularParameterError
 from obrechkoff.stability import (
     CLASSICAL_H14_BRACKET,
@@ -320,6 +320,65 @@ def test_sweep_rounds_each_output_once(method):
         worst["phase lag"] = max(worst["phase lag"], abs(ref.mpf(got[3]) - want[4]) / bound)
     assert worst["B/A"] <= 0.5 and worst["A"] <= 1 and worst["B"] <= 1, worst
     assert worst["phase lag"] <= 0.05, worst
+
+
+def acos_lag(method, v, ref):
+    """v - theta with theta = acos(B/A) of the pair at ``ref``'s precision,
+    tracked past pi as 2 pi n +- acos(B/A), n the nearest integer to |v| / 2 pi."""
+    pair = stability_pair(coefficients(method, v, ref), v)
+    theta, a = ref.mp.acos(pair.B / pair.A), abs(v)
+    turns = 2 * ref.pi * ref.mp.nint(a / (2 * ref.pi))
+    theta = turns + theta if turns <= a else turns - theta
+    return ref.mp.sign(v) * (a - theta)
+
+
+@pytest.mark.parametrize("method", list(MethodId))
+def test_phase_lag_keeps_its_bound_past_and_next_to_pi(method):
+    # theta = 2 atan(tan(theta/2)) on [0, pi], tracked past it, against acos
+    # at 300 digits in units of the bound 10^(2 - digits) |v|: the grid, v up
+    # to 20.1, and v within 1e-6 of pi and of 2pi, where acos at 50 digits
+    # lost half of them; only the classical method leaves periodicity there
+    ctx, ref = make_context(50), make_context(300)
+    grid = [ctx.mpf(x) for x in benchmark_grid(1) + [7, 9.5, 12.9, 20.1]]
+    grid += [ctx.mpf(c + side * ref.mpf(d)) for c in (ref.pi, 2 * ref.pi)
+             for d in ("1e-7", "1e-10") for side in (1, -1)]
+    worst, outside = 0, 0
+    for v in grid:
+        try:
+            t = phase_lag(method, v, ctx)
+        except OutsidePeriodicityError:
+            outside += 1
+            continue
+        bound = ref.mpf(10) ** (2 - ctx.digits) * abs(ref.mpf(v))
+        worst = max(worst, abs(ref.mpf(t) - acos_lag(method, ref.mpf(v), ref)) / bound)
+    assert worst <= 1e-3, float(worst)
+    assert outside < (len(grid) // 3 if method is MethodId.CLASSICAL else 1)
+
+
+def test_the_root_angle_is_pi_where_a_plus_b_vanishes(ctx50):
+    # B = -A at v = 2 when A - B = v^2 H / 720, i.e. H = 360 A
+    P = ctx50.mp.prec + 40
+    t = stability._lag(P, 1 << P, -(1 << P), 360 << P, ctx50.mpf(2), ctx50)
+    assert t == ctx50.mpf(2) - ctx50.pi
+
+
+@pytest.mark.parametrize("method", [MethodId.PL_PRIME, MethodId.PL_DOUBLE_PRIME])
+def test_a_sweep_and_a_scan_round_no_weight(method, monkeypatch):
+    # both read only CoefficientSet.fixed, so no closed-form set they ask
+    # for rounds its six mpf weights
+    ctx = make_context(50)
+    sets, real = [], stability.coefficients
+
+    def captured(method, v, ctx):
+        sets.append(real(method, v, ctx))
+        return sets[-1]
+
+    monkeypatch.setattr(stability, "coefficients", captured)
+    rows = stability_sweep(method, benchmark_grid(1), ctx)
+    assert periodicity_interval(method, ctx, v_max=1).hit_v_max
+    assert len(sets) == len(rows) + 100
+    assert all(not set(COEFF_NAMES) & vars(cs).keys() for cs in sets)
+    assert rows[0][3] == ctx.mp.cos(rows[0][0])
 
 
 @pytest.mark.parametrize("method", list(MethodId))
