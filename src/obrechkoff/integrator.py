@@ -23,15 +23,17 @@ F(z) = (f2, f4, f6) at (x_{n+1}, z) a step solves
 where c holds 2 y_n - y_{n-1}, y'_{n-1} and the f_{n-1}, f_n terms and is
 formed once per step, and W is the 2x3 matrix of end-node weights
 (:class:`StepWeights`, formed once per run), so DPhi = W dF/dz.  The
-predictor is the degree-7 Taylor polynomial of the solution through
-(x_n, y_n, y'_n), read off the problem's traced f2 graph.  The corrector is
-a chord (simplified) Newton iteration z <- z + A^-1 (Phi(z) - z) with
-A = I - DPhi, where dF/dz comes from the variational program of the traced
-f2 at the predictor, and F from ``problem.evaluate``.  A^-1 is formed at
-most once per step, and once per run when the variational program reads
-neither x, y nor y' (``TracedODE.fixed_partials``, as for a linear f2),
-since dF/dz is then the same at every point: the step hands it on in its
-``StepState``.
+predictor is the Taylor polynomial of degree PREDICTOR_DEGREE = 7 of the
+solution through (x_n, y_n, y'_n) and its derivative at h: one call of the
+problem graph's generated ``predict``, which forms the Taylor levels and
+the Horner sums in locals.  The corrector is a chord (simplified) Newton
+iteration z <- z + A^-1 (Phi(z) - z) with A = I - DPhi, where dF/dz comes
+from one call of the graph's generated ``tangents`` at the predictor (the
+variational program), and F from ``problem.evaluate`` (the graph's
+``even`` on the graph read).  A^-1 is formed at most once per step, and
+once per run when the variational program reads neither x, y nor y'
+(``TracedODE.fixed_partials``, as for a linear f2), since dF/dz is then the
+same at every point: the step hands it on in its ``StepState``.
 z itself is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both
 components, tol being 10^(2 - digits), and F(z) is kept as f_{n+1} (Hairer
 & Wanner II, IV.8), so a step evaluates F only at its iterates.  An F that
@@ -40,8 +42,8 @@ by :func:`_node`.
 
 The state and the solve are Python ints at the Taylor program's binary point
 2^-P, P = prec + ``jets.GUARD_BITS``: y and y' at the old nodes, the kept F,
-c, the predictor (read off the program's integer coefficients), F(z) and its
-partials, Phi(z), r = Phi(z) - z, the 2x2 chord inverse and the z update.
+c, the predictor, F(z) and its partials, Phi(z), r = Phi(z) - z, the 2x2
+chord inverse and the z update.
 Each weighted sum is one exact integer sum under the integer weights of
 :class:`StepWeights`, shifted once, and the acceptance test is one exact
 integer comparison per component; each shift or division rounds down.
@@ -78,7 +80,8 @@ from mpmath.libmp import from_man_exp
 from .coefficients import CoefficientSet, MethodId, coefficients
 from .context import Context
 from .errors import ConfigurationError, DomainError, StepFailureError
-from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _integer_weights, _raw, ode_series
+from .jets import (GUARD_BITS, PREDICTOR_DEGREE, RANGE_BITS, RND, _fixed, _integer_weights, _raw,
+                   ode_series)
 from .problems import ProblemDef
 
 #: weights of the degree-11-exact symmetric derivative quadrature
@@ -94,9 +97,6 @@ CLASSICAL_PERIODICITY_V0SQ = 9.7954
 
 STARTUP_MODES = ("exact", "taylor")
 TAYLOR_STARTUP_ORDER = 14
-
-#: degree of the Taylor polynomial that predicts each step
-PREDICTOR_DEGREE = 7
 
 #: closure triples allowed per step's solve before StepFailureError
 MAX_ITERATIONS = 60
@@ -266,13 +266,7 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     c2 = yp_prev + _dot(old[1], (*f_prev, *f_curr))
 
     graph = problem.graph
-    graph.centre(x_n, y_curr, yp_curr, prec, make)
-    # Horner's rule for the Taylor polynomial and its derivative at h
-    taylor = graph.y.through(PREDICTOR_DEGREE)
-    y, yp = taylor[PREDICTOR_DEGREE], 0
-    for a in taylor[PREDICTOR_DEGREE - 1::-1]:
-        yp = y + (h * yp >> hs)
-        y = a + (h * y >> hs)
+    y, yp = graph.predict(x_n, y_curr, yp_curr, prec, h, hs)
     inverse, passes = state.inverse, state.jacobian_passes    # A^-1, formed when first needed
     for evals in range(1, MAX_ITERATIONS + 1):
         if y.bit_length() > limit or yp.bit_length() > limit:
@@ -289,7 +283,7 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
                 iterations=state.iterations + evals, f_prev=f_curr, f_curr=f_z,
                 inverse=inverse if graph.fixed_partials else None, jacobian_passes=passes)
         if inverse is None:
-            dy, dyp = zip(*graph.partials(x_next, y, yp, prec, make, (2, 4, 6)))
+            dy, dyp = graph.tangents(x_next, y, yp, prec)
             (j11, j12), (j21, j22) = [(_dot(row, dy), _dot(row, dyp)) for row in end]
             a11, a22 = one - j11, one - j22
             det = a11 * a22 - j12 * j21                 # at 2^-2P

@@ -11,9 +11,9 @@ follows from f2 alone.  These are the Taylor-method recurrences of Jorba &
 Zou, *Exp. Math.* 14 (2005), and of TIDES (Abad, Barrio, Blesa & Rodriguez,
 *ACM TOMS* 39, 2012).
 
-The program runs level by level.  Level k appends coefficient k of every
-op, then those of the solution that f_k determines, y_{k+2} and (when f2
-reads y') y'_{k+1}; ``at`` sets y_0, y_1 = y'_0 and y'_0.  It works in
+The program runs level by level.  Level k forms coefficient k of every op,
+then those of the solution that f_k determines, y_{k+2} and (when f2 reads
+y') y'_{k+1}; the point gives y_0, y_1 = y'_0 and y'_0.  It works in
 fixed point: a coefficient c is the Python int m with c = m 2^-P, at one
 binary point P = prec + GUARD_BITS set by the working precision prec of the
 point, not by the point.  A product is one exact integer sum of products,
@@ -26,17 +26,23 @@ and cos of u_0 from ``mpf_cos_sin`` at P bits, except where u depends on x
 alone and x walks a uniform grid: there the last pair is turned by the step
 in u with a few integer products (``_Turn``), and ``mpf_cos_sin`` is called
 only at an irregular step and after every TURNS turns.  libmp is met only
-at the boundary: ``centre`` converts x in (``at`` y and y' too), level 0 of
-a sin/cos pair calls ``mpf_cos_sin`` where it does not turn, the x program
-converts the constants of polynomial nodes, and ``derivative``,
+at the boundary: the program of x converts x in (``at`` y and y' too),
+level 0 of a sin/cos pair calls ``mpf_cos_sin`` where it does not turn, the
+x program converts the constants of polynomial nodes, and ``derivative``,
 ``jacobian`` and ``Coefficients.raw`` round a result out to nearest at
-prec.  No op list is interpreted: a read fills a program from its first
-unfilled level through the depth it needs by one function per span of
-levels, whose Python source, the ops' lines for each k with the index
-ranges, degree cuts and integer weights fixed, is compiled when the span is
-first asked for, under a filename such as ``<obrechkoff program duffing y
-levels 0-4>`` that tracebacks and profiles quote.  Ops of x alone form a
-program of their own, refilled only when x or prec changes.
+prec.
+
+No op list is interpreted, and no list holds a coefficient of y, y' or a
+tangent: the ops' lines, level after level in program order with the index
+ranges, degree cuts and integer weights fixed, are generated into functions
+whose coefficients are Python locals, leaving out each line that no result
+reads, and compiled under a filename such as ``<obrechkoff program duffing
+even>`` that tracebacks and profiles quote.  The step calls ``even``,
+``predict`` and ``tangents``; every other read runs one ``levels`` function
+per depth at the point that ``at`` sets, through level max(n, 4) for a read
+of level n.  Ops of x alone fill lists of their own, once per new abscissa
+through level PREDICTOR_DEGREE - 2, the x object compared before its value;
+a sin/cos level of x itself takes no product by x_1 = 2^P.
 
 Error bound.  A value v read off the program (a coefficient, a derivative
 y^(k) = (k-2)! f_{k-2} or one of its partials) lies within
@@ -62,10 +68,10 @@ benchmark problems has b_0 = 1 + 2x >= 1).  inf, nan and numbers of
 2^RANGE_BITS or more are a DomainError, since the integers are as long as
 the numbers are large.
 The partials d/dy and d/dy' solve the variational equation w'' = df2/dy w +
-df2/dy' w' from (w, w') = (1, 0) and (0, 1), which ``at`` sets: the trace,
-differentiated once along each seed, compiles into a program of the same
-ops, whose level k closes with w_{k+2} = (df)_k / ((k+1)(k+2)) and
-w'_{k+1} = (df)_k / (k+1), filled on request over the values.  The seeds
+df2/dy' w' from (w, w') = (1, 0) and (0, 1): the trace, differentiated
+once along each seed, compiles into a program of the same ops, whose level
+k closes with w_{k+2} = (df)_k / ((k+1)(k+2)) and w'_{k+1} = (df)_k / (k+1),
+run after the values at each level.  The seeds
 that are 0 (w_1 = w'_0 = 0 along y, w_0 = 0 along y'), and the coefficients
 that only they feed, are left out of the generated sums.
 """
@@ -76,6 +82,7 @@ import collections
 import functools
 import linecache
 import math
+import re
 
 from mpmath.libmp import from_float, from_int, from_man_exp, mpf_cos_sin, round_nearest
 
@@ -98,6 +105,11 @@ RANGE_BITS = 1 << 16
 #: turn adds under one unit 2^-P to the errors of sin and cos, so a turned
 #: pair lies within TURNS units of ``mpf_cos_sin``'s
 TURNS = 1024
+
+#: degree of the Taylor polynomial that predicts each step (``predict``); the
+#: lists of x are filled through its level PREDICTOR_DEGREE - 2 at every new
+#: abscissa, the deepest that the step reads
+PREDICTOR_DEGREE = 7
 
 #: the seeds (w_0, w'_0) of the variational program, in units of 2^P: the
 #: partials along y and along y'
@@ -290,6 +302,8 @@ def _integer_weights(values):
     return s, [m << e + s for m, e in signed]
 
 
+
+
 def _sum(terms):
     """Python source for the sum of the source terms ``terms``, 0 for none."""
     return " + ".join(terms).replace("+ -", "- ") or "0"
@@ -300,40 +314,30 @@ def _times(w, ref):
     return ref if w == 1 else f"-{ref}" if w == -1 else f"{w} * {ref}"
 
 
-def _ref(node, k, name):
-    """Source for coefficient k of ``node``, None where it is known to be 0."""
-    return None if k > node.deg or k in node.zero else f"{name(node)}[{k}]"
-
-
-def _conv(a, b, lo, hi, k, name):
+def _conv(a, b, lo, hi, k, ref):
     """Source for the factors (a_j, b_{k-j}), j = lo..hi, of a convolution sum,
     leaving out the pairs with a factor known to be 0."""
-    return [(f"{name(a)}[{j}]", f"{name(b)}[{k - j}]") for j in range(lo, hi + 1)
-            if j not in a.zero and k - j not in b.zero]
-
-
-def _append(out, k, value, name):
-    """Source that appends ``value`` as coefficient k of ``out``; "0" marks the
-    coefficient as known to be 0, for the ops that read it to leave out."""
-    if value == "0":
-        out.zero.add(k)
-    return f"{name(out)}.append({value})"
+    pairs = ((ref(a, j), ref(b, k - j)) for j in range(lo, hi + 1))
+    return [(p, q) for p, q in pairs if p and q]
 
 
 class _Node:
-    """The coefficient list ``v`` of one compiled node, its degree, and the
-    indices ``zero`` of the coefficients that are 0 at every point."""
+    """One compiled node: its degree, the indices ``zero`` of the coefficients
+    that are 0 at every point, and ``v``, the list of its coefficients when it
+    depends on x alone (None where they are locals of the generated code)."""
 
     __slots__ = ("v", "deg", "zero")
 
-    def __init__(self, deg, zero=()):
-        self.v, self.deg, self.zero = [], deg, set(zero)
+    def __init__(self, deg, zero=(), listed=False):
+        self.v, self.deg, self.zero = [] if listed else None, deg, set(zero)
 
 
-# ops: emit(k, name) returns the source lines that append coefficient k of
-# their outputs, once every coefficient below k is in place; name(node) is
-# the identifier of a node's coefficient list, name(c) that of a raw constant.
-# A coefficient is an int m standing for m 2^-P, P the binary point of the
+# ops: emit(k, names) returns the source that sets coefficient k of their
+# outputs, once every coefficient below k is in place: statements, and
+# (node, k, value) for each coefficient, value "0" marking it as known to be 0
+# for the ops that read it to leave out.  names.ref(node, j) is the source of
+# coefficient j of a node, names(c) the identifier of a raw constant.  A
+# coefficient is an int m standing for m 2^-P, P the binary point of the
 # generated function; the raw constants (``a``, ``c``, ``data``) are kept as
 # given.
 
@@ -343,9 +347,8 @@ class _Poly:
     def __init__(self, out, data):
         self.out, self.deg, self.data = out, out.deg, data
 
-    def emit(self, k, name):
-        value = f"_fixed({name(self.data[k])}, P)" if self.data[k][1] else "0"
-        return [_append(self.out, k, value, name)]
+    def emit(self, k, names):
+        return [(self.out, k, f"_fixed({names(self.data[k])}, P)" if self.data[k][1] else "0")]
 
 
 class _Lin:
@@ -360,8 +363,8 @@ class _Lin:
         # (weight, whether it is over 2^-s), per node and for c
         self.w = [(w, True) if w % (1 << self.s) else (w >> self.s, False) for w in weights]
 
-    def emit(self, k, name):
-        refs = [_ref(n, k, name) for n in self.nodes]
+    def emit(self, k, names):
+        refs = [names.ref(n, k) for n in self.nodes]
         refs.append("(1 << P)" if k == 0 else None)
         terms = {False: [], True: []}
         for (w, shifted), ref in zip(self.w, refs):
@@ -369,7 +372,7 @@ class _Lin:
                 terms[shifted].append(_times(w, ref))
         if terms[True]:
             terms[False].append(f"(({_sum(terms[True])}) >> {self.s})")
-        return [_append(self.out, k, _sum(terms[False]), name)]
+        return [(self.out, k, _sum(terms[False]))]
 
 
 class _Mul:
@@ -381,12 +384,12 @@ class _Mul:
         self.out, self.deg = out, out.deg
         self.pairs = list(zip(factors[::2], factors[1::2]))
 
-    def emit(self, k, name):
+    def emit(self, k, names):
         counts = collections.Counter(
             tuple(sorted(t)) for a, b in self.pairs
-            for t in _conv(a, b, max(0, k - b.deg), min(k, a.deg), k, name))
+            for t in _conv(a, b, max(0, k - b.deg), min(k, a.deg), k, names.ref))
         terms = [_times(n, " * ".join(t)) for t, n in counts.items()]
-        return [_append(self.out, k, f"({_sum(terms)}) >> P" if terms else "0", name)]
+        return [(self.out, k, f"({_sum(terms)}) >> P" if terms else "0")]
 
 
 class _Div:
@@ -395,16 +398,16 @@ class _Div:
     def __init__(self, out, a, b):
         self.out, self.deg, self.a, self.b = out, out.deg, a, b
 
-    def emit(self, k, name):
-        b, a = name(self.b), _ref(self.a, k, name)
+    def emit(self, k, names):
+        b0, a = names.ref(self.b, 0) or "0", names.ref(self.a, k)
         terms = [f"({a} << P)"] if a else []
-        terms += [f"-{qj} * {bj}"
-                  for qj, bj in _conv(self.out, self.b, max(0, k - self.b.deg), k - 1, k, name)]
-        lines = [_append(self.out, k, f"({_sum(terms)}) // {b}[0]" if terms else "0", name)]
-        if k == 0:
-            lines.insert(0, f"if not {b}[0]: raise DomainError("
-                            "'series division by a series with zero constant term')")
-        return lines
+        terms += [f"-{qj} * {bj}" for qj, bj in
+                  _conv(self.out, self.b, max(0, k - self.b.deg), k - 1, k, names.ref)]
+        value = [(self.out, k, f"({_sum(terms)}) // {b0}" if terms else "0")]
+        if k:
+            return value
+        return [f"if not {b0}: raise DomainError("
+                "'series division by a series with zero constant term')"] + value
 
 
 class _Turn:
@@ -452,72 +455,80 @@ class _SinCos:
     s_0 and c_0 come from ``mpf_cos_sin`` at P bits, through a :class:`_Turn`
     (``turn``) where u depends on x alone.  A pair of y is not turned: the
     iterates of a step do not step uniformly, so its turn would miss at every
-    call (as on y'' = -sin y) and cost the call and the miss's bookkeeping."""
+    call (as on y'' = -sin y) and cost the call and the miss's bookkeeping.
+    Of x itself (``bare``), u_1 = 2^P, so s_k = c_{k-1} / k and c_k =
+    -s_{k-1} / k exactly, with no product."""
 
-    def __init__(self, out, cos, u, turn):
-        self.out, self.cos, self.u, self.deg, self.turn = out, cos, u, out.deg, turn
+    def __init__(self, out, cos, u, turn, bare):
+        self.out, self.cos, self.u, self.deg, self.turn, self.bare = out, cos, u, out.deg, turn, bare
 
-    def emit(self, k, name):
-        u, s, c = name(self.u), name(self.out), name(self.cos)
+    def emit(self, k, names):
+        u, s, c, ref = self.u, self.out, self.cos, names.ref
         if k == 0 and self.turn:
-            return [f"sv, cv = {name(self.turn)}({u}[0], P)", f"{s}.append(sv)", f"{c}.append(cv)"]
+            return [f"sv, cv = {names(self.turn)}({ref(u, 0) or 0}, P)", (s, 0, "sv"), (c, 0, "cv")]
         if k == 0:
-            return [f"cv, sv = mpf_cos_sin(from_man_exp({u}[0], -P), P, RND)",
-                    f"{s}.append(_fixed(sv, P))", f"{c}.append(_fixed(cv, P))"]
-        js = range(1, min(k, self.u.deg) + 1)
-        ju = [_times(j, f"{u}[{j}]") for j in js]
-        sin = _sum([f"{x} * {c}[{k - j}]" for x, j in zip(ju, js)])
-        cos = _sum([f"{x} * {s}[{k - j}]" for x, j in zip(ju, js)])
+            return [f"cv, sv = mpf_cos_sin(from_man_exp({ref(u, 0) or 0}, -P), P, RND)",
+                    (s, 0, "_fixed(sv, P)"), (c, 0, "_fixed(cv, P)")]
         div = "" if k == 1 else f" // {k}"  # floor(floor(a / 2^P) / k) = floor(a / (k 2^P))
-        return [f"{s}.append((({sin}) >> P){div})", f"{c}.append((-({cos}) >> P){div})"]
+        if self.bare:
+            return [(s, k, f"{ref(c, k - 1)}{div}"), (c, k, f"(-{ref(s, k - 1)}){div}")]
+        ju = [(_times(j, ref(u, j)), j) for j in range(1, min(k, self.u.deg) + 1) if ref(u, j)]
+        sin = _sum([f"{x} * {ref(c, k - j)}" for x, j in ju])
+        cos = _sum([f"{x} * {ref(s, k - j)}" for x, j in ju])
+        return [(s, k, f"(({sin}) >> P){div}"), (c, k, f"(-({cos}) >> P){div}")]
 
 
 class _Leaf:
     """The coefficient of the solution that f_k determines,
     y_{k+2} = f_k / ((k+1)(k+2)) (lag 2), or of its slope,
-    y'_{k+1} = f_k / (k+1) (lag 1); ``at`` sets those below the lag."""
+    y'_{k+1} = f_k / (k+1) (lag 1); the point gives those below the lag."""
 
     deg = DENSE
 
     def __init__(self, out, f, lag):
         self.out, self.f, self.lag = out, f, lag
 
-    def emit(self, k, name):
-        value, div = _ref(self.f, k, name), math.perm(k + self.lag, self.lag)
+    def emit(self, k, names):
+        value, div = names.ref(self.f, k), math.perm(k + self.lag, self.lag)
         if value and div > 1:
             value += f" // {div}"
-        return [_append(self.out, k + self.lag, value or "0", name)]
+        return [(self.out, k + self.lag, value or "0")]
 
 
-#: the globals every generated level reads besides its lists and constants
+#: the globals every generated function reads besides its lists and constants
 _HELPERS = {"_fixed": _fixed, "mpf_cos_sin": mpf_cos_sin, "from_man_exp": from_man_exp,
             "RND": RND, "DomainError": DomainError}
 
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
 
 class _Names(dict):
-    """The globals of one graph's generated code: the helpers, then each
-    coefficient list and raw constant the code reads, under the identifier
-    that calling the namespace with its node or value returns, into ``used``."""
+    """The globals of one graph's generated code: the helpers, then each list
+    of x, raw constant and turn that the code reads, under the identifier that
+    calling the namespace with it returns.  ``ref(node, k)`` is the source of
+    coefficient k of a node: ``v3[k]`` for a list, the local ``v3_k`` (or the
+    name ``given`` for the point and the seeds), None where it is known to be 0."""
 
-    def __init__(self, preferred):
+    def __init__(self, given):
         super().__init__(_HELPERS)
-        self._ids, self.used = {}, set()
-        for node, ident in preferred:
-            if node not in self._ids:
-                self._bind(node, ident)
+        self._ids, self.given = {}, given
 
-    def _bind(self, item, ident):
-        self._ids[item] = ident
-        self[ident] = item.v if isinstance(item, _Node) else item
+    def bind(self, item, ident):
+        if item not in self._ids:
+            self._ids[item] = ident
+            self[ident] = item.v if isinstance(item, _Node) else item
 
     def __call__(self, item):
-        ident = self._ids.get(item)
-        if ident is None:
+        if item not in self._ids:
             kind = "v" if isinstance(item, _Node) else "turn" if isinstance(item, _Turn) else "c"
-            ident = f"{kind}{len(self._ids)}"
-            self._bind(item, ident)
-        self.used.add(ident)
-        return ident
+            self.bind(item, f"{kind}{len(self._ids)}")
+        return self._ids[item]
+
+    def ref(self, node, k):
+        if k > node.deg or k in node.zero:
+            return None
+        ident = self(node)
+        return f"{ident}[{k}]" if node.v is not None else self.given.get((node, k), f"{ident}_{k}")
 
 
 def _compiled(source, filename):
@@ -540,34 +551,6 @@ def _code(source, filename):
     return compile(source, filename, "exec")
 
 
-class _Program:
-    """Ops filling ``lists`` (and their leaves' lists), ``filled`` levels so
-    far.  The function that fills levels lo..hi, the ops' ``emit(k, ...)``
-    lines for each k in turn, is compiled when first asked for and kept; it
-    takes the lists and constants it reads as default arguments, as locals."""
-
-    __slots__ = ("ops", "lists", "names", "label", "spans", "filled")
-
-    def __init__(self, ops, lists, names, label):
-        self.ops, self.lists, self.names, self.label = ops, lists, names, label
-        self.spans, self.filled = {}, 0
-
-    def span(self, lo, hi):
-        """The function P -> None that fills levels lo..hi at the binary point 2^-P."""
-        fill = self.spans.get((lo, hi))
-        if fill is None:
-            self.names.used = set()
-            lines = [line for k in range(lo, hi + 1) for op in self.ops if k <= op.deg
-                     for line in op.emit(k, self.names)]
-            source = (f"def fill(P{''.join(f', {i}={i}' for i in sorted(self.names.used))}):\n"
-                      + "".join(f"    {line}\n" for line in lines or ["pass"]))
-            scope = {}
-            exec(_compiled(source, f"<obrechkoff program {self.label} levels {lo}-{hi}>"),
-                 self.names, scope)
-            fill = self.spans[lo, hi] = scope["fill"]
-        return fill
-
-
 def _postorder(root):
     """Every node below root, each after its arguments."""
     order, done, stack = [], set(), [root]
@@ -586,8 +569,8 @@ def _postorder(root):
 
 def _compile(order, nodes, ops, lists):
     """Compile the nodes of ``order`` (a postorder) that ``nodes`` lacks into
-    it: each op goes to ops[on_y] and the coefficient lists it fills to
-    lists[on_y], ``on_y`` telling whether it depends on y or y'."""
+    it: each op goes to ops[on_y], ``on_y`` telling whether it depends on y or
+    y', and the lists that the ops of x alone fill to ``lists``."""
     for s in order:
         if s in nodes:
             continue
@@ -595,48 +578,47 @@ def _compile(order, nodes, ops, lists):
             nodes[s] = nodes[s.args[0]][s.kind == "cos"]
             continue
         args = [nodes[a] for a in s.args]
-        outs = (_Node(s.deg),)
+        outs = (_Node(s.deg, listed=not s.on_y),)
         if s.kind == "poly":
             op = _Poly(*outs, [_raw(c) for c in s.data])
         elif s.kind == "lin":
             op = _Lin(*outs, *s.data, args)
         elif s.kind == "sincos":
-            outs += (_Node(s.deg),)
-            op = _SinCos(*outs, *args, None if s.on_y else _Turn())
+            outs += (_Node(s.deg, listed=not s.on_y),)
+            op = _SinCos(*outs, *args, None if s.on_y else _Turn(),
+                         not s.on_y and s.args[0].kind == "var")
         elif s.kind == "mul":
             op = _Mul(*outs, args)
         else:
             op = _Div(*outs, *args)
         nodes[s] = outs if s.kind == "sincos" else outs[0]
         ops[s.on_y].append(op)
-        lists[s.on_y].extend(n.v for n in outs)
+        if not s.on_y:
+            lists.extend(n.v for n in outs)
+
+
+def _even(ref, f):
+    """Source for f_0, 2 f_2, 24 f_4 of the node f: y'', y^(4) and y^(6) from
+    f2, or their partials from a tangent df."""
+    terms = [(ref(f, k), math.factorial(k)) for k in (0, 2, 4)]
+    return ", ".join(_times(n, c) if c else "0" for c, n in terms)
 
 
 class Coefficients:
-    """Coefficient k of y or of f2 at the current point of a
-    :class:`TracedODE`, as ``[k]`` (an mpf), ``raw(k)`` (a raw libmp number)
-    or ``fixed(k)`` (the int m of m 2^-P), in place once the program is
-    filled through level k - lag: lag 2 for y, 0 for f2."""
+    """Coefficient k of y or of f2 at the point of :meth:`TracedODE.at`, as
+    ``[k]`` (an mpf) or ``raw(k)`` (a raw libmp number), read off
+    ``levels`` through level k - lag: lag 2 for y, 0 for f2."""
 
-    __slots__ = ("c", "_deg", "_lag", "_graph")
+    __slots__ = ("_graph", "_index", "_deg", "_lag")
 
-    def __init__(self, graph, node, lag):
-        self.c, self._deg, self._lag, self._graph = node.v, node.deg, lag, graph
-
-    def through(self, n):
-        """The list of coefficients, ints at 2^-P, filled through n <= the degree."""
-        self._graph._fill(n - self._lag)
-        return self.c
-
-    def fixed(self, k):
-        """Coefficient k as an int at the program's binary point 2^-P."""
-        c = self.through(min(k, self._deg))
-        return c[k] if k <= self._deg else 0
+    def __init__(self, graph, index, deg, lag):
+        self._graph, self._index, self._deg, self._lag = graph, index, deg, lag
 
     def raw(self, k):
         """Coefficient k as a raw libmp number, rounded at the working precision."""
         graph = self._graph
-        return from_man_exp(self.fixed(k), -graph._P, graph._prec, RND)
+        c = graph._read(min(k, self._deg) - self._lag)[self._index]
+        return from_man_exp(c[k] if k <= self._deg else 0, -graph._P, graph._prec, RND)
 
     def __getitem__(self, k):
         return self._graph._make(self.raw(k))
@@ -646,37 +628,37 @@ class TracedODE:
     """y'' = f2(x, y, y'), traced once and compiled into a Taylor program.
 
     f2 may use + - * /, positive integer powers, numbers and ``ops.sin`` /
-    ``ops.cos``; an f2 that returns a plain number is a constant.  The
-    point (x, y, y') is given to ``centre`` with y, y' as ints at 2^-(prec +
-    GUARD_BITS), as the integrator passes it, or to ``at`` as mpmath
-    numbers.  ``y`` and ``f`` give the Taylor coefficients of the solution
-    and of f2 there, ``even`` y'', y^(4), y^(6) and ``partials`` their
-    partials from the variational program, as ints.  ``fixed_partials``
-    tells whether the tangent program reads neither x, y nor y', so that the
-    partials are the same at every point of one precision.  ``name`` labels
-    the generated code in tracebacks and profiles.
+    ``ops.cos``; an f2 that returns a plain number is a constant.  The step
+    calls the generated functions ``even``, ``predict`` and ``tangents`` with
+    x, prec and y, y' as ints at 2^-P, P = prec + GUARD_BITS.  Every other
+    read is at the point that ``at`` sets with mpmath numbers: ``y`` and ``f``
+    give the Taylor coefficients of the solution and of f2 there, and
+    ``derivative`` and ``jacobian`` y^(k) and its partials, all off
+    ``levels``.  ``fixed_partials`` tells whether the tangent program reads
+    neither x, y nor y', so that the partials are the same at every point of
+    one precision.  ``name`` labels the generated code in tracebacks and
+    profiles.
     """
 
     def __init__(self, f2, name="f2"):
         sx = Series("var", (), None, 1, False)
         sy, syp = Series("var"), Series("var")
         root = _lift(f2(sx, sy, syp))
-        self._x, self._y, self._yp = _Node(1), _Node(DENSE), _Node(DENSE)
+        self._x, self._y, self._yp = _Node(1, listed=True), _Node(DENSE), _Node(DENSE)
         nodes = {sx: self._x, sy: self._y, syp: self._yp}
-        self._x_ops, self._y_ops, self._d_ops = [], [], []
-        lists = ([], [], [])        # the coefficient lists that the ops of each program fill
+        self._x_ops, self._y_ops, self._d_ops, self._x_lists = [], [], [], []
         order = _postorder(root)
-        _compile(order, nodes, (self._x_ops, self._y_ops), lists[:2])
+        _compile(order, nodes, (self._x_ops, self._y_ops), self._x_lists)
         self._f = nodes[root]
-        # y' itself is filled only when f2 reads it
+        # y' itself is formed only when f2 reads it
         self._reads_yp = reads_yp = syp in order
-        leaves = [_Leaf(self._y, self._f, 2), _Leaf(self._yp, self._f, 1)][:1 + reads_yp]
+        self._leaves = [_Leaf(self._y, self._f, 2), _Leaf(self._yp, self._f, 1)][:1 + reads_yp]
         # the variational program: per seed, the ops of the tangent df of f2,
-        # then the leaves w and w' (when f2 reads y'); ``at`` sets the first
-        # coefficients of each solution and its slope in ``_pairs``
-        self._pairs, self._df = [(self._y, self._yp)], []
+        # then the leaves w and w' (when f2 reads y'); the point's y_1 is y'_0,
+        # and each seed's nonzero first coefficients are ``one`` = 2^P
+        self._df, given = [], {(self._y, 1): "yp_0"}
         self.fixed_partials = True
-        preferred = [(self._x, "x"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
+        preferred = [(self._x, "X"), (self._y, "y"), (self._yp, "yp"), (self._f, "f")]
         for n, (w0, wp0) in enumerate(_SEEDS, 1):
             w, wp = Series("var"), Series("var")
             droot = _tangent(order, {sy: w, syp: wp})
@@ -686,32 +668,155 @@ class TracedODE:
             nodes[wp] = _Node(DENSE, [0] if not wp0 else [])
             dorder = _postorder(droot)
             self.fixed_partials &= not {sx, sy, syp}.intersection(dorder)
-            _compile(dorder, nodes, (self._x_ops, self._d_ops), lists[::2])
+            _compile(dorder, nodes, (self._x_ops, self._d_ops), self._x_lists)
             df = nodes[droot]
             self._d_ops += [_Leaf(nodes[w], df, 2), _Leaf(nodes[wp], df, 1)][:1 + reads_yp]
-            self._pairs.append((nodes[w], nodes[wp]))
             self._df.append(df)
             preferred += [(nodes[w], f"w{n}"), (nodes[wp], f"wp{n}"), (df, f"df{n}")]
-        # the code of each span of levels is generated when it is first filled
-        names = _Names(preferred)
-        self._programs = tuple(
-            _Program(ops, c, names, f"{name} {label}") for ops, c, label in
-            zip((self._x_ops, self._y_ops + leaves, self._d_ops), lists, ("x", "y", "tangent")))
-        self.y = Coefficients(self, self._y, 2)
-        self.f = Coefficients(self, self._f, 0)
+            given.update({(nodes[w], 0): "one"} if w0 else
+                         {(nodes[w], 1): "one", (nodes[wp], 0): "one"})
+        self._names = names = _Names(given)
+        for node, ident in preferred:
+            names.bind(node, ident)
+        for op in self._x_ops + self._y_ops + self._d_ops:
+            names(op.out)
+            if isinstance(op, _SinCos):
+                names(op.cos)
+        # the abscissa and prec whose levels of x the lists hold
+        self._here = names["here"] = [None, None]
+        names["x_at"] = self._at_x
+        self._label, self._functions, self._x_filled = name, {}, 0
+        self.y = Coefficients(self, 0, DENSE, 2)
+        self.f = Coefficients(self, 1, self._f.deg, 0)
         self._point, self._prec, self._P, self._make = (None, None, None), None, None, None
-        self._seeds, self._closures, self._given = [], {}, (None,) * 5
+        self._cold, self._closures, self._given = None, {}, (None,) * 5
 
-    def _reset(self, on_x, tangents=True):
-        """Clear the program of y, with ``on_x`` that of x, with ``tangents`` theirs."""
-        for program in self._programs[not on_x:2 + tangents]:
-            for c in program.lists:
-                c.clear()
-            program.filled = 0
+    def _generate(self, label, params, ops, lo, hi, result=None):
+        """The function ``label`` (its first word, then the def's name) that
+        runs ``ops`` at levels lo..hi from their ``emit`` lines in order,
+        generated when first asked for.  With ``result``, a function of
+        ``ref`` giving the last lines and the returned source, the
+        coefficients are locals and only the lines that the result reads are
+        kept; without, they are appended to the lists of x."""
+        if label in self._functions:
+            return self._functions[label]
+        names, body = self._names, []       # (local set or None, line)
+        for k in range(lo, hi + 1):
+            for op in ops:
+                if k > op.deg:
+                    continue
+                for item in op.emit(k, names):
+                    if isinstance(item, str):
+                        body.append((None, item))
+                        continue
+                    node, j, value = item
+                    if value == "0":
+                        node.zero.add(j)
+                    if node.v is not None:
+                        body.append((None, f"{names(node)}.append({value})"))
+                    elif value != "0":
+                        local = f"{names(node)}_{j}"
+                        body.append((local, f"{local} = {value}"))
+        lines = [line for _, line in body]
+        if result is not None:          # dead lines out, from the last line up
+            *tail, returned = result(names.ref)
+            live, lines = set(_IDENTIFIER.findall(" ".join(tail + [returned]))), []
+            for local, line in reversed(body):
+                if local is None or local in live:
+                    lines.append(line)
+                    live.update(_IDENTIFIER.findall(line))
+            lines = lines[::-1] + tail + [f"return {returned}"]
+        reads = set(_IDENTIFIER.findall(" ".join(lines)))
+        head = []
+        if params.startswith("x,"):
+            if any(isinstance(names.get(i), list) for i in reads):
+                head.append("if x is not here[0] or prec != here[1]: x_at(x, prec)")
+            head.append(f"P = prec + {GUARD_BITS}")
+        if "one" in reads:
+            head.append("one = 1 << P")
+        lines = head + lines
+        reads = set(_IDENTIFIER.findall(" ".join(lines))).intersection(names)
+        fname = label.split()[0]
+        source = (f"def {fname}({params}{''.join(f', {i}={i}' for i in sorted(reads))}):\n"
+                  + "".join(f"    {line}\n" for line in lines or ["pass"]))
+        scope = {}
+        exec(_compiled(source, f"<obrechkoff program {self._label} {label}>"), names, scope)
+        self._functions[label] = scope[fname]
+        return scope[fname]
+
+    @functools.cached_property
+    def even(self):
+        """(x, y, y', prec, make) -> (y'', y^(4), y^(6)) = (f_0, 2 f_2, 24 f_4),
+        ints at 2^-P from y and y' at 2^-P, P = prec + GUARD_BITS; ``make`` is
+        not read.  Levels 0-4, in locals."""
+        return self._generate("even", "x, y_0, yp_0, prec, make", self._y_ops + self._leaves, 0, 4,
+                              lambda ref: [_even(ref, self._f)])
+
+    @functools.cached_property
+    def predict(self):
+        """(x, y, y', prec, h, hs) -> the Taylor polynomial of degree
+        PREDICTOR_DEGREE of the solution through (x, y, y') and its derivative
+        at h, the int h at 2^-hs, by Horner's rule on ints at 2^-P, each step
+        rounding down.  Levels 0 to PREDICTOR_DEGREE - 2, in locals."""
+        def horner(ref):
+            ys = [ref(self._y, k) or "0" for k in range(PREDICTOR_DEGREE + 1)]
+            lines = [f"s, d = {ys[-1]}, 0"]
+            for a in ys[-2::-1]:
+                lines += ["d = s + (h * d >> hs)", f"s = {a} + (h * s >> hs)"]
+            return lines + ["s, d"]
+
+        return self._generate("predict", "x, y_0, yp_0, prec, h, hs", self._y_ops + self._leaves,
+                              0, PREDICTOR_DEGREE - 2, horner)
+
+    @functools.cached_property
+    def tangents(self):
+        """(x, y, y', prec) -> (d/dy, d/dy') of (y'', y^(4), y^(6)), ints at 2^-P
+        as for ``even``, from the variational program.  Levels 0-4 of y and of
+        the tangents, in locals."""
+        return self._generate("tangents", "x, y_0, yp_0, prec",
+                              self._y_ops + self._leaves + self._d_ops, 0, 4,
+                              lambda ref: [", ".join(f"({_even(ref, df)})" for df in self._df)
+                                           or "(0, 0, 0), (0, 0, 0)"])
+
+    def _levels(self, n, tangents):
+        """P, y, y' -> the lists [y_0 .. y_{n+2}], [f_0 .. f_n] and, with
+        ``tangents``, [df_0 .. df_n] per seed, ints at 2^-P."""
+        def lists(ref):
+            rows = [(self._y, n + 2), (self._f, n)] + [(df, n) for df in self._df if tangents]
+            return [", ".join(f"[{', '.join(ref(c, k) or '0' for k in range(m + 1))}]"
+                              for c, m in rows)]
+
+        ops = self._y_ops + self._leaves + (self._d_ops if tangents else [])
+        label = f"levels 0-{n}{' and tangents' if tangents else ''}"
+        return self._generate(label, "P, y_0, yp_0", ops, 0, n, lists)
+
+    def _at_x(self, x, prec, n=PREDICTOR_DEGREE - 2):
+        """Fill the lists of x at the abscissa x through level n, and at a new
+        abscissa through level PREDICTOR_DEGREE - 2 at least, which is as deep
+        as the step reads.  The x object is tested first and its value only
+        when it is new; a bad x, or a fill that raised, leaves no abscissa."""
+        here, P = self._here, prec + GUARD_BITS
+        try:
+            if prec != here[1] or x is not here[0] and x != here[0]:
+                here[:] = [None, None]
+                self._x.v[:] = [_fixed(_raw(x), P), 1 << P]
+                for c in self._x_lists:
+                    c.clear()
+                self._x_filled, n = 0, max(n, PREDICTOR_DEGREE - 2)
+            lo = self._x_filled
+            if lo <= n and self._x_ops:
+                self._generate(f"x levels {lo}-{n}", "P", self._x_ops, lo, n)(P)
+            self._x_filled = max(lo, n + 1)
+        except BaseException:
+            here[:] = [None, None]
+            raise
+        here[:] = [x, prec]
 
     def at(self, x, y, yp):
-        """``centre`` at mpmath numbers, prec being that of y; a non-finite y
-        or y', or one of 2^RANGE_BITS or more, is a DomainError."""
+        """Set the point of the reads (x, y, y') at mpmath numbers, prec being
+        that of y; a non-finite y or y', one of 2^RANGE_BITS or more, or y'
+        None where f2 reads y', is a DomainError that changes nothing.  Equal
+        y, y' at an equal x keep the levels read."""
         try:
             ctx = y.context
         except AttributeError:
@@ -719,94 +824,66 @@ class TracedODE:
         prec, (gx, gy, gyp, gprec, point) = ctx.prec, self._given
         if x is gx and y is gy and yp is gyp and prec == gprec and self._point is point:
             return              # the closures of one evaluation pass the same objects
-        P = prec + GUARD_BITS
-        self.centre(x, _fixed(_raw(y), P), None if yp is None else _fixed(_raw(yp), P),
-                    prec, ctx.make_mpf)
-        self._given = (x, y, yp, prec, self._point)
-
-    def centre(self, x, y, yp, prec, make):
-        """Centre the program at x and the ints y, y' at 2^-P, P = prec +
-        GUARD_BITS, rounding reads out by ``make``.  Equal y, y' at an equal x
-        keep every coefficient, an equal x and prec the ops of x alone.  A bad
-        x, or y' None where f2 reads y', is a DomainError that changes nothing."""
-        px, py, pyp = self._point
-        new_x = x is not px and x != px or prec != self._prec
-        if not new_x and y == py and yp == pyp:
-            return
         if yp is None and self._reads_yp:
             raise DomainError("this f2 reads y', so the point needs one")
-        if new_x:
-            P = prec + GUARD_BITS
-            self._x.v[:] = [_fixed(_raw(x), P), 1 << P]
-            self._prec, self._P, self._make = prec, P, make
-            self._seeds = [(w0 << P, wp0 << P) for w0, wp0 in _SEEDS]
-        # the tangent program holds coefficients beyond its seeds only once filled
-        tangents = new_x or self._programs[2].filled > 0
-        self._reset(new_x, tangents)
-        self._point = (x, y, yp)
-        seeds = [(y, yp)] + self._seeds if tangents else [(y, yp)]
-        for (u, up), (u0, up0) in zip(self._pairs, seeds):
-            u.v[:], up.v[:] = [u0, up0], [up0]
+        P = prec + GUARD_BITS
+        new = (x, _fixed(_raw(y), P), None if yp is None else _fixed(_raw(yp), P))
+        px = self._point[0]
+        if prec != self._prec or new[1:] != self._point[1:] or x is not px and x != px:
+            self._point, self._cold = new, None
+            self._prec, self._P, self._make = prec, P, ctx.make_mpf
+        self._given = (x, y, yp, prec, self._point)
 
-    def _fill(self, n, tangents=False):
-        """Fill x, then y, then with ``tangents`` the variational program,
-        through level n.  Levels -2 and -1 are y_0 and y_1 = y'_0, set by ``at``;
-        without y', a fill through level -1 or above 0, or of the partials,
-        is a DomainError that leaves the program as it was, as is any read
-        before the first ``at``."""
-        if self._point[1] is None:
+    def _read(self, n, tangents=False):
+        """``_levels`` at the point, through level max(n, 4) (n without y'),
+        run once per point and depth.  Levels -2 and -1 are y_0 and y_1 = y'_0;
+        without y', a read of level -1 or above 0, or of the partials, is a
+        DomainError that leaves the point as it was, as is any read before the
+        first ``at``.  A read that raised leaves no point."""
+        x, y, yp = self._point
+        if y is None:
             raise DomainError("the program has no point: call at(x, y, y') before reading it")
-        if self._point[2] is None and (n == -1 or n > 0 or tangents):
+        if yp is None and (n == -1 or n > 0 or tangents):
             raise DomainError("the point has no y', which y_1, levels above 0 and partials read")
-        if self._programs[1 + tangents].filled > n:
-            return
-        P = self._P
+        cold = self._cold
+        if cold and cold[0] >= n and cold[1] >= tangents:
+            return cold[2]
+        n = max(n, 0 if yp is None else 4)
         try:
-            for program in self._programs[:2 + tangents]:
-                if program.filled <= n:
-                    program.span(program.filled, n)(P)
-                    program.filled = n + 1
-        except BaseException:       # a fill that raised leaves no point and no coefficient
-            self._point = (None, None, None)
-            self._reset(on_x=True)
+            self._at_x(x, self._prec, n)
+            values = self._levels(n, tangents)(self._P, y, yp)
+        except BaseException:
+            self._point, self._cold, self._here[:] = (None, None, None), None, [None, None]
             raise
+        self._cold = (n, tangents, values)
+        return values
 
     def derivative(self, k: int):
         """The closure (x, y, y') -> y^(k) of the solution through that point,
         the same object for the same k."""
         if k in self._closures:
             return self._closures[k]
-        n, at, fixed = k - 2, self.at, self.f.fixed
+        n, at, read, deg = k - 2, self.at, self._read, self._f.deg
         scale = math.factorial(n)
 
         def fk(x, y, yp):
             at(x, y, yp)
-            return self._make(from_man_exp(fixed(n) * scale, -self._P, self._prec, RND))
+            f = read(min(n, deg))[1]
+            return self._make(from_man_exp(f[n] * scale if n <= deg else 0, -self._P,
+                                           self._prec, RND))
 
         self._closures[k] = fk
         return fk
 
-    def even(self, x, y, yp, prec, make):
-        """(y'', y^(4), y^(6)) = (f_0, 2 f_2, 24 f_4) at ``centre``'s point."""
-        self.centre(x, y, yp, prec, make)
-        f = self._f
-        self._fill(min(4, f.deg))
-        v = f.v if f.deg >= 4 else f.v + [0] * 4
-        return [v[0], 2 * v[2], 24 * v[4]]
-
-    def partials(self, x, y, yp, prec, make, orders):
-        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] at ``centre``'s point."""
-        self.centre(x, y, yp, prec, make)
+    def jacobian(self, x, y, yp, orders):
+        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] at the mpmath point
+        (see ``at``), rounded out at prec."""
+        self.at(x, y, yp)
         if not self._df:
             return [(0, 0) for _ in orders]
-        self._fill(max(orders) - 2, tangents=True)
-        return [tuple(df.v[k - 2] * math.factorial(k - 2) for df in self._df) for k in orders]
-
-    def jacobian(self, x, y, yp, orders):
-        """``partials`` at mpmath numbers (see ``at``), rounded out at prec."""
-        self.at(x, y, yp)
-        return [tuple(self._make(from_man_exp(d, -self._P, self._prec, RND)) for d in pair)
-                for pair in self.partials(*self._point, self._prec, self._make, orders)]
+        dfs, P, prec = self._read(max(orders) - 2, tangents=True)[2:], self._P, self._prec
+        return [tuple(self._make(from_man_exp(df[k - 2] * math.factorial(k - 2), -P, prec, RND))
+                      for df in dfs) for k in orders]
 
 
 def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:
@@ -816,5 +893,4 @@ def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:
     """
     graph = f2 if isinstance(f2, TracedODE) else TracedODE(f2)
     graph.at(ctx.mpf(x0), ctx.mpf(y0), ctx.mpf(yp0))
-    graph.y.through(order)                      # one span of levels
-    return [graph.y[k] for k in range(order + 1)]
+    return [graph.y[k] for k in range(order, -1, -1)][::-1]     # the deepest read first

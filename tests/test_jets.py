@@ -228,42 +228,48 @@ def test_a_read_before_any_point_is_a_domain_error():
             read()
 
 
+def _source(fn):
+    """The generated source of ``fn``, as linecache holds it for tracebacks."""
+    lines = linecache.getlines(fn.__code__.co_filename)
+    assert lines, fn
+    return "".join(lines)
+
+
 def test_duffing_levels_are_integer_code(ctx50):
-    # the y and tangent levels of duffing run on ints alone: no libmp call and
-    # no term for a zero constant or a zero seed; only level 0 of x calls the
-    # helper that turns its sin/cos pair.  The reads fill levels 0, 1-4 and 5
-    # of x and y in turn, the tangents 0-4, then x and y 0-4 at a new x, each
-    # span one function
+    # the step's functions and the levels of the cold reads run on ints alone,
+    # in locals: no libmp call, no term for a zero constant or a zero seed, no
+    # append and no read of x itself; only level 0 of x calls the helper that
+    # turns its sin/cos pair, and a sin/cos level of x itself (linear's sin x)
+    # takes no product by x_1 = 2^P.  The reads fill x through levels 0-5,
+    # then 6-7
     graph = duffing(ctx50).graph
-    prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
+    prec = ctx50.mp.prec
     P = prec + GUARD_BITS
-    y, yp = 3 << P - 4, -(1 << P - 1)
-    graph.centre(ctx50.mpf("0.7"), y, yp, prec, make)
-    graph.f.fixed(0)
-    graph.f.fixed(4)
-    graph.y.through(7)
-    graph.partials(ctx50.mpf("0.7"), y, yp, prec, make, (2, 4, 6))
-    graph.even(ctx50.mpf("2.1"), y, yp, prec, make)
-    spans = [(0, 0), (1, 4), (5, 5), (0, 4)]
-
-    def source(label, lo, hi):
-        lines = linecache.getlines(f"<obrechkoff program duffing {label} levels {lo}-{hi}>")
-        assert lines, (label, lo, hi)
-        return "".join(lines)
-
-    for label, span in [("y", span) for span in spans] + [("tangent", (0, 4))]:
-        code = source(label, *span)
-        assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), (label, span)
-        assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), (label, span)
-        assert "if len(" not in code and "if len(" not in source("x", *span), (label, span)
-    # the seeds w1_1 = 0 and w2_0 = 0 that ``at`` sets are left out
-    assert not re.search(r"w1\[1\]|w2\[0\]", source("tangent", 0, 4))
+    x, y, yp = ctx50.mpf("0.7"), 3 << P - 4, -(1 << P - 1)
+    graph.even(x, y, yp, prec, None)
+    graph.predict(x, y, yp, prec, 1 << P - 10, P)
+    graph.tangents(x, y, yp, prec)
+    graph.jacobian(x, ctx50.mpf("0.1875"), ctx50.mpf("-0.5"), (2, 4, 6))
+    graph.y[9]
+    functions = graph._functions
+    assert sorted(functions) == ["even", "levels 0-4 and tangents", "levels 0-7", "predict",
+                                 "tangents", "x levels 0-5", "x levels 6-7"]
     turn = re.compile(r"\bturn\d+\(")
-    assert len(turn.findall(source("x", 0, 0))) == 1
-    assert len(turn.findall(source("x", 0, 4))) == 1
-    others = [("x", (1, 4)), ("x", (5, 5)), ("tangent", (0, 4))] + [("y", span) for span in spans]
-    assert not any(turn.search(source(label, *span)) for label, span in others)
-    assert all("mpf_" not in source("x", *span) for span in ((1, 4), (5, 5)))
+    for fn in [graph.even, graph.predict, graph.tangents] + [
+            f for label, f in functions.items() if label.startswith("levels")]:
+        code = _source(fn)
+        assert not re.search(r"_fdot|mpf_|from_|_fixed|fzero|fone", code), code
+        assert not re.search(r"\b0 \*|\* 0\b|\(0 << P\)", code), code
+        assert not re.search(r"\.append|X\[", code), code
+        assert not turn.search(code), code
+    # the seeds w1_1 = w'1_0 = 0 and w2_0 = 0 are left out
+    for code in (_source(graph.tangents), _source(functions["levels 0-4 and tangents"])):
+        assert "df1_0" in code and not re.search(r"\b(w1_1|wp1_0|w2_0)\b", code)
+    assert len(turn.findall(_source(functions["x levels 0-5"]))) == 1
+    assert not re.search(r"turn|mpf_", _source(functions["x levels 6-7"]))
+    sine = linear_forced(ctx50).graph
+    sine.even(x, y, yp, prec, None)
+    assert not re.search(r"X\[1\]", _source(sine._functions["x levels 0-5"]))
 
 
 def test_closures_at_one_point_convert_it_once(monkeypatch, ctx50):
@@ -327,20 +333,25 @@ def test_irregular_x_reads_mpf_cos_sin_once_per_new_x(monkeypatch, ctx50):
     pair, = [op for op in graph._x_ops if isinstance(op, jets._SinCos)]
     xs = ["0.7", "2.1", "0.3", "5", "1.1", "1.9", "0.2", "3.3", "0.7"]
     for n, x in enumerate(xs, 1):
-        graph.centre(ctx50.mpf(x), 1 << P, 0, prec, make)
-        graph.f.fixed(4)
-        graph.partials(ctx50.mpf(x), 1 << P, 0, prec, make, (2, 4, 6))
+        graph.even(ctx50.mpf(x), 1 << P, 0, prec, make)
+        graph.predict(ctx50.mpf(x), 1 << P, 0, prec, 1 << P - 10, P)
+        graph.tangents(ctx50.mpf(x), 1 << P, 0, prec)
         assert (pair.out.v[0], pair.cos.v[0]) == _fresh(pair.u.v[0], P)
         assert len(calls) == n
 
 
-@pytest.mark.parametrize("f2, fixed", [
-    (lambda x, y, yp: -100 * y + 99 * ops.sin(x), True),
-    (lambda x, y, yp: -y - yp / 10, True),
-    (lambda x, y, yp: ops.sin(x), True),
-    (lambda x, y, yp: -y - y ** 3 + ops.cos(x) / 500, False),
-    (lambda x, y, yp: -x * y, False),
-    (lambda x, y, yp: -yp * yp, False),
-], ids=["linear", "damped", "free-of-y", "duffing", "x-times-y", "slope-squared"])
+#: f2s and whether their tangent program reads neither x, y nor y'
+FIXED_PARTIALS_CASES = {
+    "linear": (lambda x, y, yp: -100 * y + 99 * ops.sin(x), True),
+    "damped": (lambda x, y, yp: -y - yp / 10, True),
+    "free-of-y": (lambda x, y, yp: ops.sin(x), True),
+    "duffing": (lambda x, y, yp: -y - y ** 3 + ops.cos(x) / 500, False),
+    "x-times-y": (lambda x, y, yp: -x * y, False),
+    "slope-squared": (lambda x, y, yp: -yp * yp, False),
+}
+
+
+@pytest.mark.parametrize("f2, fixed", list(FIXED_PARTIALS_CASES.values()),
+                         ids=list(FIXED_PARTIALS_CASES))
 def test_partials_are_fixed_when_the_tangents_read_no_point(f2, fixed):
     assert TracedODE(f2).fixed_partials is fixed

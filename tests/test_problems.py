@@ -1,6 +1,10 @@
+import dataclasses
 import math
+import re
+import sys
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from obrechkoff import (
     ConfigurationError,
@@ -11,7 +15,7 @@ from obrechkoff import (
     make_context,
     rational_problem,
 )
-from obrechkoff.jets import ops
+from obrechkoff.jets import GUARD_BITS, RND, _fixed, ops
 
 #: relative agreement demanded of the traced closures against the hand oracles
 TOL = 1e-45
@@ -309,10 +313,10 @@ def test_repeat_call_reuses_the_series(ctx50):
     p = ProblemDef(name="count", x0=0, x_end=1, y0=0, yp0=0, f2=f2)
     x, y, yp = ctx50.mpf("0.4"), ctx50.mpf("0.3"), ctx50.mpf("0.2")
     first = [p.graph.derivative(k)(x, y, yp) for k in range(2, 8)]
-    series = p.graph.f.c
+    series = p.graph._cold
     again = [p.graph.derivative(k)(x, y, yp) for k in range(2, 8)]
     assert calls == [1]
-    assert first == again and p.graph.f.c is series
+    assert first == again and p.graph._cold is series
 
 
 def test_problems_evaluated_alternately_do_not_disturb_each_other(ctx50):
@@ -333,3 +337,41 @@ def test_plain_number_right_hand_side(ctx50):
     x, y, yp = ctx50.mpf(0), ctx50.mpf(1), ctx50.mpf(1)
     assert p.f2(x, y, yp) == 3
     assert all(p.graph.derivative(k)(x, y, yp) == 0 for k in range(3, 8))
+
+
+def generated_calls(fn, *args):
+    """fn(*args), and the generated functions it called (not the code that
+    defines them), by filename."""
+    calls = []
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_filename
+        if (event == "call" and name.startswith("<obrechkoff program")
+                and frame.f_code.co_name != "<module>"):
+            calls.append(re.sub(r" #\d+>$", ">", name))
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_one_adapter_evaluation_makes_one_generated_call(ctx50):
+    # f2, f4 and f6 of one evaluation through the closure adapter read one
+    # point: one call fills y through level 4 for all three, after the one
+    # that fills x at a new x; at the same x only the call of y is made
+    p = duffing(ctx50)
+    wrapped = dataclasses.replace(p, f6=lambda x, y, yp: p.f6(x, y, yp))
+    assert wrapped.evaluate.__func__ is ProblemDef._from_closures
+    prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
+    P = prec + GUARD_BITS
+    x, y, yp = ctx50.mpf("0.7"), 3 << P - 4, -(1 << P - 1)
+    values, calls = generated_calls(wrapped.evaluate, x, y, yp, prec, make)
+    assert calls == ["<obrechkoff program duffing x levels 0-5>",
+                     "<obrechkoff program duffing levels 0-4>"]
+    assert generated_calls(wrapped.evaluate, x, y >> 1, yp, prec, make)[1] == [
+        "<obrechkoff program duffing levels 0-4>"]
+    # the graph's own read, rounded out at prec and back as the closures are
+    assert values == [_fixed(from_man_exp(v, -P, prec, RND), P)
+                      for v in p.graph.even(x, y, yp, prec, make)]

@@ -2,8 +2,9 @@
 
 :class:`InterpretedODE` keeps the level loop that filled a
 :class:`~obrechkoff.jets.TracedODE` before its levels became generated
-fixed-point code: each op's ``value(k, prec)`` appends coefficient k as a raw
-libmp number rounded at prec, and the loop calls them in program order.  At
+fixed-point code, with its own coefficient list per node and its own reset:
+each op's ``value(k, prec)`` appends coefficient k as a raw libmp number
+rounded at prec, and the loop calls them in program order.  At
 the working precision it is that earlier program; with ``extra`` bits it gives
 the coefficients of the same traced program, at the same point, to far below
 the bound that the generated program must meet (``jets`` states it):
@@ -19,16 +20,17 @@ import math
 import random
 import traceback
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_mul,
                           mpf_sub, mpf_sum, normalize)
 
 from obrechkoff import DomainError, duffing, jets, make_context, rational_problem
-from obrechkoff.jets import (GUARD_BITS, RND, TURNS, Coefficients, TracedODE, _Div, _Leaf, _Lin,
-                             _Mul, _Poly, _raw, _SinCos)
+from obrechkoff.jets import (DENSE, GUARD_BITS, PREDICTOR_DEGREE, RND, TURNS, TracedODE, _Div,
+                             _fixed, _Leaf, _Lin, _Mul, _Node, _Poly, _raw, _SinCos)
 
-from test_jets import JACOBIAN_CASES
+from test_jets import FIXED_PARTIALS_CASES, JACOBIAN_CASES
 
 #: exponent gap, in bits, up to which a dot product aligns its terms exactly
 ALIGN_LIMIT = 1 << 14
@@ -130,14 +132,17 @@ def value(op, k, prec):
     VALUE[type(op)](op, k, prec)
 
 
-class RawCoefficients(Coefficients):
-    """Coefficients held as raw libmp numbers."""
+class RawCoefficients:
+    """Coefficients held as raw libmp numbers on the lists of ``node``."""
+
+    def __init__(self, graph, node, lag):
+        self._graph, self._node, self._lag = graph, node, lag
 
     def raw(self, k):
-        if k > self._deg:
+        if k > self._node.deg:
             return fzero
         self._graph._fill(k - self._lag)
-        return self.c[k]
+        return self._node.v[k]
 
 
 class InterpretedODE(TracedODE):
@@ -145,6 +150,13 @@ class InterpretedODE(TracedODE):
     each op rounded at the working precision plus ``extra`` bits."""
 
     extra = 0
+
+    def _reset(self, on_x):
+        """Clear the lists of y and of the tangents, with ``on_x`` those of x."""
+        for program in self._programs[not on_x:]:
+            for node in program.nodes:
+                node.v[:] = []
+            program.filled = 0
 
     def at(self, x, y, yp):
         px, py, pyp = self._point
@@ -201,9 +213,22 @@ class InterpretedODE(TracedODE):
 
 
 def interpreted(graph, extra=0):
-    """``graph``, filled from now on by the interpreted level loop."""
+    """``graph``, filled from now on by the interpreted level loop: a list
+    for every node, and per program (x, y, tangents) its ops, the nodes they
+    fill and its count of filled levels."""
     graph.__class__ = InterpretedODE
     graph.extra = extra
+    leaves = [op for op in graph._d_ops if isinstance(op, _Leaf)]
+    ws = [op.out for op in leaves if op.lag == 2]
+    wps = [op.out for op in leaves if op.lag == 1] or [_Node(DENSE) for _ in ws]
+    graph._pairs = [(graph._y, graph._yp)] + list(zip(ws, wps))
+    graph._programs = []
+    for ops in (graph._x_ops, graph._y_ops + graph._leaves, graph._d_ops):
+        nodes = [node for op in ops for node in (op.out, getattr(op, "cos", None)) if node]
+        graph._programs.append(SimpleNamespace(ops=ops, nodes=nodes, filled=0))
+    for node in [n for p in graph._programs for n in p.nodes] + [n for p in graph._pairs for n in p]:
+        if node.v is None:
+            node.v = []
     graph.y = RawCoefficients(graph, graph._y, 2)
     graph.f = RawCoefficients(graph, graph._f, 0)
     return graph
@@ -226,7 +251,8 @@ def _tangents(graph):
     """The raw tangents df_0..df_4 of either program."""
     if isinstance(graph, InterpretedODE):
         return [c for df in graph._df for c in df.v[:5]]
-    return [from_man_exp(m, -graph._P, graph._prec, RND) for df in graph._df for m in df.v[:5]]
+    return [from_man_exp(m, -graph._P, graph._prec, RND)
+            for df in graph._read(4, tangents=True)[2:] for m in df[:5]]
 
 
 def _raw_program(graph, ctx, point, y_first):
@@ -337,9 +363,10 @@ def test_a_sin_cos_level_shifts_before_it_divides(ctx50):
                               for _ in range(50)]:
                 assert (a >> P) // k == a // (k << P), (P, k, a)
     pair, = [op for op in duffing(ctx50).graph._x_ops if isinstance(op, _SinCos)]
+    names = SimpleNamespace(ref=lambda node, j: f"v{id(node)}[{j}]")
     for k in (2, 3, 7):
-        lines = pair.emit(k, lambda node: f"v{id(node)}")
-        assert all(line.endswith(f" >> P) // {k})") and "<< P" not in line for line in lines)
+        values = [value for _, _, value in pair.emit(k, names)]
+        assert all(v.endswith(f" >> P) // {k}") and "<< P" not in v for v in values)
 
 
 def _zero_divisor_cases(ctx):
@@ -365,8 +392,7 @@ def test_a_fill_that_raises_resets_the_program(which, through, digits):
         else:
             graph.jacobian(*bad, (2, 4, 6))
     assert graph._point == (None, None, None)
-    assert not any(c for program in graph._programs for c in program.lists)
-    assert [program.filled for program in graph._programs] == [0, 0, 0]
+    assert graph._cold is None and graph._here == [None, None]
     next_point = tuple(map(str, (good[0] + 1, good[1] / 3, good[2])))
     assert_within_bound(_raw_program(graph, ctx, next_point, True),
                         _raw_program(oracle, ctx, next_point, True), ctx.mp.prec)
@@ -399,5 +425,46 @@ def test_the_zero_divisor_traceback_quotes_the_generated_line(ctx50):
         graph.derivative(2)(ctx50.mpf(-1) / 2, ctx50.mpf(1), ctx50.mpf(-2))
     text = "".join(traceback.format_exception(info.value))
     # 8 y^2 / (1 + 2x) is a quotient of y, so it sits in the program of y
-    assert 'File "<obrechkoff program rational y levels 0-0>", line ' in text
+    assert 'File "<obrechkoff program rational levels 0-4>", line ' in text
     assert "[0]: raise DomainError('series division by a series" in text
+
+
+#: the graphs whose step reads are checked against their cold reads
+STEP_CASES = {**{case: JACOBIAN_CASES[case] for case in ("duffing", "linear", "rational")},
+              **{f"fixed-partials-{case}": lambda ctx, f2=f2: TracedODE(f2)
+                 for case, (f2, _) in FIXED_PARTIALS_CASES.items()}}
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_the_step_reads_equal_the_cold_reads(case, digits):
+    # even, predict and tangents give, bit for bit, (f_0, 2 f_2, 24 f_4), the
+    # Horner sums over y_0..y_7 of levels 0-5, and the partials of jacobian
+    # before rounding, at an x the cold read filled and at an equal new one
+    ctx = make_context(digits)
+    graph, prec = STEP_CASES[case](ctx), ctx.mp.prec
+    P = prec + GUARD_BITS
+    h, hs = _fixed(_raw(ctx.mpf("0.0123")), P), P
+    for point in POINTS + SCALED + (("2.1", "0.25", "0.8"),):
+        x, y, yp = map(ctx.real, point)
+        graph.at(x, y, yp)
+        ys, fs, *dfs = graph._read(PREDICTOR_DEGREE - 2, tangents=True)
+        s, d = ys[PREDICTOR_DEGREE], 0
+        for a in ys[PREDICTOR_DEGREE - 1::-1]:
+            s, d = a + (h * s >> hs), s + (h * d >> hs)
+        partials = [tuple(df[k] * math.factorial(k) for k in (0, 2, 4)) for df in dfs]
+        for at in (x, +x):
+            assert graph.even(at, ys[0], ys[1], prec, None) == (fs[0], 2 * fs[2], 24 * fs[4])
+            assert graph.predict(at, ys[0], ys[1], prec, h, hs) == (s, d)
+            assert graph.tangents(at, ys[0], ys[1], prec) == tuple(partials or [(0, 0, 0)] * 2)
+    if case == "rational":
+        # a zero divisor inside even raises, and the next reads keep the bound
+        with pytest.raises(DomainError, match="zero constant term"):
+            graph.even(ctx.mpf(-1) / 2, 1 << P, -(2 << P), prec, None)
+        oracle = exact(lambda: STEP_CASES[case](ctx), digits)
+        x, y, yp = map(ctx.real, POINTS[0])
+        got = graph.even(x, _fixed(y._mpf_, P), _fixed(yp._mpf_, P), prec, None)
+        assert_within_bound([(from_man_exp(m, -P, prec, RND), s) for m, s in zip(got, (1, 2, 24))],
+                            [(oracle.derivative(k)(x, y, yp)._mpf_, 1) for k in (2, 4, 6)], prec)
+        assert_within_bound(_raw_program(graph, ctx, POINTS[1], True),
+                            _raw_program(oracle, ctx, POINTS[1], True), prec)
