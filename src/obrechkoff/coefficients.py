@@ -26,8 +26,9 @@ binary point 2^-P, P = dps_to_prec(digits + boost), as the Taylor program in
 ``jets`` does; libmp is met only where |v| and cos v (one ``mpf_cos`` per
 set; PL'' takes cos 2v = 2 cos^2 v - 1 and cos 3v = 2 cos v cos 2v - cos v
 on the integers) come in and where the weights are rounded out to nearest,
-each once when first read; the integers stay on the set as ``fixed``.  Each
-trig polynomial is a table of integer weights, one row per power of v^2, over
+each once when first read; the integers stay on the set as ``fixed``, which
+``stability`` and the step read in place of the weights.  Each trig
+polynomial is a table of integer weights, one row per power of v^2, over
 products of cos v, cos 2v and cos 3v: a row is one exact integer dot
 product, Horner's rule in v^2 combines the rows, and each product or
 quotient shifts or floor-divides once.  Next to a pole, where den keeps
@@ -53,7 +54,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, mpf_co
 
 from .context import Context
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _raw, in_range
+from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _integer_weights, _raw, in_range
 
 
 class MethodId(enum.Enum):
@@ -84,9 +85,9 @@ COEFF_NAMES = ("beta10", "beta11", "beta20", "beta21", "beta30", "beta31")
 @dataclass(frozen=True)
 class CoefficientSet:
     """The six weights of the two-step sixth-derivative Obrechkoff formula;
-    ``fixed`` = (P, ints) holds them, in ``COEFF_NAMES`` order, as the integers
-    at 2^-P they are rounded from (None on sets built by hand), for
-    ``stability`` to start from.  A set from ``from_fixed`` rounds its weights
+    ``fixed`` = (P, ints) holds them, in ``COEFF_NAMES`` order, as integers at
+    2^-P: converted in exactly, P >= prec + GUARD_BITS at v's prec, when the
+    set is built from weights.  A set from ``from_fixed`` rounds its weights
     when one is first read (an attribute, ``as_tuple``, ``==``, ``replace``)."""
 
     beta10: object
@@ -97,6 +98,12 @@ class CoefficientSet:
     beta31: object
     v: object
     fixed: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.fixed is None:
+            s, ints = _integer_weights([_raw(b) for b in self.as_tuple()])
+            P = max(s, self.v.context.prec + GUARD_BITS)
+            object.__setattr__(self, "fixed", (P, tuple(x << P - s for x in ints)))
 
     @classmethod
     def from_fixed(cls, P, ints, v, prec):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import ConfigurationError, DomainError
 
@@ -50,7 +51,7 @@ class Context:
         """num/den rounded once at working precision."""
         if den == 0:
             raise DomainError("rational() with zero denominator")
-        return self.mp.mpf(num) / self.mp.mpf(den)
+        return self.mp.make_mpf(from_rational(num, den, self.mp.prec, round_nearest))
 
     def real(self, decimal_string: str):
         """Exact decimal literal evaluated at working precision."""

@@ -53,8 +53,10 @@ to nearest at prec.
 libmp is met elsewhere only in a problem's own closures.  A startup value,
 iterate or F of 2^RANGE_BITS or more is a diverged solve.
 
-Bound.  From the same state, the step takes as many evaluations as the same
-step worked at 20 more digits, and its y_{n+1} and y'_{n+1} lie within
+Bound.  Each weight h^k w is formed exactly from ``CoefficientSet.fixed``
+(w = beta) or DERIVATIVE_QUADRATURE (w = q) and rounded once at prec.  From
+the same state, the step takes as many evaluations as the same step worked
+at 20 more digits, and its y_{n+1} and y'_{n+1} lie within
 
     |v - c| <= 2^(3 - prec) max(|c|, 1)
 
@@ -75,13 +77,13 @@ from fractions import Fraction as F
 from operator import mul
 from typing import Optional
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift
 
 from .coefficients import CoefficientSet, MethodId, coefficients
 from .context import Context
 from .errors import ConfigurationError, DomainError, StepFailureError
 from .jets import (GUARD_BITS, PREDICTOR_DEGREE, RANGE_BITS, RND, _fixed, _integer_weights, _raw,
-                   ode_series)
+                   _signed, ode_series)
 from .problems import ProblemDef
 
 #: weights of the degree-11-exact symmetric derivative quadrature
@@ -146,11 +148,11 @@ class StepWeights:
 
     W, rows (h^2 b10, h^4 b20, h^6 b30) and (h qA, h^3 qC, h^5 qE), weights F
     at the new node (and f at the oldest), so DPhi = W dF/dz; f at the middle
-    node takes b11, b21, b31 and qB, qD, qF in their place.  ``tol`` is the
-    acceptance tolerance 10^(2 - digits), at which z itself is accepted.
-    ``fixed`` holds these as integer weights over 2^-s, pairs (s, weights),
-    for the step: h, tol, each row of W, and each row of W followed by the
-    same row for the middle node.
+    node takes b11, b21, b31 and qB, qD, qF in their place, each weight read
+    from ``coeffs.fixed`` and rounded once.  ``tol`` is the acceptance
+    tolerance 10^(2 - digits).  ``fixed`` holds these as integer weights over
+    2^-s, pairs (s, weights), for the step: h, tol, each row of W, and each
+    row of W followed by the same row for the middle node.
     """
 
     h: object
@@ -159,15 +161,18 @@ class StepWeights:
 
     @classmethod
     def build(cls, coeffs: CoefficientSet, h, ctx: Context) -> "StepWeights":
-        h = ctx.mpf(h)
-        p = [h ** k for k in range(7)]
-        b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
-        qA, qB, qC, qD, qE, qF = (ctx.mpf(q) for q in DERIVATIVE_QUADRATURE.values())
+        h, prec = ctx.mpf(h), ctx.mp.prec
+        m, e = _signed(h._mpf_)                         # h = m 2^e exactly
+        P, ints = coeffs.fixed
+        # h^k b10 ... h^k b31 and h^k qA ... h^k qF, each formed exactly and rounded once
+        hb = [from_man_exp(m ** k * b, k * e - P, prec, RND)
+              for k, b in zip((2, 2, 4, 4, 6, 6), ints)]
+        hq = [mpf_shift(from_rational(m ** k * q.numerator, q.denominator, prec, RND), k * e)
+              for k, q in zip((1, 1, 3, 3, 5, 5), DERIVATIVE_QUADRATURE.values())]
         tol = ctx.mpf(10) ** (2 - ctx.digits)
-        end = ((p[2] * b10, p[4] * b20, p[6] * b30), (p[1] * qA, p[3] * qC, p[5] * qE))
-        mid = ((p[2] * b11, p[4] * b21, p[6] * b31), (p[1] * qB, p[3] * qD, p[5] * qF))
-        rows = [[h], [tol], *end, *(e + m for e, m in zip(end, mid))]
-        fixed = [_integer_weights([_raw(w) for w in row]) for row in rows]
+        end, mid = (hb[0::2], hq[0::2]), (hb[1::2], hq[1::2])
+        rows = [[h._mpf_], [tol._mpf_], *end, *(a + b for a, b in zip(end, mid))]
+        fixed = [_integer_weights(row) for row in rows]
         return cls(h, tol, fixed=(fixed[0], fixed[1], fixed[2:4], fixed[4:]))
 
 
@@ -307,6 +312,8 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
     """
     t_start = time.perf_counter()
     config.validate(ctx)
+    if trajectory_every < 0:
+        raise ConfigurationError(f"trajectory_every takes a count >= 0, got {trajectory_every}")
     h = ctx.mpf(config.h)
     x0 = ctx.mpf(problem.x0)
     xe = ctx.mpf(problem.x_end if x_end is None else x_end)

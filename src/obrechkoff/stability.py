@@ -34,7 +34,7 @@ from mpmath.libmp import (finf, from_float, from_int, from_man_exp, mpf_abs, mpf
 from .coefficients import CoefficientSet, MethodId, check_v, coefficients
 from .context import Context
 from .errors import DomainError, FitError, OutsidePeriodicityError, SingularParameterError
-from .jets import GUARD_BITS, RND, _fixed, _integer_weights, _raw
+from .jets import RND, _fixed
 
 CLASSICAL_H14_BRACKET = F(-45469, 1697361329664000)
 CLASSICAL_PHASE_LAG_CONSTANT = F(-45469, 3394722659328000)
@@ -72,20 +72,10 @@ class PeriodicityResult:
     samples: int = 0
 
 
-def _fixed_weights(coeffs: CoefficientSet, prec):
-    """(P, ints): ``coeffs.fixed``, or for a set without it (``taylor_fallback``,
-    sets built by hand) the weights converted in exactly at P >= prec + GUARD_BITS."""
-    if coeffs.fixed:
-        return coeffs.fixed
-    s, ints = _integer_weights([_raw(b) for b in coeffs.as_tuple()])
-    P = max(s, prec + GUARD_BITS)
-    return P, [x << P - s for x in ints]
-
-
-def _characteristic(coeffs: CoefficientSet, v, prec):
+def _characteristic(coeffs: CoefficientSet, v):
     """(P, A, B, H): A(v), B(v) and H = 720 G at the raw number v, as integers
-    at 2^-P, by the order-condition form (module docstring); B <= A where H >= 0."""
-    P, (b10, _, b20, _, b30, _) = _fixed_weights(coeffs, prec)
+    at the 2^-P of ``coeffs.fixed``, by the order-condition form; B <= A where H >= 0."""
+    P, (b10, _, b20, _, b30, _) = coeffs.fixed
     one = 1 << P
     V = abs(_fixed(v, P))
     v2 = V * V >> P
@@ -110,7 +100,7 @@ def stability_pair(coeffs: CoefficientSet, v) -> StabilityPair:
     rounded once at the precision of the set's v."""
     mp = coeffs.v.context
     v = check_v(mp.mpf(v))
-    P, A, B, _ = _characteristic(coeffs, v._mpf_, mp.prec)
+    P, A, B, _ = _characteristic(coeffs, v._mpf_)
     return StabilityPair(A=_out(A, P, mp), B=_out(B, P, mp), v=v)
 
 
@@ -121,7 +111,7 @@ def phase_lag(method: MethodId, v, ctx: Context):
     DomainError when v is not finite or not below 2^RANGE_BITS in magnitude.
     """
     v = check_v(ctx.mpf(v))
-    return _lag(*_characteristic(coefficients(method, v, ctx), v._mpf_, ctx.mp.prec), v, ctx)
+    return _lag(*_characteristic(coefficients(method, v, ctx), v._mpf_), v, ctx)
 
 
 def _lag(P, A, B, H, v, ctx: Context):
@@ -189,22 +179,16 @@ def fit_leading_term(f, window, ctx: Context) -> LeadingTermFit:
 
 
 def lte_brackets(coeffs: CoefficientSet, ctx: Context):
-    """The seven order brackets multiplying h^2 y'' ... h^14 y^(14)."""
-    b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
-    one = ctx.mpf(1)
-    out = [
-        1 - b11 - 2 * b10,
-        one / 12 - b10 - 2 * b20 - b21,
-        one / 360 - b10 / 12 - b20 - 2 * b30 - b31,
-    ]
-    for p in (8, 10, 12, 14):
-        out.append(
-            ctx.rational(2, math.factorial(p))
-            - 2 * b10 / math.factorial(p - 2)
-            - 2 * b20 / math.factorial(p - 4)
-            - 2 * b30 / math.factorial(p - 6)
-        )
-    return out
+    """The seven order brackets multiplying h^2 y'' ... h^14 y^(14), each
+    formed exactly from ``coeffs.fixed`` and rounded once."""
+    P, ints = coeffs.fixed
+    b10, b11, b20, b21, b30, b31 = (F(b, 1 << P) for b in ints)
+    out = [1 - b11 - 2 * b10, F(1, 12) - b10 - 2 * b20 - b21,
+           F(1, 360) - b10 / 12 - b20 - 2 * b30 - b31]
+    f = math.factorial
+    out += [F(2, f(p)) - 2 * (b10 / f(p - 2) + b20 / f(p - 4) + b30 / f(p - 6))
+            for p in (8, 10, 12, 14)]
+    return [ctx.mpf(x) for x in out]
 
 
 def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityResult:
@@ -232,7 +216,7 @@ def periodicity_interval(method: MethodId, ctx: Context, v_max) -> PeriodicityRe
         except SingularParameterError:
             singular.append(v)
             return None
-        _, A, B, _ = _characteristic(cs, v._mpf_, ctx.mp.prec)
+        _, A, B, _ = _characteristic(cs, v._mpf_)
         return abs(B) * tol < abs(A) * (tol - 1)
 
     samples = 0
@@ -277,7 +261,7 @@ def stability_sweep(method: MethodId, v_grid, ctx: Context):
         except SingularParameterError:
             rows.append((v, None, None, None, None, "singular"))
             continue
-        P, A, B, H = _characteristic(cs, v._mpf_, prec)
+        P, A, B, H = _characteristic(cs, v._mpf_)
         try:
             pl, status = _lag(P, A, B, H, v, ctx), "ok"
         except OutsidePeriodicityError:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_rational
 
 from obrechkoff import (
     CoefficientSet,
@@ -24,6 +24,7 @@ from obrechkoff.coefficients import (
     PL_PRIME_SERIES,
     taylor_fallback,
 )
+from obrechkoff.integrator import DERIVATIVE_QUADRATURE, StepWeights
 from obrechkoff.jets import RND
 from obrechkoff.stability import stability_pair
 
@@ -405,6 +406,58 @@ def test_closed_form_weights_are_rounded_from_fixed_on_first_read(read, digits):
             assert moved.as_tuple() == cs.as_tuple() and moved.fixed == cs.fixed
     with pytest.raises(AttributeError):
         cs.beta40
+
+
+# ------------------------------------------------- one integer weight path
+
+def weight_sets(ctx):
+    """(label, set, closed) for every kind of CoefficientSet, closed telling
+    a closed-form set: classical, both closed forms, the classical stand-in
+    below v^2 = 10^-digits, Taylor series and a set built by hand."""
+    sets = [("classical", classical_coefficients(ctx), False)]
+    tiny = ctx.mpf(10) ** -(ctx.digits // 2 + 1)
+    for method in FITTED:
+        sets += [(f"{method.value} at {x}", coefficients(method, ctx.mpf(x), ctx), True)
+                 for x in ("1e-4", "0.3", "2.5", "37.8")]
+        sets.append((f"{method.value} stand-in", coefficients(method, tiny, ctx), False))
+        sets.append((f"{method.value} series", taylor_fallback(method, ctx.mpf("0.3"), ctx),
+                     False))
+    by_hand = map(ctx.mpf, ("0.03", "0.94", "-4e-4", "0.055", "3e-6", "7e-4"))
+    sets.append(("by hand", CoefficientSet(*by_hand, v=ctx.mpf("0.2")), False))
+    return sets
+
+
+def exact(x):
+    """The mpf x as a Fraction."""
+    return F(*to_rational(x._mpf_))
+
+
+@pytest.mark.parametrize("digits", [16, 50, 100])
+def test_every_set_carries_its_integers_and_the_step_rounds_them_once(digits):
+    # each entry h^k w of the step's weights is formed from the set's
+    # integers (w = beta) or DERIVATIVE_QUADRATURE (w = q) and rounded once
+    ctx = make_context(digits)
+    unit = F(1, 2 ** ctx.mp.prec)
+    qA, qB, qC, qD, qE, qF = DERIVATIVE_QUADRATURE.values()
+    classical = classical_coefficients(ctx)
+    for label, cs, closed in weight_sets(ctx):
+        assert cs.fixed is not None, label
+        if label.endswith("stand-in"):
+            assert cs.fixed == classical.fixed
+        P, ints = cs.fixed
+        b10, b11, b20, b21, b30, b31 = (F(b, 1 << P) for b in ints)
+        for h in (ctx.mpf("0.1"), ctx.mpf("-0.37"), ctx.pi / 100, ctx.mpf(3)):
+            H = exact(h)
+            end = ((H ** 2 * b10, H ** 4 * b20, H ** 6 * b30), (H * qA, H ** 3 * qC, H ** 5 * qE))
+            mid = ((H ** 2 * b11, H ** 4 * b21, H ** 6 * b31), (H * qB, H ** 3 * qD, H ** 5 * qF))
+            (hs, (hw,)), _, w_end, w_old = StepWeights.build(cs, h, ctx).fixed
+            assert F(hw, 1 << hs) == H
+            for (s, got), want in zip((*w_end, *w_old), (*end, *(e + m for e, m in zip(end, mid)))):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert abs(F(g, 1 << s) - w) <= unit * abs(w), (label, h)
+        if closed:
+            assert not set(COEFF_NAMES) & vars(cs).keys(), label
 
 
 # ------------------------------------------------------ precision monotony

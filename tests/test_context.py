@@ -1,6 +1,8 @@
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from obrechkoff import ConfigurationError, DomainError, make_context
+from obrechkoff.coefficients import PL_DOUBLE_PRIME_SERIES, PL_PRIME_SERIES
 
 
 def test_pi_at_50_digits(ctx50):
@@ -42,6 +44,19 @@ def test_rational_zero_denominator(ctx50):
 def test_rational_round_trip(ctx50, num, den):
     x = ctx50.rational(num, den)
     assert abs(x * den - num) <= 2 * ctx50.mpf(10) ** -ctx50.digits * abs(num)
+
+
+@pytest.mark.parametrize("digits", [16, 17, 20, 30, 50])
+def test_rational_rounds_once(digits):
+    # the series tables' numerators and denominators run past prec bits: each
+    # entry must still be num/den rounded once to nearest, as a Fraction too
+    ctx = make_context(digits)
+    for table in (PL_PRIME_SERIES, PL_DOUBLE_PRIME_SERIES):
+        for entries in table.values():
+            for q in entries:
+                want = from_rational(q.numerator, q.denominator, ctx.mp.prec, round_nearest)
+                assert ctx.rational(q.numerator, q.denominator)._mpf_ == want, q
+                assert ctx.mpf(q)._mpf_ == want, q
 
 
 def test_contexts_are_independent():

@@ -151,6 +151,15 @@ def test_integrate_zero_length(ctx50):
     assert res.abs_end_error == 0
 
 
+def test_integrate_rejects_a_negative_trajectory_stride(ctx50):
+    # a stride of -3 used to record every 3rd node, as +3 does
+    p = rational_problem(ctx50)
+    cfg = StepperConfig(method=MethodId.CLASSICAL, h=(p.x_end - p.x0) / 20)
+    with pytest.raises(ConfigurationError, match="trajectory_every takes a count >= 0, got -3"):
+        integrate(p, cfg, ctx50, trajectory_every=-3)
+    assert len(integrate(p, cfg, ctx50, trajectory_every=3).trajectory) == 9
+
+
 def test_integrate_rejects_non_integer_span(ctx50):
     p = linear_forced(ctx50)
     cfg = StepperConfig(method=MethodId.CLASSICAL, h=ctx50.mpf("0.3"))
@@ -495,17 +504,17 @@ RECORDED_RUNS = [
     (duffing, MethodId.PL_DOUBLE_PRIME, 50, 500, "exact",
      "-0.1457669038352586607481091964754550173011814641537949",
      "0.13897823424906171919044857073452339039480514531888375",
-     187, 5, "0310e52facda3aa6"),
+     187, 5, "1369a10ece46d4f3"),
     (linear_forced, MethodId.PL_PRIME, 100, 1000, "taylor",
      "1.95105651629515357211643933340307395314709654212114521717373895"
      "658029936748109405771990906564804929841",
      "10.3090169943749474241022934154410000948800060071493500076271855"
      "9464443411545408396384584794807943694076",
-     78, 2, "9f018e571927b3ef"),
+     78, 2, "e1cc4cd886b80aaf"),
     (rational_problem, MethodId.CLASSICAL, 50, 500, "exact",
      "0.58139534883720930232570587411159281284522330921437089",
      "-0.67604110329908058409865852758020514665069049814977627",
-     117, 3, "dd110b12fa6f5f72"),
+     117, 3, "d8ce78be9f01ebcf"),
 ]
 
 

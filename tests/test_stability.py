@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from mpmath.libmp import to_rational
 
 from obrechkoff import (
     CoefficientSet,
@@ -22,6 +23,7 @@ from obrechkoff import (
 from obrechkoff import stability
 from obrechkoff.coefficients import COEFF_NAMES, taylor_fallback
 from obrechkoff.errors import SingularParameterError
+from obrechkoff.jets import GUARD_BITS
 from obrechkoff.stability import (
     CLASSICAL_H14_BRACKET,
     CLASSICAL_PHASE_LAG_CONSTANT,
@@ -422,15 +424,19 @@ def test_stability_rejects_a_v_beyond_the_fixed_point_range(ctx50, method):
 
 
 def test_sets_without_integers_are_converted_in_exactly(ctx50):
-    # a set built by hand from the classical weights gives the pair of the
-    # classical set, and a Taylor-series set, which carries no integers,
-    # gives A rounded once from its own weights and B by the order
-    # conditions, which its rounded weights keep to a unit
+    # a set built by hand from the classical weights holds them exactly as
+    # integers and gives the pair of the classical set, and a Taylor-series
+    # set, converted in the same way, gives A rounded once from its own
+    # weights and B by the order conditions, which its rounded weights keep
+    # to a unit
     ref = make_context(300)
     ulp = ref.mpf(2) ** (1 - ctx50.mp.prec)
     classical = classical_coefficients(ctx50)
     by_hand = CoefficientSet(*classical.as_tuple(), v=classical.v)
-    assert by_hand.fixed is None and by_hand == classical
+    P, ints = by_hand.fixed
+    exact = [F(*to_rational(w._mpf_)) for w in classical.as_tuple()]
+    assert P >= ctx50.mp.prec + GUARD_BITS and [F(n, 1 << P) for n in ints] == exact
+    assert by_hand == classical
     for v in map(ctx50.mpf, ("0.01", "0.7", "2.5")):
         got, want = stability_pair(by_hand, v), stability_pair(classical, v)
         assert abs(got.A - want.A) <= ulp * abs(want.A)

@@ -9,10 +9,11 @@ working precision and as the reference at 20 more digits, and land within
 bound that the ``integrator`` docstring states.
 """
 
+from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_rational
 
 from obrechkoff import (
     MethodId,
@@ -52,15 +53,17 @@ def image(m, ctx, prec):
 def mpf_weights(weights, coeffs, ctx):
     """h, tol and, as rows of mpf, the weights ``end`` = W of f at the new
     (and the oldest) node and ``mid`` of f at the middle node, formed from
-    the coefficients and DERIVATIVE_QUADRATURE as StepWeights forms them."""
+    ``coeffs.fixed`` and DERIVATIVE_QUADRATURE as StepWeights forms them:
+    each h^k w exactly, rounded once."""
     h = weights.h
-    p = [h ** k for k in range(7)]
-    b10, b11, b20, b21, b30, b31 = coeffs.as_tuple()
-    qA, qB, qC, qD, qE, qF = (ctx.mpf(q) for q in DERIVATIVE_QUADRATURE.values())
-    return SimpleNamespace(
-        h=h, tol=weights.tol,
-        end=((p[2] * b10, p[4] * b20, p[6] * b30), (p[1] * qA, p[3] * qC, p[5] * qE)),
-        mid=((p[2] * b11, p[4] * b21, p[6] * b31), (p[1] * qB, p[3] * qD, p[5] * qF)))
+    H = F(*to_rational(h._mpf_))
+    P, ints = coeffs.fixed
+    b10, b11, b20, b21, b30, b31 = (F(b, 1 << P) for b in ints)
+    qA, qB, qC, qD, qE, qF = DERIVATIVE_QUADRATURE.values()
+    end = ((H ** 2 * b10, H ** 4 * b20, H ** 6 * b30), (H * qA, H ** 3 * qC, H ** 5 * qE))
+    mid = ((H ** 2 * b11, H ** 4 * b21, H ** 6 * b31), (H * qB, H ** 3 * qD, H ** 5 * qF))
+    end, mid = ([tuple(map(ctx.mpf, row)) for row in rows] for rows in (end, mid))
+    return SimpleNamespace(h=h, tol=weights.tol, end=end, mid=mid)
 
 
 def reference_chord_inverse(partials, end, ctx):
