@@ -26,11 +26,10 @@ and cos of u_0 from ``mpf_cos_sin`` at P bits, except where u depends on x
 alone and x walks a uniform grid: there the last pair is turned by the step
 in u with a few integer products (``_Turn``), and ``mpf_cos_sin`` is called
 only at an irregular step and after every TURNS turns.  libmp is met only
-at the boundary: the program of x converts x in (``at`` y and y' too),
+at the boundary: the program of x converts x in (``read`` y and y' too),
 level 0 of a sin/cos pair calls ``mpf_cos_sin`` where it does not turn, the
 x program converts the constants of polynomial nodes, and ``derivative``,
-``jacobian`` and ``Coefficients.raw`` round a result out to nearest at
-prec.
+``jacobian`` and ``ode_series`` round their values out to nearest at prec.
 
 No op list is interpreted, and no list holds a coefficient of y, y' or a
 tangent: the ops' lines, level after level in program order with the index
@@ -38,11 +37,11 @@ ranges, degree cuts and integer weights fixed, are generated into functions
 whose coefficients are Python locals, leaving out each line that no result
 reads, and compiled under a filename such as ``<obrechkoff program duffing
 even>`` that tracebacks and profiles quote.  The step calls ``even``,
-``predict`` and ``tangents``; every other read runs one ``levels`` function
-per depth at the point that ``at`` sets, through level max(n, 4) for a read
-of level n.  Ops of x alone fill lists of their own, once per new abscissa
-through level PREDICTOR_DEGREE - 2, the x object compared before its value;
-a sin/cos level of x itself takes no product by x_1 = 2^P.
+``predict`` and ``tangents``; every other read is one ``read`` at a given
+point, which runs one ``levels`` function through level max(n, 4) for a
+read of level n.  Ops of x alone fill lists of their own, once per new
+abscissa through level PREDICTOR_DEGREE - 2, the x object compared before
+its value; a sin/cos level of x itself takes no product by x_1 = 2^P.
 
 Error bound.  A value v read off the program (a coefficient, a derivative
 y^(k) = (k-2)! f_{k-2} or one of its partials) lies within
@@ -300,8 +299,6 @@ def _integer_weights(values):
     signed = [_signed(r) for r in values]
     s = -min((e for m, e in signed if e < 0), default=0)
     return s, [m << e + s for m, e in signed]
-
-
 
 
 def _sum(terms):
@@ -604,26 +601,6 @@ def _even(ref, f):
     return ", ".join(_times(n, c) if c else "0" for c, n in terms)
 
 
-class Coefficients:
-    """Coefficient k of y or of f2 at the point of :meth:`TracedODE.at`, as
-    ``[k]`` (an mpf) or ``raw(k)`` (a raw libmp number), read off
-    ``levels`` through level k - lag: lag 2 for y, 0 for f2."""
-
-    __slots__ = ("_graph", "_index", "_deg", "_lag")
-
-    def __init__(self, graph, index, deg, lag):
-        self._graph, self._index, self._deg, self._lag = graph, index, deg, lag
-
-    def raw(self, k):
-        """Coefficient k as a raw libmp number, rounded at the working precision."""
-        graph = self._graph
-        c = graph._read(min(k, self._deg) - self._lag)[self._index]
-        return from_man_exp(c[k] if k <= self._deg else 0, -graph._P, graph._prec, RND)
-
-    def __getitem__(self, k):
-        return self._graph._make(self.raw(k))
-
-
 class TracedODE:
     """y'' = f2(x, y, y'), traced once and compiled into a Taylor program.
 
@@ -631,10 +608,12 @@ class TracedODE:
     ``ops.cos``; an f2 that returns a plain number is a constant.  The step
     calls the generated functions ``even``, ``predict`` and ``tangents`` with
     x, prec and y, y' as ints at 2^-P, P = prec + GUARD_BITS.  Every other
-    read is at the point that ``at`` sets with mpmath numbers: ``y`` and ``f``
-    give the Taylor coefficients of the solution and of f2 there, and
-    ``derivative`` and ``jacobian`` y^(k) and its partials, all off
-    ``levels``.  ``fixed_partials`` tells whether the tangent program reads
+    read is ``read`` at a point of mpmath numbers, which gives the Taylor
+    coefficients of the solution, of f2 and of its tangents there as ints at
+    2^-P; a cold read, at new objects or deeper than the last, is one
+    ``levels`` call.  ``derivative``, ``jacobian`` and ``ode_series`` take
+    y^(k), its partials and the series off ``read`` and round their own
+    values out.  ``fixed_partials`` tells whether the tangent program reads
     neither x, y nor y', so that the partials are the same at every point of
     one precision.  ``name`` labels the generated code in tracebacks and
     profiles.
@@ -686,10 +665,7 @@ class TracedODE:
         self._here = names["here"] = [None, None]
         names["x_at"] = self._at_x
         self._label, self._functions, self._x_filled = name, {}, 0
-        self.y = Coefficients(self, 0, DENSE, 2)
-        self.f = Coefficients(self, 1, self._f.deg, 0)
-        self._point, self._prec, self._P, self._make = (None, None, None), None, None, None
-        self._cold, self._closures, self._given = None, {}, (None,) * 5
+        self._cold, self._closures = None, {}       # the last read, kept; the closures
 
     def _generate(self, label, params, ops, lo, hi, result=None):
         """The function ``label`` (its first word, then the def's name) that
@@ -812,78 +788,71 @@ class TracedODE:
             raise
         here[:] = [x, prec]
 
-    def at(self, x, y, yp):
-        """Set the point of the reads (x, y, y') at mpmath numbers, prec being
-        that of y; a non-finite y or y', one of 2^RANGE_BITS or more, or y'
-        None where f2 reads y', is a DomainError that changes nothing.  Equal
-        y, y' at an equal x keep the levels read."""
+    def read(self, x, y, yp, n, tangents=False):
+        """(P, [y_0 .. y_{n+2}], [f_0 .. f_n], *[df_0 .. df_n] per seed): the
+        Taylor coefficients of the solution, of f2 and, with ``tangents``, of
+        the tangents at the mpmath point (x, y, y'), ints at 2^-P, P = prec +
+        GUARD_BITS for the prec of y, from one ``levels`` call through level
+        max(n, 4) (max(n, 0), y_1 None, without y').  The same x, y and y'
+        objects at the same prec get the kept tuple back.  A non-finite y or
+        y', one of 2^RANGE_BITS or more, or y' None where f2 or the read needs
+        it is a DomainError; a read that raised keeps no lists and no abscissa."""
         try:
-            ctx = y.context
+            prec = y.context.prec
         except AttributeError:
             raise DomainError("a traced f2 is evaluated at mpmath numbers") from None
-        prec, (gx, gy, gyp, gprec, point) = ctx.prec, self._given
-        if x is gx and y is gy and yp is gyp and prec == gprec and self._point is point:
-            return              # the closures of one evaluation pass the same objects
         if yp is None and self._reads_yp:
             raise DomainError("this f2 reads y', so the point needs one")
-        P = prec + GUARD_BITS
-        new = (x, _fixed(_raw(y), P), None if yp is None else _fixed(_raw(yp), P))
-        px = self._point[0]
-        if prec != self._prec or new[1:] != self._point[1:] or x is not px and x != px:
-            self._point, self._cold = new, None
-            self._prec, self._P, self._make = prec, P, ctx.make_mpf
-        self._given = (x, y, yp, prec, self._point)
-
-    def _read(self, n, tangents=False):
-        """``_levels`` at the point, through level max(n, 4) (n without y'),
-        run once per point and depth.  Levels -2 and -1 are y_0 and y_1 = y'_0;
-        without y', a read of level -1 or above 0, or of the partials, is a
-        DomainError that leaves the point as it was, as is any read before the
-        first ``at``.  A read that raised leaves no point."""
-        x, y, yp = self._point
-        if y is None:
-            raise DomainError("the program has no point: call at(x, y, y') before reading it")
         if yp is None and (n == -1 or n > 0 or tangents):
             raise DomainError("the point has no y', which y_1, levels above 0 and partials read")
-        cold = self._cold
-        if cold and cold[0] >= n and cold[1] >= tangents:
-            return cold[2]
+        kept = self._cold
+        if (kept and kept[0] is x and kept[1] is y and kept[2] is yp and kept[3] == prec
+                and kept[4] >= n and kept[5] >= tangents):
+            return kept[6]
+        P = prec + GUARD_BITS
+        y0, yp0 = _fixed(_raw(y), P), None if yp is None else _fixed(_raw(yp), P)
         n = max(n, 0 if yp is None else 4)
         try:
-            self._at_x(x, self._prec, n)
-            values = self._levels(n, tangents)(self._P, y, yp)
+            self._at_x(x, prec, n)
+            values = (P, *self._levels(n, tangents)(P, y0, yp0))
         except BaseException:
-            self._point, self._cold, self._here[:] = (None, None, None), None, [None, None]
+            self._cold, self._here[:] = None, [None, None]
             raise
-        self._cold = (n, tangents, values)
+        self._cold = (x, y, yp, prec, n, tangents, values)
         return values
 
     def derivative(self, k: int):
-        """The closure (x, y, y') -> y^(k) of the solution through that point,
-        the same object for the same k."""
+        """The closure (x, y, y') -> y^(k) of the solution through that point
+        (see ``read``), rounded out at prec, the same object for the same
+        k >= 2."""
         if k in self._closures:
             return self._closures[k]
-        n, at, read, deg = k - 2, self.at, self._read, self._f.deg
+        if k < 2:
+            raise DomainError(f"f2 gives the derivatives y^(k) of order k >= 2, not {k}")
+        n, read, deg = k - 2, self.read, self._f.deg
         scale = math.factorial(n)
 
         def fk(x, y, yp):
-            at(x, y, yp)
-            f = read(min(n, deg))[1]
-            return self._make(from_man_exp(f[n] * scale if n <= deg else 0, -self._P,
-                                           self._prec, RND))
+            P, _, f = read(x, y, yp, min(n, deg))[:3]
+            return _out(y.context, f[n] * scale if n <= deg else 0, P)
 
         self._closures[k] = fk
         return fk
 
     def jacobian(self, x, y, yp, orders):
-        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``] at the mpmath point
-        (see ``at``), rounded out at prec."""
-        self.at(x, y, yp)
-        if not self._df:
-            return [(0, 0) for _ in orders]
-        dfs, P, prec = self._read(max(orders) - 2, tangents=True)[2:], self._P, self._prec
-        return [tuple(self._make(from_man_exp(df[k - 2] * math.factorial(k - 2), -P, prec, RND))
-                      for df in dfs) for k in orders]
+        """[(d y^(k)/dy, d y^(k)/dy') for k in ``orders``, k >= 2] at the
+        mpmath point (see ``read``), rounded out at prec, or ints 0 where f2
+        is free of y and y'."""
+        if not orders or min(orders) < 2:
+            raise DomainError(f"f2 gives the derivatives y^(k) of order k >= 2, not {orders}")
+        P, _, _, *dfs = self.read(x, y, yp, max(orders) - 2, tangents=True)
+        return [tuple(_out(y.context, df[k - 2] * math.factorial(k - 2), P) for df in dfs)
+                or (0, 0) for k in orders]          # no tangent: f2 is free of y and y'
+
+
+def _out(mp, m, P):
+    """The int m at 2^-P as an mpf of ``mp``, rounded to nearest at P - GUARD_BITS bits."""
+    return mp.make_mpf(from_man_exp(m, -P, P - GUARD_BITS, RND))
 
 
 def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:
@@ -892,5 +861,5 @@ def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:
     ``f2`` is a right-hand side, traced here, or a :class:`TracedODE`.
     """
     graph = f2 if isinstance(f2, TracedODE) else TracedODE(f2)
-    graph.at(ctx.mpf(x0), ctx.mpf(y0), ctx.mpf(yp0))
-    return [graph.y[k] for k in range(order, -1, -1)][::-1]     # the deepest read first
+    P, ys = graph.read(ctx.mpf(x0), ctx.mpf(y0), ctx.mpf(yp0), order - 2)[:2]
+    return [_out(ctx.mp, c, P) for c in ys[:order + 1]]

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
-from mpmath.libmp import (finf, from_float, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan,
-                          mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sub,
-                          to_int)
+from mpmath.libmp import (finf, from_int, from_man_exp, mpf_abs, mpf_add, mpf_atan, mpf_div,
+                          mpf_le, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sub, to_int)
 
 from .coefficients import CoefficientSet, MethodId, check_v, coefficients
 from .context import Context
@@ -41,11 +40,6 @@ CLASSICAL_PHASE_LAG_CONSTANT = F(-45469, 3394722659328000)
 
 #: bits the root angle of the phase lag keeps beyond the working precision
 _ANGLE_GUARD_BITS = 10
-
-#: the double nearest pi, which lies below it: for |v| below it, |v| / 2 pi
-#: is under 1/2 - 1.9e-17 and rounds below 1/2 at any prec + _ANGLE_GUARD_BITS
-#: of 63 bits or more, so the nearest integer is 0
-_BELOW_PI = from_float(math.pi)
 
 
 @dataclass(frozen=True)
@@ -130,12 +124,11 @@ def _lag(P, A, B, H, v, ctx: Context):
     if A + B:                   # else |v| sqrt(H / 720 (A + B)), the root taken at 2^-P
         half = from_man_exp(man * math.isqrt(max(0, (H << 2 * P) // (720 * (A + B)))), exp - P)
     theta = mpf_shift(mpf_atan(half, wp, RND), 1)
-    if not mpf_lt(a, _BELOW_PI):            # below pi, n = 0 without a division
-        two_pi = mpf_shift(mpf_pi(wp), 1)
-        n = to_int(mpf_div(a, two_pi, wp), RND)
-        if n:
-            turns = mpf_mul(from_int(n), two_pi, wp)
-            theta = (mpf_add if mpf_le(turns, a) else mpf_sub)(turns, theta, wp)
+    two_pi = mpf_shift(mpf_pi(wp), 1)
+    n = to_int(mpf_div(a, two_pi, wp), RND)
+    if n:
+        turns = mpf_mul(from_int(n), two_pi, wp)
+        theta = (mpf_add if mpf_le(turns, a) else mpf_sub)(turns, theta, wp)
     t = mpf_sub(a, theta, prec, RND)
     return ctx.mp.make_mpf(mpf_neg(t) if v._mpf_[0] else t)
 

@@ -9,13 +9,19 @@ from obrechkoff import DomainError, duffing, jets, linear_forced, make_context, 
 from obrechkoff.jets import GUARD_BITS, RANGE_BITS, RND, Series, TracedODE, ode_series, ops
 
 
+def rounded(graph, point, n, tangents=False):
+    """The rows of ``graph.read`` at ``point`` through level n, each
+    coefficient rounded out at the point's prec as a raw libmp number."""
+    P, *rows = graph.read(*point, n, tangents)
+    return [[from_man_exp(m, -P, P - GUARD_BITS, RND) for m in row] for row in rows]
+
+
 def taylor(ctx, expr, order):
     """Coefficients 0..order of a series expression, through the program
     compiled for an f2 that returns it, centred at 0."""
     graph = TracedODE(lambda x, y, yp: expr)
     zero = ctx.mpf(0)
-    graph.at(zero, zero, zero)
-    return [graph.f[k] for k in range(order + 1)]
+    return [ctx.mp.make_mpf(c) for c in rounded(graph, (zero, zero, zero), order)[1][:order + 1]]
 
 
 def test_jet_mul_div_roundtrip(ctx50):
@@ -138,9 +144,8 @@ def test_values_do_not_depend_on_the_order_they_are_asked_for(case, digits):
 
     def values(order):
         graph = JACOBIAN_CASES[case](ctx)
-        graph.at(*point)
-        reads = {"y": lambda: [graph.y.raw(k) for k in range(14, -1, -1)][::-1],
-                 "f": lambda: [graph.f.raw(k) for k in range(13)],
+        reads = {"y": lambda: rounded(graph, point, 12)[0][:15],
+                 "f": lambda: [rounded(graph, point, k)[1][k] for k in range(13)],
                  "jacobian": lambda: [getattr(p, "_mpf_", p) for pair in
                                       graph.jacobian(*point, (2, 4, 6, 8, 10, 12, 14))
                                       for p in pair]}
@@ -156,6 +161,9 @@ def test_values_do_not_depend_on_the_order_they_are_asked_for(case, digits):
 def test_partials_of_an_f2_free_of_y_are_zero(ctx50, f2):
     point = (ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4"))
     assert TracedODE(f2).jacobian(*point, (2, 4, 6)) == [(0, 0)] * 3
+    assert TracedODE(f2).read(*point, 4, tangents=True)[3:] == ()
+    with pytest.raises(DomainError, match="finite"):     # the point is still checked
+        TracedODE(f2).jacobian(point[0], ctx50.mp.inf, point[2], (2, 4, 6))
 
 
 def test_dual_pass_leaves_the_closures_exact(ctx50):
@@ -166,6 +174,14 @@ def test_dual_pass_leaves_the_closures_exact(ctx50):
     before = f6(x, y, yp)
     graph.jacobian(x, y, yp, (2, 4, 6))
     assert f6(x, y, yp) == before
+    # the values read did not serve the partials: the read with tangents is
+    # a call of its own, whose tuple the same objects get back, and equal
+    # new objects get equal values
+    assert sorted(graph._functions) == ["even", "levels 0-4", "levels 0-4 and tangents",
+                                        "x levels 0-5"]
+    kept = graph.read(x, y, yp, 4, tangents=True)
+    assert graph.read(x, y, yp, 2) is kept
+    assert graph.read(+x, +y, +yp, 4, tangents=True) == kept
 
 
 def test_duffing_compiles_to_one_combination_and_two_products(ctx50):
@@ -213,18 +229,23 @@ def test_a_missing_slope_that_f2_reads_is_a_domain_error(ctx50):
     # partials read it; a refused read leaves the program usable
     graph = TracedODE(lambda x, y, yp: -y * y)
     assert graph.derivative(2)(one, two, None) == -4
-    for read in (lambda: graph.derivative(3)(one, two, None), lambda: graph.y.raw(1),
+    for read in (lambda: graph.derivative(3)(one, two, None),
+                 lambda: graph.read(one, two, None, -1),
                  lambda: graph.jacobian(one, two, None, (2, 4, 6))):
         with pytest.raises(DomainError, match="no y'"):
             read()
-    assert graph.y[2] == -2
+    P, ys = graph.read(one, two, None, 0)[:2]
+    assert ys[2] == -2 << P
     assert graph.derivative(3)(one, two, ctx50.mpf(3)) == -12
 
 
-def test_a_read_before_any_point_is_a_domain_error():
-    graph = TracedODE(lambda x, y, yp: -y)
-    for read in (lambda: graph.y.raw(0), lambda: graph.f.raw(0), lambda: graph.y[3]):
-        with pytest.raises(DomainError, match=r"no point: call at\(x, y, y'\)"):
+def test_orders_below_two_are_a_domain_error(ctx50):
+    # f2 gives y'' and the derivatives above it, none below
+    graph = duffing(ctx50).graph
+    point = (ctx50.mpf("0.7"), ctx50.mpf("0.3"), ctx50.mpf("-0.4"))
+    for read in (lambda: graph.derivative(1), lambda: graph.derivative(0)(*point),
+                 lambda: graph.jacobian(*point, (1,)), lambda: graph.jacobian(*point, ())):
+        with pytest.raises(DomainError, match="order k >= 2"):
             read()
 
 
@@ -249,8 +270,9 @@ def test_duffing_levels_are_integer_code(ctx50):
     graph.even(x, y, yp, prec, None)
     graph.predict(x, y, yp, prec, 1 << P - 10, P)
     graph.tangents(x, y, yp, prec)
-    graph.jacobian(x, ctx50.mpf("0.1875"), ctx50.mpf("-0.5"), (2, 4, 6))
-    graph.y[9]
+    point = (x, ctx50.mpf("0.1875"), ctx50.mpf("-0.5"))
+    graph.jacobian(*point, (2, 4, 6))
+    graph.read(*point, 7)
     functions = graph._functions
     assert sorted(functions) == ["even", "levels 0-4 and tangents", "levels 0-7", "predict",
                                  "tangents", "x levels 0-5", "x levels 6-7"]
@@ -273,7 +295,7 @@ def test_duffing_levels_are_integer_code(ctx50):
 
 
 def test_closures_at_one_point_convert_it_once(monkeypatch, ctx50):
-    # f2, f4 and f6 of one evaluation pass the same x, y and y': ``at``
+    # f2, f4 and f6 of one evaluation pass the same x, y and y': ``read``
     # converts them at the first call only, and again after a fill that raised
     calls, fixed = [], jets._fixed
 

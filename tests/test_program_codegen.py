@@ -30,7 +30,7 @@ from obrechkoff import DomainError, duffing, jets, make_context, rational_proble
 from obrechkoff.jets import (DENSE, GUARD_BITS, PREDICTOR_DEGREE, RND, TURNS, TracedODE, _Div,
                              _fixed, _Leaf, _Lin, _Mul, _Node, _Poly, _raw, _SinCos)
 
-from test_jets import FIXED_PARTIALS_CASES, JACOBIAN_CASES
+from test_jets import FIXED_PARTIALS_CASES, JACOBIAN_CASES, rounded
 
 #: exponent gap, in bits, up to which a dot product aligns its terms exactly
 ALIGN_LIMIT = 1 << 14
@@ -217,7 +217,7 @@ def interpreted(graph, extra=0):
     for every node, and per program (x, y, tangents) its ops, the nodes they
     fill and its count of filled levels."""
     graph.__class__ = InterpretedODE
-    graph.extra = extra
+    graph.extra, graph._point, graph._prec = extra, (None, None, None), None
     leaves = [op for op in graph._d_ops if isinstance(op, _Leaf)]
     ws = [op.out for op in leaves if op.lag == 2]
     wps = [op.out for op in leaves if op.lag == 1] or [_Node(DENSE) for _ in ws]
@@ -247,27 +247,37 @@ POINTS = (("0.7", "0.3", "-0.4"), ("2.1", "-1.2", "0.8"))
 SCALED = (("0.7", "0.3e-30", "-0.4e-30"), ("0.7", "0.3e30", "-0.4e30"))
 
 
-def _tangents(graph):
+def _coefficients(graph, point, n, upward=False):
+    """Raw y_0..y_{n+2} and f_0..f_n at ``point`` of either program: the
+    generated one's ``read`` through level n, or with ``upward`` f_k by one
+    read of each level k in turn, rounded out; the interpreted one's lists."""
+    if isinstance(graph, InterpretedODE):
+        graph.at(*point)
+        return [graph.y.raw(k) for k in range(n + 3)], [graph.f.raw(k) for k in range(n + 1)]
+    fs = [rounded(graph, point, k)[1][k] for k in range(n + 1)] if upward else None
+    ys, f = rounded(graph, point, n)[:2]
+    return ys[:n + 3], fs if upward else f[:n + 1]
+
+
+def _tangents(graph, point):
     """The raw tangents df_0..df_4 of either program."""
     if isinstance(graph, InterpretedODE):
         return [c for df in graph._df for c in df.v[:5]]
-    return [from_man_exp(m, -graph._P, graph._prec, RND)
-            for df in graph._read(4, tangents=True)[2:] for m in df[:5]]
+    return [c for df in rounded(graph, point, 4, tangents=True)[2:] for c in df[:5]]
 
 
 def _raw_program(graph, ctx, point, y_first):
     """(value, s) for raw y_0..y_14 and f_0..f_12 at ``point``, asked for in
-    one of two orders (y first, or f first), then
-    for the partials of f2, f4, f6 and the raw tangents df_0..df_4."""
-    graph.at(*map(ctx.real, point))
-    ys = lambda: [graph.y.raw(k) for k in range(15)]
-    fs = lambda: [graph.f.raw(k) for k in range(13)]
-    values = ys() + fs() if y_first else list(reversed(fs() + ys()))
+    one of two ways (y first, all at once, or f first, a level at a time),
+    then for the partials of f2, f4, f6 and the raw tangents df_0..df_4."""
+    point = tuple(map(ctx.real, point))
+    ys, fs = _coefficients(graph, point, 12, upward=not y_first)
+    values = ys + fs if y_first else list(reversed(fs + ys))
     values = [(v, 1) for v in values]
-    partials = graph.jacobian(*map(ctx.real, point), (2, 4, 6))
+    partials = graph.jacobian(*point, (2, 4, 6))
     values += [(getattr(p, "_mpf_", p), math.factorial(k - 2))
                for k, pair in zip((2, 4, 6), partials) for p in pair]
-    return values + [(t, 1) for t in _tangents(graph)]
+    return values + [(t, 1) for t in _tangents(graph, point)]
 
 
 def _fraction(v):
@@ -307,7 +317,7 @@ def _pattern(graph, ctx):
     for point in POINTS + (("2.1", "0.25", "0.8"),) + SCALED:
         x, y, yp = map(ctx.real, point)
         out += [(graph.derivative(k)(x, y, yp)._mpf_, math.factorial(k - 2)) for k in (2, 4, 6)]
-        out += [(graph.y.raw(k), 1) for k in range(6, -1, -1)]
+        out += [(c, 1) for c in _coefficients(graph, (x, y, yp), 4)[0][6::-1]]
         out += [(p._mpf_, math.factorial(k - 2))
                 for k, pair in zip((2, 4, 6), graph.jacobian(x, y, yp, (2, 4, 6))) for p in pair
                 if not isinstance(p, int)]
@@ -346,8 +356,7 @@ def test_a_pair_turned_along_a_grid_keeps_the_bound(monkeypatch, case, digits):
             assert abs(pair.out.v[0] - jets._fixed(sv, P)) <= TURNS
             assert abs(pair.cos.v[0] - jets._fixed(cv, P)) <= TURNS
         else:
-            graph.at(*point)
-            graph.f.raw(0)
+            graph.read(*point, 0)
     assert len(calls) <= 3 + checks[-1] // TURNS
 
 
@@ -380,7 +389,7 @@ def _zero_divisor_cases(ctx):
 
 @pytest.mark.parametrize("digits", [16, 50, 100])
 @pytest.mark.parametrize("which", [0, 1], ids=["x-divisor", "y-divisor"])
-@pytest.mark.parametrize("through", ["closure", "jacobian"])
+@pytest.mark.parametrize("through", ["closure", "jacobian", "read"])
 def test_a_fill_that_raises_resets_the_program(which, through, digits):
     ctx = make_context(digits)
     graph, bad, good = _zero_divisor_cases(ctx)[which]
@@ -389,9 +398,10 @@ def test_a_fill_that_raises_resets_the_program(which, through, digits):
     with pytest.raises(DomainError, match="zero constant term"):
         if through == "closure":
             graph.derivative(6)(*bad)
-        else:
+        elif through == "jacobian":
             graph.jacobian(*bad, (2, 4, 6))
-    assert graph._point == (None, None, None)
+        else:
+            graph.read(*bad, 4)
     assert graph._cold is None and graph._here == [None, None]
     next_point = tuple(map(str, (good[0] + 1, good[1] / 3, good[2])))
     assert_within_bound(_raw_program(graph, ctx, next_point, True),
@@ -407,12 +417,10 @@ def test_magnitudes_far_from_one_keep_an_absolute_or_a_relative_error(digits):
     graph, oracle = JACOBIAN_CASES["duffing"](ctx), exact(lambda: JACOBIAN_CASES["duffing"](ctx),
                                                           digits)
     tiny, huge = (tuple(map(ctx.real, point)) for point in SCALED)
-    graph.at(*tiny)
-    y0 = _fraction(graph.y.raw(0))
+    y0 = _fraction(rounded(graph, tiny, 0)[0][0])
     assert abs(y0 - _fraction(tiny[1]._mpf_)) < Fraction(1, 2 ** P)
     assert (y0 == 0) == (digits == 16)          # 0.3e-30 is about 2^-101.4
-    graph.at(*huge)
-    assert graph.y.raw(0) == huge[1]._mpf_
+    assert rounded(graph, huge, 0)[0][0] == huge[1]._mpf_
     for k in (2, 4, 6):
         got = _fraction(graph.derivative(k)(*huge)._mpf_)
         want = _fraction(oracle.derivative(k)(*huge)._mpf_)
@@ -447,8 +455,7 @@ def test_the_step_reads_equal_the_cold_reads(case, digits):
     h, hs = _fixed(_raw(ctx.mpf("0.0123")), P), P
     for point in POINTS + SCALED + (("2.1", "0.25", "0.8"),):
         x, y, yp = map(ctx.real, point)
-        graph.at(x, y, yp)
-        ys, fs, *dfs = graph._read(PREDICTOR_DEGREE - 2, tangents=True)
+        _, ys, fs, *dfs = graph.read(x, y, yp, PREDICTOR_DEGREE - 2, tangents=True)
         s, d = ys[PREDICTOR_DEGREE], 0
         for a in ys[PREDICTOR_DEGREE - 1::-1]:
             s, d = a + (h * s >> hs), s + (h * d >> hs)

@@ -357,25 +357,6 @@ def test_phase_lag_keeps_its_bound_past_and_next_to_pi(method):
     assert outside < (len(grid) // 3 if method is MethodId.CLASSICAL else 1)
 
 
-@pytest.mark.parametrize("digits", [16, 50])
-def test_phase_lag_below_pi_takes_no_turn_count(digits, monkeypatch):
-    # below the double nearest pi, |v| / 2 pi rounds to the turn count n = 0,
-    # which the lag then takes without the division: every lag of the grid
-    # and next to pi, on both sides of that double, is the one that divides
-    ctx = make_context(digits)
-    pi = ctx.mpf(math.pi)
-    grid = [ctx.mpf(x) for x in benchmark_grid(1)]
-    grid += [pi + k * ctx.mpf(2) ** (-52 - e) for k in (-2, -1, 0, 1, 2) for e in (0, 4)]
-    grid += [ctx.pi + k * ctx.mpf(10) ** -ctx.digits for k in (-1, 0, 1)]
-    grid += [-v for v in grid[-20:]]
-    for method in MethodId:
-        skipping = [stability_sweep(method, grid, ctx)]
-        monkeypatch.setattr(stability, "_BELOW_PI", stability.from_int(0))
-        dividing = [stability_sweep(method, grid, ctx)]
-        monkeypatch.undo()
-        assert skipping == dividing, method
-
-
 def test_the_root_angle_is_pi_where_a_plus_b_vanishes(ctx50):
     # B = -A at v = 2 when A - B = v^2 H / 720, i.e. H = 360 A
     P = ctx50.mp.prec + 40

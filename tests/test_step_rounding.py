@@ -37,6 +37,8 @@ from obrechkoff.integrator import (
 )
 from obrechkoff.jets import GUARD_BITS, _fixed, _raw
 
+from test_jets import rounded
+
 STEPS = 30
 
 
@@ -92,8 +94,8 @@ def reference_step(state, weights, problem, ctx, prec):
          zip((2 * y_curr - y_prev, yp_prev), weights.end, weights.mid)]
 
     graph = problem.graph
-    graph.at(x_n, y_curr, yp_curr)
-    taylor = [graph.y[k] for k in range(PREDICTOR_DEGREE, -1, -1)]
+    ys = rounded(graph, (x_n, y_curr, yp_curr), PREDICTOR_DEGREE - 2)[0]
+    taylor = [ctx.mp.make_mpf(c) for c in ys[PREDICTOR_DEGREE::-1]]
     z = ctx.mp.polyval(taylor, weights.h, derivative=True)
     inverse = None
     for evals in range(1, MAX_ITERATIONS + 1):
