@@ -25,36 +25,38 @@ absolute errors), and round back once.  They run on Python integers at one
 binary point 2^-P, P = dps_to_prec(digits + boost), as the Taylor program in
 ``jets`` does; libmp is met only where |v| and cos v (one ``mpf_cos`` per
 set; PL'' takes cos 2v = 2 cos^2 v - 1 and cos 3v = 2 cos v cos 2v - cos v
-on the integers) come in and where the weights are rounded out to nearest,
-each once when first read; the integers stay on the set as ``fixed``, which
-``stability`` and the step read in place of the weights.  Each trig
-polynomial is a table of integer weights, one row per power of v^2, over
-products of cos v, cos 2v and cos 3v: a row is one exact integer dot
-product, Horner's rule in v^2 combines the rows, and each product or
-quotient shifts or floor-divides once.  Next to a pole, where den keeps
-fewer than 3 digits beyond the working precision, the boost is raised by the
-digits it lost and the weights evaluated again.  A den below 10^(5 - digits)
-of its scale raises SingularParameterError, decided in floats or, at the
-edge, by one exact integer comparison.  Below v^2 = 10^-digits, decided
-exactly from the mantissa and exponent of v, the fitted weights equal the
-classical ones to working precision.  The rational Taylor tables are exact
-validation data for the closed forms; evaluation never uses them.
+on the integers) come in and where the weights leave through ``jets._out``,
+each rounded to nearest once when first read; the integers stay on the set
+as ``fixed``, which ``stability`` and the step read in place of the weights.
+The classical set is built the same way, from its fractions rounded down at
+2^-(prec + GUARD_BITS).  Each trig polynomial is a table of integer weights,
+one row per power of v^2, over products of cos v, cos 2v and cos 3v: a row
+is one exact integer dot product, Horner's rule in v^2 combines the rows,
+and each product or quotient shifts or floor-divides once.  Next to a pole,
+where den keeps fewer than 3 digits beyond the working precision, the boost
+is raised by the digits it lost and the weights evaluated again.  A den
+below 10^(5 - digits) of its scale raises SingularParameterError, decided in
+floats or, at the edge, by one exact integer comparison.  Below v^2 =
+10^-digits, decided exactly from the mantissa and exponent of v, the fitted
+weights equal the classical ones to working precision.  The rational Taylor
+tables are exact validation data for the closed forms; evaluation never
+uses them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from functools import lru_cache
 from operator import mul
 
-from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, fzero, mpf_cos
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_cos
 
 from .context import Context
 from .errors import ConfigurationError, DomainError, SingularParameterError
-from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _integer_weights, _raw, in_range
+from .jets import GUARD_BITS, RANGE_BITS, RND, _fixed, _integer_weights, _out, _raw, in_range
 
 
 class MethodId(enum.Enum):
@@ -87,8 +89,10 @@ class CoefficientSet:
     """The six weights of the two-step sixth-derivative Obrechkoff formula;
     ``fixed`` = (P, ints) holds them, in ``COEFF_NAMES`` order, as integers at
     2^-P: converted in exactly, P >= prec + GUARD_BITS at v's prec, when the
-    set is built from weights.  A set from ``from_fixed`` rounds its weights
-    when one is first read (an attribute, ``as_tuple``, ``==``, ``replace``)."""
+    set is built from weights.  A set from ``from_fixed`` (the classical set,
+    its stand-in at small v and the closed forms) rounds its weights out
+    through ``jets._out`` at the precision of v's context when one is first
+    read (an attribute, ``as_tuple``, ``==``, ``replace``)."""
 
     beta10: object
     beta11: object
@@ -106,19 +110,19 @@ class CoefficientSet:
             object.__setattr__(self, "fixed", (P, tuple(x << P - s for x in ints)))
 
     @classmethod
-    def from_fixed(cls, P, ints, v, prec):
-        """The set of ``ints`` at 2^-P, rounded to nearest at prec bits when read."""
+    def from_fixed(cls, P, ints, v):
+        """The set of ``ints`` at 2^-P, each rounded by ``jets._out`` in v's
+        context when first read."""
         cs = object.__new__(cls)
-        cs.__dict__.update(v=v, fixed=(P, ints), _prec=prec)
+        cs.__dict__.update(v=v, fixed=(P, ints))
         return cs
 
     def __getattr__(self, name):
         # reached for an attribute not set: the six weights of a from_fixed set
-        if name not in COEFF_NAMES or "_prec" not in self.__dict__:
+        if name not in COEFF_NAMES:
             raise AttributeError(name)
-        (P, ints), make = self.fixed, self.v.context.make_mpf
-        self.__dict__.update(zip(COEFF_NAMES, (make(from_man_exp(x, -P, self._prec, RND))
-                                               for x in ints)))
+        (P, ints), mp = self.fixed, self.v.context
+        self.__dict__.update(zip(COEFF_NAMES, (_out(mp, x, P) for x in ints)))
         return self.__dict__[name]
 
     def as_tuple(self):
@@ -308,20 +312,22 @@ _VANISH_ORDER = {MethodId.PL_PRIME: 10, MethodId.PL_DOUBLE_PRIME: 18}
 
 
 @lru_cache(maxsize=None)
-def _classical_raw(prec):
-    """The classical weights rounded to nearest at prec bits, and (P, ints) at
-    P = prec + GUARD_BITS, rounded down: both formed once per precision."""
-    fracs = [CLASSICAL_FRACTIONS[name] for name in COEFF_NAMES]
+def _classical_fixed(prec):
+    """(P, ints): the classical weights at P = prec + GUARD_BITS, rounded
+    down, formed once per precision.  Rounded to nearest at prec, each is its
+    fraction rounded once: the floor keeps 21 or more bits below the halfway
+    bit of each weight, and an odd denominator part below 2^20 allows no run
+    of 20 equal bits, so it never lands on a halfway point."""
     P = prec + GUARD_BITS
-    return (tuple(from_rational(f.numerator, f.denominator, prec, RND) for f in fracs),
-            (P, tuple((f.numerator << P) // f.denominator for f in fracs)))
+    return P, tuple((f.numerator << P) // f.denominator
+                    for f in map(CLASSICAL_FRACTIONS.get, COEFF_NAMES))
 
 
 def classical_coefficients(ctx: Context) -> CoefficientSet:
-    """The constant order-12 weight set, each weight rounded once at ctx precision."""
-    raw, fixed = _classical_raw(ctx.mp.prec)
-    make = ctx.mp.make_mpf
-    return CoefficientSet(*map(make, raw), v=make(fzero), fixed=fixed)
+    """The constant order-12 weight set, built as a closed-form set is, by
+    ``CoefficientSet.from_fixed``: each weight rounded once at ctx precision
+    when first read."""
+    return CoefficientSet.from_fixed(*_classical_fixed(ctx.mp.prec), ctx.mpf(0))
 
 
 def _boost_digits(method: MethodId, v) -> int:
@@ -437,8 +443,7 @@ def _closed(method, v, ctx):
     # b30 = (1/360 - b31 - b10/12 - b20) / 2
     b21 = (one - 12 * b10 - 24 * b20) // 12
     b30 = (one - 360 * (b31 + b20) - 30 * b10) // 720
-    return CoefficientSet.from_fixed(P, (b10, one - 2 * b10, b20, b21, b30, b31), v_in,
-                                     ctx.mp.prec)
+    return CoefficientSet.from_fixed(P, (b10, one - 2 * b10, b20, b21, b30, b31), v_in)
 
 
 def plprime_closed(v, ctx: Context) -> CoefficientSet:
@@ -496,11 +501,11 @@ def check_v(v_in):
 def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     """Coefficient set for (method, v), accurate to working precision.
 
-    The classical method ignores v (recorded as 0); its weights are formed
-    once per precision, as mpfs and as ``fixed``.  Fitted methods evaluate
-    their closed forms whenever v^2 >= 10^-digits; below that they differ
-    from the classical weights by less than one unit in the last place, so
-    the classical set is returned with v recorded.  Both are even in v.
+    The classical method ignores v (recorded as 0); its integers are formed
+    once per precision.  Fitted methods evaluate their closed forms whenever
+    v^2 >= 10^-digits; below that they differ from the classical weights by
+    less than one unit in the last place, so the classical integers are
+    returned with v recorded.  Both are even in v.
     A fitted method at a v that is not finite, or not below 2^RANGE_BITS in
     magnitude (the range of ``jets``' fixed point), raises DomainError.
     """
@@ -509,7 +514,7 @@ def coefficients(method: MethodId, v, ctx: Context) -> CoefficientSet:
     v_in = check_v(ctx.mpf(v))
     _, man, exp, _ = v_in._mpf_
     if man * man * 10 ** ctx.digits < 1 << max(0, -2 * exp):   # v^2 < 10^-digits
-        return replace(classical_coefficients(ctx), v=v_in)
+        return CoefficientSet.from_fixed(*_classical_fixed(ctx.mp.prec), v_in)
     if method is MethodId.PL_PRIME:
         return plprime_closed(v_in, ctx)
     return pldoubleprime_closed(v_in, ctx)

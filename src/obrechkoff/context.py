@@ -7,8 +7,8 @@ mpmath floats bound to that context's precision, which no code changes.
 Code that needs guard digits works on Python integers at a binary point
 below the working precision (``coefficients`` at 2^-P, P =
 ``dps_to_prec(dps + boost)``; the Taylor program and the step at 2^-(prec +
-``jets.GUARD_BITS``)) and rounds each result back once with
-``ctx.mp.make_mpf``.
+``jets.GUARD_BITS``)) and rounds each result back once through
+``jets._out``, to nearest at the precision of the context it is given.
 """
 
 from __future__ import annotations

@@ -29,11 +29,12 @@ problem graph's generated ``predict``, which forms the Taylor levels and
 the Horner sums in locals.  The corrector is a chord (simplified) Newton
 iteration z <- z + A^-1 (Phi(z) - z) with A = I - DPhi, where dF/dz comes
 from one call of the graph's generated ``tangents`` at the predictor (the
-variational program), and F from ``problem.evaluate`` (the graph's
-``even`` on the graph read).  A^-1 is formed at most once per step, and
-once per run when the variational program reads neither x, y nor y'
-(``TracedODE.fixed_partials``, as for a linear f2), since dF/dz is then the
-same at every point: the step hands it on in its ``StepState``.
+variational program), and F from ``problem.evaluate(x, y, y', prec)``
+with the same arguments (the graph's ``even`` on the graph read).  A^-1 is
+formed at most once per step, and once per run when the variational
+program reads neither x, y nor y' (``TracedODE.fixed_partials``, as for a
+linear f2), since dF/dz is then the same at every point: the step hands it
+on in its ``StepState``.
 z itself is accepted once |Phi(z) - z| <= tol (1 + |Phi(z)|) in both
 components, tol being 10^(2 - digits), and F(z) is kept as f_{n+1} (Hairer
 & Wanner II, IV.8), so a step evaluates F only at its iterates.  An F that
@@ -48,8 +49,8 @@ Each weighted sum is one exact integer sum under the integer weights of
 :class:`StepWeights`, shifted once, and the acceptance test is one exact
 integer comparison per component; each shift or division rounds down.
 :func:`integrate` crosses the binary point once each way: it converts the
-startup values in and rounds y_end, y'_end and each trajectory record out
-to nearest at prec.
+startup values in with ``jets._fixed`` and rounds y_end, y'_end and each
+trajectory record out through ``jets._out``, to nearest at prec.
 libmp is met elsewhere only in a problem's own closures.  A startup value,
 iterate or F of 2^RANGE_BITS or more is a diverged solve.
 
@@ -82,8 +83,8 @@ from mpmath.libmp import from_man_exp, from_rational, mpf_shift
 from .coefficients import CoefficientSet, MethodId, coefficients
 from .context import Context
 from .errors import ConfigurationError, DomainError, StepFailureError
-from .jets import (GUARD_BITS, PREDICTOR_DEGREE, RANGE_BITS, RND, _fixed, _integer_weights, _raw,
-                   _signed, ode_series)
+from .jets import (GUARD_BITS, PREDICTOR_DEGREE, RANGE_BITS, RND, _fixed, _integer_weights, _out,
+                   _raw, _signed, ode_series)
 from .problems import ProblemDef
 
 #: weights of the degree-11-exact symmetric derivative quadrature
@@ -241,7 +242,7 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
     not finite (``problem.evaluate`` raised a DomainError), or when an
     iterate or F lies beyond the Taylor program's range.
     """
-    prec, make = ctx.mp.prec, ctx.mp.make_mpf
+    prec = ctx.mp.prec
     P = prec + GUARD_BITS
     one, limit = 1 << P, P + RANGE_BITS
     n, x_n = state.index, state.x_n
@@ -253,7 +254,7 @@ def step(state: StepState, weights: StepWeights, problem: ProblemDef,
 
     def evaluate(x, y, yp, evals):
         try:
-            f2, f4, f6 = f = problem.evaluate(x, y, yp, prec, make)
+            f2, f4, f6 = f = problem.evaluate(x, y, yp, prec)
         except DomainError:
             raise failure(": non-finite iterate", evals) from None
         if f2.bit_length() > limit or f4.bit_length() > limit or f6.bit_length() > limit:
@@ -343,23 +344,19 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
         )
     weights = StepWeights.build(coefficients(config.method, v_user, ctx), h, ctx)
 
-    prec = ctx.mp.prec
-    P = prec + GUARD_BITS
+    P = ctx.mp.prec + GUARD_BITS
     values = startup(problem, config, ctx)
-    try:          # the state's one entry to the binary point; ``out`` is its exit
+    try:          # the state's one entry to the binary point; ``_out`` is its exit
         state = StepState(1, x0, _node(x0, h, 1), *(_fixed(_raw(v), P) for v in values))
     except DomainError:
         raise StepFailureError(
             "implicit solve diverged: state beyond the Taylor program's range at x = "
             f"{ctx.mp.nstr(_node(x0, h, 2), 8)}", step_index=2, iterations=0) from None
 
-    def out(m):
-        return ctx.mp.make_mpf(from_man_exp(m, -P, prec, RND))
-
     trajectory = []
 
     def record(xv, m):
-        yv, ref = out(m), problem.reference and problem.reference(xv)
+        yv, ref = _out(ctx.mp, m, P), problem.reference and problem.reference(xv)
         trajectory.append((xv, yv, ref, None if ref is None else abs(yv - ref)))
 
     if trajectory_every:
@@ -375,7 +372,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
                                  or state.index == n_steps):
             record(state.x_n, state.y_curr)
 
-    y_end = out(state.y_curr)
+    y_end = _out(ctx.mp, state.y_curr, P)
     err = None if problem.reference is None else abs(y_end - problem.reference(xe))
     return IntegrationResult(
         y_end=y_end,
@@ -383,7 +380,7 @@ def integrate(problem: ProblemDef, config: StepperConfig, ctx: Context,
         steps=n_steps,
         total_iterations=state.iterations,
         wall_time=time.perf_counter() - t_start,
-        yp_end=out(state.yp_curr),
+        yp_end=_out(ctx.mp, state.yp_curr, P),
         max_step_iterations=max_iter_step,
         trajectory=trajectory,
         jacobian_passes=state.jacobian_passes,

@@ -28,8 +28,11 @@ in u with a few integer products (``_Turn``), and ``mpf_cos_sin`` is called
 only at an irregular step and after every TURNS turns.  libmp is met only
 at the boundary: the program of x converts x in (``read`` y and y' too),
 level 0 of a sin/cos pair calls ``mpf_cos_sin`` where it does not turn, the
-x program converts the constants of polynomial nodes, and ``derivative``,
-``jacobian`` and ``ode_series`` round their values out to nearest at prec.
+x program converts the constants of polynomial nodes, and ``_out`` is the
+one way out of the binary point, an int at 2^-P rounded to nearest at the
+working precision of its context: ``derivative``, ``jacobian`` and
+``ode_series`` here, and the integrator's results, the coefficient weights,
+the stability pair and the closures' arguments elsewhere, leave through it.
 
 No op list is interpreted, and no list holds a coefficient of y, y' or a
 tangent: the ops' lines, level after level in program order with the index
@@ -291,6 +294,12 @@ def _fixed(v, P):
     m, e = _signed(v)
     e += P
     return m << e if e >= 0 else m >> -e
+
+
+def _out(mp, m, P):
+    """The int m at 2^-P as an mpf of ``mp``, rounded to nearest at mp.prec:
+    the one way out of the binary point, as ``_fixed`` is the way in."""
+    return mp.make_mpf(from_man_exp(m, -P, mp.prec, RND))
 
 
 def _integer_weights(values):
@@ -606,17 +615,17 @@ class TracedODE:
 
     f2 may use + - * /, positive integer powers, numbers and ``ops.sin`` /
     ``ops.cos``; an f2 that returns a plain number is a constant.  The step
-    calls the generated functions ``even``, ``predict`` and ``tangents`` with
-    x, prec and y, y' as ints at 2^-P, P = prec + GUARD_BITS.  Every other
-    read is ``read`` at a point of mpmath numbers, which gives the Taylor
-    coefficients of the solution, of f2 and of its tangents there as ints at
-    2^-P; a cold read, at new objects or deeper than the last, is one
-    ``levels`` call.  ``derivative``, ``jacobian`` and ``ode_series`` take
-    y^(k), its partials and the series off ``read`` and round their own
-    values out.  ``fixed_partials`` tells whether the tangent program reads
-    neither x, y nor y', so that the partials are the same at every point of
-    one precision.  ``name`` labels the generated code in tracebacks and
-    profiles.
+    calls the generated functions ``even(x, y, y', prec)``, ``predict`` and
+    ``tangents(x, y, y', prec)`` with y, y' as ints at 2^-P, P = prec +
+    GUARD_BITS.  Every other read is ``read`` at a point of mpmath numbers,
+    which gives the Taylor coefficients of the solution, of f2 and of its
+    tangents there as ints at 2^-P; a cold read, at new objects or deeper
+    than the last, is one ``levels`` call.  ``derivative``, ``jacobian`` and
+    ``ode_series`` take y^(k), its partials and the series off ``read`` and
+    round their values out through ``_out``.  ``fixed_partials`` tells
+    whether the tangent program reads neither x, y nor y', so that the
+    partials are the same at every point of one precision.  ``name`` labels
+    the generated code in tracebacks and profiles.
     """
 
     def __init__(self, f2, name="f2"):
@@ -722,10 +731,10 @@ class TracedODE:
 
     @functools.cached_property
     def even(self):
-        """(x, y, y', prec, make) -> (y'', y^(4), y^(6)) = (f_0, 2 f_2, 24 f_4),
-        ints at 2^-P from y and y' at 2^-P, P = prec + GUARD_BITS; ``make`` is
-        not read.  Levels 0-4, in locals."""
-        return self._generate("even", "x, y_0, yp_0, prec, make", self._y_ops + self._leaves, 0, 4,
+        """(x, y, y', prec) -> (y'', y^(4), y^(6)) = (f_0, 2 f_2, 24 f_4), ints
+        at 2^-P from y and y' at 2^-P, P = prec + GUARD_BITS: the arguments of
+        ``tangents``.  Levels 0-4, in locals."""
+        return self._generate("even", "x, y_0, yp_0, prec", self._y_ops + self._leaves, 0, 4,
                               lambda ref: [_even(ref, self._f)])
 
     @functools.cached_property
@@ -850,16 +859,8 @@ class TracedODE:
                 or (0, 0) for k in orders]          # no tangent: f2 is free of y and y'
 
 
-def _out(mp, m, P):
-    """The int m at 2^-P as an mpf of ``mp``, rounded to nearest at P - GUARD_BITS bits."""
-    return mp.make_mpf(from_man_exp(m, -P, P - GUARD_BITS, RND))
-
-
-def ode_series(ctx, f2, x0, y0, yp0, order: int) -> list:
-    """Taylor coefficients 0..order of the solution of y'' = f2(x, y, y') at x0.
-
-    ``f2`` is a right-hand side, traced here, or a :class:`TracedODE`.
-    """
-    graph = f2 if isinstance(f2, TracedODE) else TracedODE(f2)
+def ode_series(ctx, graph: TracedODE, x0, y0, yp0, order: int) -> list:
+    """Taylor coefficients 0..order of the solution of y'' = f2(x, y, y') at
+    x0, read off the traced ``graph`` and rounded out through ``_out``."""
     P, ys = graph.read(ctx.mpf(x0), ctx.mpf(y0), ctx.mpf(yp0), order - 2)[:2]
     return [_out(ctx.mp, c, P) for c in ys[:order + 1]]

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from mpmath.libmp import from_man_exp
-
 from .context import Context
 from .errors import ConfigurationError, DomainError
-from .jets import GUARD_BITS, RANGE_BITS, RND, TracedODE, _fixed, _raw, in_range, ops
+from .jets import GUARD_BITS, RANGE_BITS, TracedODE, _fixed, _out, _raw, in_range, ops
 
 
 @dataclass(frozen=True)
@@ -27,10 +25,11 @@ class ProblemDef:
     Unless ``graph`` is given, f2 is traced into one; f2 itself and every
     closure f3..f7 left unset are then read off that graph.
 
-    ``evaluate(x, y, yp, prec, make)``, rebuilt by ``dataclasses.replace``,
-    is the graph's ``even`` when f2, f4 and f6 are its closures; else it
-    calls them at y, y' rounded out, and a value that is not finite is a
-    DomainError, one of 2^RANGE_BITS or more +-2^(P + RANGE_BITS).
+    ``evaluate(x, y, yp, prec)``, called as the graph's ``tangents`` is and
+    rebuilt by ``dataclasses.replace``, is the graph's ``even`` when f2,
+    f4 and f6 are its closures; else it calls them at y, y' rounded out
+    through ``jets._out`` in the context of x, and a value that is not finite
+    is a DomainError, one of 2^RANGE_BITS or more +-2^(P + RANGE_BITS).
     """
 
     name: str
@@ -59,9 +58,9 @@ class ProblemDef:
         own = all(getattr(self, f"f{k}") is self.graph.derivative(k) for k in (2, 4, 6))
         object.__setattr__(self, "evaluate", self.graph.even if own else self._from_closures)
 
-    def _from_closures(self, x, y, yp, prec, make):
+    def _from_closures(self, x, y, yp, prec):
         P = prec + GUARD_BITS
-        z = [make(from_man_exp(v, -P, prec, RND)) for v in (y, yp)]
+        z = [_out(x.context, v, P) for v in (y, yp)]
         values = [_raw(f(x, *z)) for f in (self.f2, self.f4, self.f6)]
         if not all(v[1] or not v[2] for v in values):      # inf and nan: man 0, exp not
             raise DomainError("a closure value is not finite")

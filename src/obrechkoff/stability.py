@@ -33,7 +33,7 @@ from mpmath.libmp import (finf, from_int, from_man_exp, mpf_abs, mpf_add, mpf_at
 from .coefficients import CoefficientSet, MethodId, check_v, coefficients
 from .context import Context
 from .errors import DomainError, FitError, OutsidePeriodicityError, SingularParameterError
-from .jets import RND, _fixed
+from .jets import RND, _fixed, _out
 
 CLASSICAL_H14_BRACKET = F(-45469, 1697361329664000)
 CLASSICAL_PHASE_LAG_CONSTANT = F(-45469, 3394722659328000)
@@ -79,11 +79,6 @@ def _characteristic(coeffs: CoefficientSet, v):
     return P, A, A - (v2 * H >> P) // 720, H
 
 
-def _out(x, P, mp):
-    """The integer x at 2^-P rounded once to an mpf of mp."""
-    return mp.make_mpf(from_man_exp(x, -P, mp.prec, RND))
-
-
 def _ratio(P, A, B, prec):
     """B/A rounded once at prec bits, raw."""
     return mpf_div(from_man_exp(B, -P), from_man_exp(A, -P), prec, RND)
@@ -95,7 +90,7 @@ def stability_pair(coeffs: CoefficientSet, v) -> StabilityPair:
     mp = coeffs.v.context
     v = check_v(mp.mpf(v))
     P, A, B, _ = _characteristic(coeffs, v._mpf_)
-    return StabilityPair(A=_out(A, P, mp), B=_out(B, P, mp), v=v)
+    return StabilityPair(A=_out(mp, A, P), B=_out(mp, B, P), v=v)
 
 
 def phase_lag(method: MethodId, v, ctx: Context):
@@ -259,6 +254,6 @@ def stability_sweep(method: MethodId, v_grid, ctx: Context):
             pl, status = _lag(P, A, B, H, v, ctx), "ok"
         except OutsidePeriodicityError:
             pl, status = None, "outside-periodicity"
-        rows.append((v, _out(A, P, mp), _out(B, P, mp), mp.make_mpf(_ratio(P, A, B, prec)),
+        rows.append((v, _out(mp, A, P), _out(mp, B, P), mp.make_mpf(_ratio(P, A, B, prec)),
                      pl, status))
     return rows

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import from_man_exp, from_rational, to_rational
 
 from obrechkoff import (
     CoefficientSet,
@@ -387,25 +387,38 @@ READS = {
 @pytest.mark.parametrize("read", sorted(READS))
 @pytest.mark.parametrize("digits", [16, 50])
 def test_closed_form_weights_are_rounded_from_fixed_on_first_read(read, digits):
-    # a closed-form set holds only its integers until a weight is read; then
-    # all six are those integers rounded to nearest at the working precision
+    # a closed-form set, the classical set and its stand-in below v^2 =
+    # 10^-digits hold only their integers until a weight is read; then all
+    # six are those integers rounded to nearest at the working precision
     ctx = make_context(digits)
-    for method in FITTED:
-        for x in ("1e-4", "0.3", "2.5", "37.8"):
-            cs = coefficients(method, ctx.mpf(x), ctx)
-            assert not set(COEFF_NAMES) & vars(cs).keys(), (method, x)
-            READS[read](cs)
-            P, ints = cs.fixed
-            want = [ctx.mp.make_mpf(from_man_exp(n, -P, ctx.mp.prec, RND)) for n in ints]
-            assert [vars(cs)[name] for name in COEFF_NAMES] == want, (method, x)
-            assert [getattr(cs, name) for name in COEFF_NAMES] == want
-            assert all(w._mpf_[3] <= ctx.mp.prec for w in want)
-            by_hand = CoefficientSet(*want, v=cs.v)
-            assert by_hand == cs and hash(by_hand) == hash(cs) and repr(by_hand) == repr(cs)
-            moved = dataclasses.replace(cs, v=ctx.mpf(1))
-            assert moved.as_tuple() == cs.as_tuple() and moved.fixed == cs.fixed
+    tiny = ctx.mpf(10) ** -(ctx.digits // 2 + 1)
+    sets = [((method, x), coefficients(method, ctx.mpf(x), ctx))
+            for method in FITTED for x in ("1e-4", "0.3", "2.5", "37.8")]
+    sets += [("classical", classical_coefficients(ctx)),
+             ("stand-in", coefficients(MethodId.PL_DOUBLE_PRIME, tiny, ctx))]
+    for label, cs in sets:
+        assert not set(COEFF_NAMES) & vars(cs).keys(), label
+        READS[read](cs)
+        P, ints = cs.fixed
+        want = [ctx.mp.make_mpf(from_man_exp(n, -P, ctx.mp.prec, RND)) for n in ints]
+        assert [vars(cs)[name] for name in COEFF_NAMES] == want, label
+        assert [getattr(cs, name) for name in COEFF_NAMES] == want
+        assert all(w._mpf_[3] <= ctx.mp.prec for w in want)
+        by_hand = CoefficientSet(*want, v=cs.v)
+        assert by_hand == cs and hash(by_hand) == hash(cs) and repr(by_hand) == repr(cs)
+        moved = dataclasses.replace(cs, v=ctx.mpf(1))
+        assert moved.as_tuple() == cs.as_tuple() and moved.fixed == cs.fixed
     with pytest.raises(AttributeError):
         cs.beta40
+    # the classical integers, rounded down at 2^-(prec + GUARD_BITS), round to
+    # nearest at prec to each fraction rounded once, at every prec
+    fractions = [CLASSICAL_FRACTIONS[name] for name in COEFF_NAMES]
+    for prec in range(53, 2001):
+        ctx.mp.prec = prec
+        cs = classical_coefficients(ctx)
+        READS[read](cs)
+        assert [getattr(cs, name)._mpf_ for name in COEFF_NAMES] == [
+            from_rational(f.numerator, f.denominator, prec, RND) for f in fractions], prec
 
 
 # ------------------------------------------------- one integer weight path

@@ -20,8 +20,10 @@ from obrechkoff import (
     startup,
     step,
 )
+from obrechkoff.coefficients import coefficient_sweep
 from obrechkoff.integrator import DERIVATIVE_QUADRATURE, MAX_ITERATIONS, StepState, StepWeights
-from obrechkoff.jets import GUARD_BITS, _fixed, _raw
+from obrechkoff.jets import GUARD_BITS, _fixed, _raw, ode_series
+from obrechkoff.stability import periodicity_interval, stability_pair, stability_sweep
 
 
 def fixed(ctx, v):
@@ -540,3 +542,44 @@ def test_short_runs_are_bit_identical_to_their_recorded_values(
         last = step(last, weights, p, ctx)
     ints = (last.y_prev, last.y_curr, last.yp_prev, last.yp_curr, *last.f_prev, *last.f_curr)
     assert hashlib.sha256(repr(ints).encode()).hexdigest()[:16] == state
+
+
+def _raw_values(v):
+    """v with every mpf replaced by its raw ``_mpf_`` tuple, lists as tuples."""
+    if isinstance(v, (list, tuple)):
+        return tuple(_raw_values(x) for x in v)
+    return getattr(v, "_mpf_", v)
+
+
+#: digest of every value that leaves the binary point through the package's
+#: public reads, per working precision, recorded to every bit
+RECORDED_EXITS = {16: "aca7b144e4215ebe", 50: "37a968ac65a1afb8"}
+
+
+@pytest.mark.parametrize("digits", sorted(RECORDED_EXITS))
+def test_every_exit_is_bit_identical_to_its_recorded_values(digits):
+    # stability rows, periodicity results, stability pairs, coefficient rows
+    # (the classical set, the closed forms and the classical stand-in below
+    # v^2 = 10^-digits), Taylor series, closures and partials: a change that
+    # moves any of them says so and records the new digest
+    ctx = make_context(digits)
+    grid = [ctx.mpf(k) / 10 for k in range(1, 46)] + [ctx.mpf(10) ** -e for e in (3, 6, 9, 12, 30)]
+    got = []
+    for method in MethodId:
+        got.append(stability_sweep(method, grid, ctx))
+        r = periodicity_interval(method, ctx, 4)
+        got.append((r.v0_squared, r.v_max, r.hit_v_max, r.first_violation, r.singular_points,
+                    r.samples))
+        got.append(coefficient_sweep(method, grid, ctx))
+        for v in ("1e-30", "0.3", "2.5"):
+            pair = stability_pair(coefficients(method, ctx.mpf(v), ctx), ctx.mpf(v) * 3 / 2)
+            got.append((pair.A, pair.B, pair.v))
+    for make in (duffing, linear_forced, rational_problem):
+        p = make(ctx)
+        for x, y, yp in ((p.x0, p.y0, p.yp0), ("0.7", "0.3", "-0.4"), ("2.5", "-1.1", "0.9")):
+            x, y, yp = ctx.mpf(x), ctx.mpf(y), ctx.mpf(yp)
+            got.append(ode_series(ctx, p.graph, x, y, yp, 14))
+            got.append([getattr(p, f"f{k}")(x, y, yp) for k in range(2, 8)])
+            got.append(p.graph.jacobian(x, y, yp, range(2, 8)))
+    digest = hashlib.sha256(repr(_raw_values(got)).encode()).hexdigest()[:16]
+    assert digest == RECORDED_EXITS[digits]

@@ -70,7 +70,7 @@ def test_series_integer_powers(ctx50):
 
 def test_ode_series_harmonic(ctx50):
     # y'' = -y with y(0)=1, y'(0)=0 gives the cosine series
-    series = ode_series(ctx50, lambda x, y, yp: -y, ctx50.mpf(0), 1, 0, 12)
+    series = ode_series(ctx50, TracedODE(lambda x, y, yp: -y), ctx50.mpf(0), 1, 0, 12)
     h = ctx50.mpf("0.1")
     y, yp = ctx50.mp.polyval(series[::-1], h, derivative=True)
     assert abs(y - ctx50.mp.cos(h)) < ctx50.mpf(10) ** -13
@@ -82,7 +82,7 @@ def test_ode_series_rational_problem(ctx50):
     def f2(x, y, yp):
         return 8 * y * y / (1 + 2 * x)
 
-    series = ode_series(ctx50, f2, ctx50.mpf(0), 1, -2, 14)
+    series = ode_series(ctx50, TracedODE(f2), ctx50.mpf(0), 1, -2, 14)
     h = ctx50.rational(45, 50000)           # 4.5/5000
     exact = 1 / (1 + 2 * h)
     assert abs(ctx50.mp.polyval(series[::-1], h) - exact) < ctx50.mpf(10) ** -30
@@ -267,7 +267,7 @@ def test_duffing_levels_are_integer_code(ctx50):
     prec = ctx50.mp.prec
     P = prec + GUARD_BITS
     x, y, yp = ctx50.mpf("0.7"), 3 << P - 4, -(1 << P - 1)
-    graph.even(x, y, yp, prec, None)
+    graph.even(x, y, yp, prec)
     graph.predict(x, y, yp, prec, 1 << P - 10, P)
     graph.tangents(x, y, yp, prec)
     point = (x, ctx50.mpf("0.1875"), ctx50.mpf("-0.5"))
@@ -290,7 +290,7 @@ def test_duffing_levels_are_integer_code(ctx50):
     assert len(turn.findall(_source(functions["x levels 0-5"]))) == 1
     assert not re.search(r"turn|mpf_", _source(functions["x levels 6-7"]))
     sine = linear_forced(ctx50).graph
-    sine.even(x, y, yp, prec, None)
+    sine.even(x, y, yp, prec)
     assert not re.search(r"X\[1\]", _source(sine._functions["x levels 0-5"]))
 
 
@@ -350,12 +350,12 @@ def test_irregular_x_reads_mpf_cos_sin_once_per_new_x(monkeypatch, ctx50):
     calls = []
     monkeypatch.setattr(jets, "mpf_cos_sin", lambda *a: calls.append(a) or mpf_cos_sin(*a))
     graph = linear_forced(ctx50).graph
-    prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
+    prec = ctx50.mp.prec
     P = prec + GUARD_BITS
     pair, = [op for op in graph._x_ops if isinstance(op, jets._SinCos)]
     xs = ["0.7", "2.1", "0.3", "5", "1.1", "1.9", "0.2", "3.3", "0.7"]
     for n, x in enumerate(xs, 1):
-        graph.even(ctx50.mpf(x), 1 << P, 0, prec, make)
+        graph.even(ctx50.mpf(x), 1 << P, 0, prec)
         graph.predict(ctx50.mpf(x), 1 << P, 0, prec, 1 << P - 10, P)
         graph.tangents(ctx50.mpf(x), 1 << P, 0, prec)
         assert (pair.out.v[0], pair.cos.v[0]) == _fresh(pair.u.v[0], P)

@@ -364,14 +364,14 @@ def test_one_adapter_evaluation_makes_one_generated_call(ctx50):
     p = duffing(ctx50)
     wrapped = dataclasses.replace(p, f6=lambda x, y, yp: p.f6(x, y, yp))
     assert wrapped.evaluate.__func__ is ProblemDef._from_closures
-    prec, make = ctx50.mp.prec, ctx50.mp.make_mpf
+    prec = ctx50.mp.prec
     P = prec + GUARD_BITS
     x, y, yp = ctx50.mpf("0.7"), 3 << P - 4, -(1 << P - 1)
-    values, calls = generated_calls(wrapped.evaluate, x, y, yp, prec, make)
+    values, calls = generated_calls(wrapped.evaluate, x, y, yp, prec)
     assert calls == ["<obrechkoff program duffing x levels 0-5>",
                      "<obrechkoff program duffing levels 0-4>"]
-    assert generated_calls(wrapped.evaluate, x, y >> 1, yp, prec, make)[1] == [
+    assert generated_calls(wrapped.evaluate, x, y >> 1, yp, prec)[1] == [
         "<obrechkoff program duffing levels 0-4>"]
     # the graph's own read, rounded out at prec and back as the closures are
     assert values == [_fixed(from_man_exp(v, -P, prec, RND), P)
-                      for v in p.graph.even(x, y, yp, prec, make)]
+                      for v in p.graph.even(x, y, yp, prec)]

@@ -461,16 +461,16 @@ def test_the_step_reads_equal_the_cold_reads(case, digits):
             s, d = a + (h * s >> hs), s + (h * d >> hs)
         partials = [tuple(df[k] * math.factorial(k) for k in (0, 2, 4)) for df in dfs]
         for at in (x, +x):
-            assert graph.even(at, ys[0], ys[1], prec, None) == (fs[0], 2 * fs[2], 24 * fs[4])
+            assert graph.even(at, ys[0], ys[1], prec) == (fs[0], 2 * fs[2], 24 * fs[4])
             assert graph.predict(at, ys[0], ys[1], prec, h, hs) == (s, d)
             assert graph.tangents(at, ys[0], ys[1], prec) == tuple(partials or [(0, 0, 0)] * 2)
     if case == "rational":
         # a zero divisor inside even raises, and the next reads keep the bound
         with pytest.raises(DomainError, match="zero constant term"):
-            graph.even(ctx.mpf(-1) / 2, 1 << P, -(2 << P), prec, None)
+            graph.even(ctx.mpf(-1) / 2, 1 << P, -(2 << P), prec)
         oracle = exact(lambda: STEP_CASES[case](ctx), digits)
         x, y, yp = map(ctx.real, POINTS[0])
-        got = graph.even(x, _fixed(y._mpf_, P), _fixed(yp._mpf_, P), prec, None)
+        got = graph.even(x, _fixed(y._mpf_, P), _fixed(yp._mpf_, P), prec)
         assert_within_bound([(from_man_exp(m, -P, prec, RND), s) for m, s in zip(got, (1, 2, 24))],
                             [(oracle.derivative(k)(x, y, yp)._mpf_, 1) for k in (2, 4, 6)], prec)
         assert_within_bound(_raw_program(graph, ctx, POINTS[1], True),
